@@ -42,7 +42,6 @@ from .envelope import (
     SCHEME_ORIGJS,
     SCHEME_PINSKETCH,
     MalformedEnvelope,
-    _field_for,
     deserialize,
     reconcile_respond,
     serialize_edit,
@@ -53,6 +52,7 @@ from .envelope import (
     serialize_origjs,
     serialize_pinsketch,
 )
+from .gf2m import field_of
 from .hamming import (
     bch_params,
     hamming_entropy_loss,
@@ -187,7 +187,7 @@ def _make_sketch(args, rng) -> bytes:
         return serialize_hamming_perm(params, ss_permuted(params, w, rng))
     if scheme in ("pinsketch", "ijs", "origjs"):
         _require(args, "m", "t")
-        es = _read_set(args.input, _field_for(args.m))
+        es = _read_set(args.input, field_of(args.m))
         if scheme == "pinsketch":
             return serialize_pinsketch(pinsketch_ss(es, args.t))
         if scheme == "ijs":
@@ -308,7 +308,7 @@ def _cmd_gen(args) -> int:
             encode, n_bits = _encode_word(params.n), params.n
             residual = params.n - params.syndrome_bits
         else:
-            field = _field_for(args.m)
+            field = field_of(args.m)
             w = _read_set(args.input, field)
             encode, n_bits = _encode_set(field), field.m * len(w.elems)
             loss = setdiff_entropy_loss(

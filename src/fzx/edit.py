@@ -11,7 +11,6 @@ sorted shingle sits at each position of the disjoint c-partition of w
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .codec import DecodeFailure
 from .entropy import (
@@ -21,7 +20,7 @@ from .entropy import (
     compose_rep,
     parse_helper,
 )
-from .gf2m import GF2m, irreducible_modulus
+from .gf2m import GF2m, field_of
 from .setdiff import ElementSet, PinSketchData, pinsketch_rec, pinsketch_ss
 
 __all__ = [
@@ -140,13 +139,9 @@ def _alphabet_bits(w) -> int:
     raise ValueError("input must be a binary string or bytes")
 
 
-@lru_cache(maxsize=None)
 def _shingle_field(c: int, bits: int) -> GF2m:
     # universe F^c needs one more bit so every embedded shingle is nonzero
-    m = c * bits + 1
-    if m <= 32:
-        return GF2m(m)
-    return GF2m(m, irreducible_modulus(m))
+    return field_of(c * bits + 1)
 
 
 def _embed_one(s, c: int, bits: int) -> int:

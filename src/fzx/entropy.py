@@ -13,18 +13,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .gf2m import GF2m, PRIMITIVE_POLYS, irreducible_modulus
+from .gf2m import GF2m, field_of
 
 _MAX_SUPPORT = 1 << 24
-
-
-@lru_cache(maxsize=None)
-def _hash_field(n_bits: int) -> GF2m:
-    if n_bits in PRIMITIVE_POLYS:
-        return GF2m(n_bits)
-    return GF2m(n_bits, irreducible_modulus(n_bits))
 
 
 class MalformedPayload(ValueError):
@@ -123,7 +115,7 @@ class UHashParams:
 
     @property
     def field(self) -> GF2m:
-        return _hash_field(self.n_bits)
+        return field_of(self.n_bits)
 
 
 def uhash(u: UHashParams, x: int, w: int) -> int:

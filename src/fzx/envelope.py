@@ -6,16 +6,16 @@ Wire layout, big-endian throughout:
 
 aux is scheme-specific: ijs carries u16 s; origjs u16 s, u16 r; edit
 u32 n, u16 c, u16 t_edit.  Payloads are bit-packed, left-aligned, and
-zero-padded to a byte; the pad bits must be zero.
+zero-padded to a byte; the pad bits must be zero.  An edit payload ends
+with the recovery indices, each minus one, in (n-c).bit_length() bits.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bitpack import bits_to_bytes, bytes_to_bits, pack_fields, unpack_fields, word_from_bytes, word_to_bytes
 from .codec import BchCode, syndrome_from_bytes, syndrome_to_bytes
-from .edit import EditSketch, RecoveryInfo, _shingle_field
-from .gf2m import GF2m, irreducible_modulus
+from .edit import EditSketch, RecoveryInfo
+from .gf2m import field_of
 from .hamming import (
     CodeOffsetSketch,
     HammingParams,
@@ -94,13 +94,6 @@ class Envelope:
     params: HammingParams | None = None
     c: int | None = None
     t_edit: int | None = None
-
-
-@lru_cache(maxsize=None)
-def _field_for(m: int) -> GF2m:
-    if m <= 32:
-        return GF2m(m)
-    return GF2m(m, irreducible_modulus(m))
 
 
 def _header(scheme: int, m: int, t: int) -> bytes:
@@ -189,10 +182,11 @@ def serialize_edit(sk: EditSketch, c: int, t_edit: int) -> bytes:
         raise ValueError("sketch universe does not match a supported alphabet")
     if n > 0xFFFFFFFF or c > 0xFFFF:
         raise ValueError("string length too large for envelope")
+    # 1-based indices of at most n-c+1 shingles travel 0-based
     width = (n - c).bit_length()
-    if any(i >> width for i in sk.s2.indices):
+    if any((i - 1) >> width for i in sk.s2.indices):
         raise ValueError("recovery index does not fit the pinned field width")
-    value, nb = pack_fields(sk.s2.indices, width)
+    value, nb = pack_fields([i - 1 for i in sk.s2.indices], width)
     return (
         _header(SCHEME_EDIT, field.m, sk.s1.t)
         + n.to_bytes(4, "big")
@@ -261,14 +255,14 @@ def deserialize(data: bytes) -> Envelope:
             sk = PermutedSketch(perm, SyndromeSketch(value, t * m))
             return Envelope(scheme, m, t, sk, params=params)
         if scheme == SCHEME_PINSKETCH:
-            field = _field_for(m)
+            field = field_of(m)
             value = _exact_payload(data, pos, t * m)
             sums = unpack_fields(value, t * m, m)
             return Envelope(scheme, m, t, PinSketchData(field, t, tuple(sums)))
         if scheme == SCHEME_IJS:
             aux, pos = _take(data, pos, 2)
             s = int.from_bytes(aux, "big")
-            field = _field_for(m)
+            field = field_of(m)
             value = _exact_payload(data, pos, t * m)
             coeffs = unpack_fields(value, t * m, m)
             return Envelope(scheme, m, t, IjsSketchData(field, s, t, tuple(coeffs)))
@@ -276,7 +270,7 @@ def deserialize(data: bytes) -> Envelope:
             aux, pos = _take(data, pos, 4)
             s = int.from_bytes(aux[:2], "big")
             r = int.from_bytes(aux[2:], "big")
-            field = _field_for(m)
+            field = field_of(m)
             value = _exact_payload(data, pos, 2 * r * m)
             flat = unpack_fields(value, 2 * r * m, m)
             pairs = tuple(zip(flat[0::2], flat[1::2]))
@@ -293,7 +287,7 @@ def deserialize(data: bytes) -> Envelope:
         if n <= c:
             # n == c has a zero-width index field; nothing to sketch
             raise MalformedEnvelope("bad-header", "string no longer than shingle length")
-        field = _shingle_field(c, (m - 1) // c)
+        field = field_of(m)
         code = BchCode(field, 2 * t + 1)
         syn_len = t * ((m + 7) // 8)
         body, pos = _take(data, pos, syn_len)
@@ -301,10 +295,8 @@ def deserialize(data: bytes) -> Envelope:
         k = -(-n // c)
         width = (n - c).bit_length()
         value = _exact_payload(data, pos, k * width)
-        indices = unpack_fields(value, k * width, width)
-        sk = EditSketch(
-            PinSketchData(field, t, tuple(sums)), RecoveryInfo(n, tuple(indices))
-        )
+        indices = tuple(i + 1 for i in unpack_fields(value, k * width, width))
+        sk = EditSketch(PinSketchData(field, t, tuple(sums)), RecoveryInfo(n, indices))
         return Envelope(scheme, m, t, sk, c=c, t_edit=t_edit)
     except MalformedEnvelope:
         raise

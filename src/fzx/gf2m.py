@@ -12,6 +12,7 @@ first, with no trailing zero coefficients (the zero polynomial is []).
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 # Lexicographically smallest primitive polynomial of each degree, found by
 # exhaustive search and certified by factoring 2^m - 1.  Encoded as ints,
@@ -118,23 +119,81 @@ def _x_order_is_full(mod: int, m: int) -> bool:
     return True
 
 
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        while a.bit_length() >= b.bit_length() and a:
-            a ^= b << (a.bit_length() - b.bit_length())
-        a, b = b, a
+def _gf2_mod(a: int, g: int) -> int:
+    """a mod g over GF(2), by long division."""
+    dg = g.bit_length()
+    while a.bit_length() >= dg:
+        a ^= g << (a.bit_length() - dg)
     return a
 
 
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _gf2_mod(a, b)
+    return a
+
+
+def _frobenius_chain(f: int, m: int) -> list[int]:
+    """[x^(2^i) mod f for i = 0..m], f of degree m, by repeated squaring.
+
+    Squaring over GF(2) only spreads the bits apart (bit i moves to bit
+    2i), which a few shift-and-mask steps do.  The bits at x^m and above
+    are then folded back through x^m = tail, tail = f - x^m.  A tail of
+    degree <= m/2 needs at most two folds of a few shifts each; a denser
+    tail is reduced by long division instead.
+    """
+    tail = f ^ (1 << m)
+    low = (1 << m) - 1
+    taps = [j for j in range(tail.bit_length()) if tail >> j & 1]
+    fold = 2 * tail.bit_length() <= m + 2
+    span = 1 << (m - 1).bit_length()
+    ones = (1 << 2 * span) - 1
+    spread = []
+    while span > 1:
+        span >>= 1
+        spread.append((span, ones // ((1 << 2 * span) - 1) * ((1 << span) - 1)))
+    a = _gf2_mod(2, f)
+    chain = [a]
+    for _ in range(m):
+        for s, mask in spread:
+            a = (a | a << s) & mask
+        if fold:
+            while a >> m:
+                hi = a >> m
+                a &= low
+                for j in taps:
+                    a ^= hi << j
+        else:
+            while a >> m:
+                a ^= f << (a.bit_length() - 1 - m)
+        chain.append(a)
+    return chain
+
+
 def _is_irreducible(mod: int, m: int) -> bool:
-    """Rabin's test: x^(2^m) == x mod f, and x^(2^(m/p)) - x coprime to f."""
-    if _gf2_powmod_x(1 << m, mod, m) != 2:
+    """Rabin's test: x^(2^m) == x mod f, and x^(2^(m/p)) - x coprime to f
+    for each prime p dividing m; every power comes off one squaring chain."""
+    chain = _frobenius_chain(mod, m)
+    x = chain[0]
+    if chain[m] != x:
         return False
-    for p in _factor(m):
-        h = _gf2_powmod_x(1 << (m // p), mod, m) ^ 2
-        if _gf2_gcd(h, mod) != 1:
-            return False
-    return True
+    return all(_gf2_gcd(chain[m // p] ^ x, mod) == 1 for p in _factor(m))
+
+
+# A search candidate with a factor of degree <= this never reaches Rabin's test
+_SCREEN_DEG = 8
+
+
+@lru_cache(maxsize=1)
+def _screen_factors() -> tuple[int, ...]:
+    """Every irreducible polynomial of degree 1.._SCREEN_DEG except x,
+    ascending; built on the first modulus search, not at import."""
+    found: list[int] = []
+    for g in range(3, 1 << (_SCREEN_DEG + 1), 2):
+        d = g.bit_length() - 1
+        if all(_gf2_mod(g, h) for h in found if 2 * (h.bit_length() - 1) <= d):
+            found.append(g)
+    return tuple(found)
 
 
 _IRREDUCIBLE_CACHE: dict[int, int] = {}
@@ -145,6 +204,13 @@ def irreducible_modulus(m: int) -> int:
 
     Used for universal-hash fields whose degree falls outside the pinned
     primitive table.  Deterministic, so hash outputs replay exactly.
+
+    Candidates x^m + k run over odd k in increasing order, so x never
+    divides one.  A candidate is dropped when an irreducible g of degree
+    <= 8 divides it, i.e. when x^m mod g equals k mod g (x^m mod g is
+    worked out once per g: x has order dividing 2^deg(g) - 1 mod g).  The
+    survivors go to Rabin's test on a squaring chain (`_is_irreducible`),
+    so the first one accepted is exactly the smallest irreducible.
     """
     if m in PRIMITIVE_POLYS:
         return PRIMITIVE_POLYS[m]
@@ -153,16 +219,15 @@ def irreducible_modulus(m: int) -> int:
     got = _IRREDUCIBLE_CACHE.get(m)
     if got is not None:
         return got
+    screen = [
+        (g, _gf2_mod(1 << (m % ((1 << (g.bit_length() - 1)) - 1)), g))
+        for g in _screen_factors()
+    ]
     for k in range(1, 1 << m, 2):
+        if any(_gf2_mod(k, g) == xm for g, xm in screen):
+            continue
         cand = (1 << m) | k
-        # cheap screen: reject candidates with a factor of degree <= 4
-        ok = True
-        for d in range(1, 5):
-            h = _gf2_powmod_x(1 << d, cand, m) ^ 2
-            if _gf2_gcd(h, cand) != 1:
-                ok = False
-                break
-        if ok and _is_irreducible(cand, m):
+        if _is_irreducible(cand, m):
             _IRREDUCIBLE_CACHE[m] = cand
             return cand
     raise ValueError(f"no irreducible polynomial of degree {m} found")
@@ -174,7 +239,10 @@ class GF2m:
     With no modulus argument the pinned primitive polynomial for the degree
     is used (1 <= m <= 32).  A caller-supplied modulus is accepted up to
     degree 512: it is certified primitive by exhaustive order check for
-    m <= 16, and certified irreducible by Rabin's test above that.
+    m <= 16, and certified irreducible by Rabin's test above that, which
+    reads every power it needs off one squaring chain x, x^2, x^4, ...,
+    x^(2^m) mod the modulus.  `field_of(m)` hands out one shared instance
+    per degree.
     """
 
     __slots__ = ("m", "modulus", "order", "_log", "_exp", "_red4")
@@ -331,6 +399,15 @@ class GF2m:
             base = self.mul(base, base)
             e >>= 1
         return r
+
+
+@lru_cache(maxsize=None)
+def field_of(m: int) -> GF2m:
+    """The field of degree m, one instance per process: the pinned
+    primitive modulus for m <= 32, otherwise `irreducible_modulus(m)`."""
+    if m <= 32:
+        return GF2m(m)
+    return GF2m(m, irreducible_modulus(m))
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,18 @@ def test_edit_sketch_recover_default_c(tmp_path):
     assert rec.read_text().strip() == w
 
 
+
+def test_edit_sketch_recover_full_index_width(tmp_path):
+    # n-c+1 = 4 and the largest shingle "11" is a partition block
+    wi = _write(tmp_path, "w.txt", "00110")
+    wpi = _write(tmp_path, "wp.txt", "0110")
+    out = tmp_path / "e.bin"
+    rec = tmp_path / "rec.txt"
+    assert main(["sketch", "--scheme", "edit", "--t", "1", "--c", "2",
+                 "-i", wi, "-o", str(out)]) == 0
+    assert main(["recover", "-i", wpi, "--sketch", str(out), "-o", str(rec)]) == 0
+    assert rec.read_text().strip() == "00110"
+
 def test_recover_to_stdout(tmp_path, capsys):
     w = "101100101010110"
     wi = _write(tmp_path, "w.txt", w)

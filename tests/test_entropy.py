@@ -118,6 +118,13 @@ def test_uhash_xor_universality_random_pairs():
         assert collisions == 1 << (10 - 3)
 
 
+
+def test_uhash_256_bit_known_answer():
+    # keys over 256-bit inputs depend on the searched degree-256 modulus
+    x = 0xF3F49249DC28FF90A5AEC7978306D03BF38B2FFC80A4DF5A51C9BC701E7EA419
+    w = 0x6BAD6BE28E7AA6E99F19950499DD251DE512148239292D22E255ACCB1A466884
+    assert uhash(UHashParams(256, 32), x, w) == 0xD41879FD
+
 def lhl_battery():
     """Uniform, geometric-ish, and two-point distributions over 8 bits."""
     uniform = FiniteDistribution.uniform(8)

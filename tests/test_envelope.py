@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fzx.codec import DecodeFailure
-from fzx.edit import edit_ss
+from fzx.edit import edit_rec, edit_ss
 from fzx.envelope import (
     SCHEME_PINSKETCH,
     Envelope,
@@ -39,7 +39,7 @@ GOLDEN = {
     "pinsketch": "465a58310303000270",
     "ijs": "465a5831040300020003f4",
     "origjs": "465a583107040002000400061e2249718ce3",
-    "edit": "465a58310504000500000010000300010706000707323136",
+    "edit": "465a58310504000500000010000300010706000707212025",
 }
 
 
@@ -172,6 +172,23 @@ def test_round_trips_randomized():
         env = deserialize(serialize_edit(ed, 4, 2))
         assert env.sketch == ed and env.c == 4 and env.t_edit == 2
 
+
+
+@pytest.mark.parametrize(
+    "w, c",
+    [
+        ("00110", 2),  # n-c+1 = 4 shingles, the largest of them in the partition
+        ("0000111101100101000", 4),  # all 16 4-bit windows; "1111" is a block
+    ],
+)
+def test_edit_round_trip_when_index_count_is_a_power_of_two(w, c):
+    sk = edit_ss(w, c, 1)
+    assert max(sk.s2.indices) == len(w) - c + 1
+    data = serialize_edit(sk, c, 1)
+    env = deserialize(data)
+    assert env.sketch == sk
+    assert serialize_edit(env.sketch, c, 1) == data
+    assert edit_rec(w[1:], env.sketch) == w
 
 def test_edit_sketch_bit_budget():
     # envelope payload stays within the recovery-info + syndrome budget

@@ -6,15 +6,20 @@ from the library's int-based fast path on purpose.
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 
 from fzx.gf2m import (
     GF2m,
     PRIMITIVE_POLYS,
+    _is_irreducible,
+    _screen_factors,
     brute_roots,
     element_from_bytes,
     element_to_bytes,
+    field_of,
     irreducible_modulus,
     poly_add,
     poly_deg,
@@ -151,6 +156,111 @@ def test_irreducible_modulus_deterministic_and_valid():
         assert irreducible_modulus(m) == mod
         GF2m(m, mod)
 
+
+
+@pytest.mark.parametrize(
+    "m, tail", [(75, 0x4B), (80, 0xAF), (128, 0x87), (255, 0x2D), (256, 0x425)]
+)
+def test_irreducible_modulus_known_answers(m, tail):
+    assert irreducible_modulus(m) == (1 << m) | tail
+
+
+def _ref_is_irreducible(f, m):
+    """Rabin's test with bit-serial multiplication: the reference for the
+    squaring-chain version in the library."""
+
+    def mulmod(a, b):
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if (a >> m) & 1:
+                a ^= f
+        return r
+
+    def x_to_2_to(i):
+        r = 2
+        for _ in range(i):
+            r = mulmod(r, r)
+        return r
+
+    def gcd(a, b):
+        while b:
+            while a and a.bit_length() >= b.bit_length():
+                a ^= b << (a.bit_length() - b.bit_length())
+            a, b = b, a
+        return a
+
+    primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+    return x_to_2_to(m) == 2 and all(gcd(x_to_2_to(m // p) ^ 2, f) == 1 for p in primes)
+
+
+def _clmul(a, b):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def _shift_by_one(f):
+    """f(x + 1): irreducible iff f is, and dense even when f is sparse."""
+    out, power = 0, 1
+    for i in range(f.bit_length()):
+        if (f >> i) & 1:
+            out ^= power
+        power ^= power << 1
+    return out
+
+
+def test_is_irreducible_matches_bit_serial_reference():
+    rng = random.Random(2026)
+    for _ in range(24):
+        m = rng.randrange(17, 201)
+        top = 1 << m
+        irreducible = irreducible_modulus(m)
+        cases = [
+            (top | rng.randrange(1, 1 << 12, 2), None),  # sparse, like a search candidate
+            (top | rng.getrandbits(m), None),  # dense
+            (irreducible, True),
+            (_shift_by_one(irreducible), True),  # dense irreducible
+        ]
+        if m % 2 == 0:
+            # splits over degree m/2 only, so only the gcd step rejects it
+            g = irreducible_modulus(m // 2)
+            cases.append((_clmul(g, _shift_by_one(g)), False))
+        for f, known in cases:
+            got = _is_irreducible(f, m)
+            assert got == _ref_is_irreducible(f, m), hex(f)
+            if known is not None:
+                assert got is known, hex(f)
+
+
+def test_screen_holds_every_small_irreducible_but_x():
+    degrees = [g.bit_length() - 1 for g in _screen_factors()]
+    # irreducible polynomials over GF(2) of degree 1..8, less x itself
+    assert [degrees.count(d) for d in range(1, 9)] == [1, 1, 2, 3, 6, 9, 18, 30]
+    assert all(_ref_is_irreducible(g, g.bit_length() - 1) for g in _screen_factors()[1:])
+
+
+def test_field_of_interns_one_field_per_degree():
+    for m in (5, 16, 32, 33, 128):
+        f = field_of(m)
+        assert field_of(m) is f
+        assert f == (GF2m(m) if m <= 32 else GF2m(m, irreducible_modulus(m)))
+
+
+def test_import_does_no_modulus_work():
+    code = (
+        "import fzx.cli, fzx.gf2m as g; "
+        "assert g._screen_factors.cache_info().currsize == 0; "
+        "assert not g._IRREDUCIBLE_CACHE"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 def test_poly_eval_examples():
     f8 = GF2m(3)
