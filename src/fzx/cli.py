@@ -13,20 +13,24 @@ import argparse
 import math
 import random
 import sys
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
+from .bitpack import pack_fields
 from .codec import DecodeFailure
 from .edit import (
     approx_edit_entropy_loss,
     edit_entropy_loss,
-    edit_gen,
     edit_rec,
-    edit_rep,
     edit_ss,
     optimal_shingle_len,
+    shingle_encoding,
 )
 from .entropy import (
     MalformedPayload,
+    PreparedSketcher,
     UHashParams,
     compose_gen,
     compose_rep,
@@ -34,13 +38,7 @@ from .entropy import (
     parse_helper,
 )
 from .envelope import (
-    SCHEME_EDIT,
-    SCHEME_HAMMING_OFFSET,
-    SCHEME_HAMMING_PERM,
-    SCHEME_HAMMING_SYN,
-    SCHEME_IJS,
-    SCHEME_ORIGJS,
-    SCHEME_PINSKETCH,
+    SCHEME_NAMES,
     MalformedEnvelope,
     deserialize,
     reconcile_respond,
@@ -73,27 +71,6 @@ from .setdiff import (
     pinsketch_ss,
     setdiff_entropy_loss,
 )
-
-_SCHEMES = (
-    "hamming-syn",
-    "hamming-offset",
-    "hamming-perm",
-    "pinsketch",
-    "ijs",
-    "origjs",
-    "edit",
-)
-
-_SCHEME_IDS = {
-    "hamming-syn": SCHEME_HAMMING_SYN,
-    "hamming-offset": SCHEME_HAMMING_OFFSET,
-    "hamming-perm": SCHEME_HAMMING_PERM,
-    "pinsketch": SCHEME_PINSKETCH,
-    "ijs": SCHEME_IJS,
-    "origjs": SCHEME_ORIGJS,
-    "edit": SCHEME_EDIT,
-}
-_SCHEME_NAMES = {v: k for k, v in _SCHEME_IDS.items()}
 
 
 class InputError(ValueError):
@@ -158,7 +135,138 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scheme plumbing shared by sketch/recover/gen/rep
+# Input kinds and the scheme table
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How a family of schemes reads, prints and hashes its values.
+
+    read(path, m, t) takes m and t from the flags (sketch, gen) or from
+    the envelope (recover, rep); show(env, w) is what recover prints;
+    encode(env, w) is the injective (value, n_bits) hash input;
+    residual(env, w) is the min-entropy in bits left in w, uniform over its
+    type, once the sketch in env is public.
+    """
+
+    read: Callable
+    show: Callable
+    encode: Callable
+    residual: Callable
+
+
+def _read_word(path: str, m: int, t: int) -> int:
+    n = bch_params(m, t).n
+    text = _read_word_text(path)
+    if len(text) != n:
+        raise InputError(f"expected {n} bits, got {len(text)}")
+    return _word_int(text)
+
+
+def _set_residual(env, es: ElementSet) -> float:
+    s = len(es.elems)
+    # of the set schemes only origjs sketches carry r
+    r = getattr(env.sketch, "r", None)
+    loss = setdiff_entropy_loss(SCHEME_NAMES[env.scheme], m=env.m, t=env.sketch.t, s=s, r=r)
+    return math.log2(math.comb((1 << env.m) - 1, s)) - loss
+
+
+def _edit_residual(env, w: str) -> float:
+    n, bits = env.sketch.s2.n, (env.m - 1) // env.c
+    return n * bits - edit_entropy_loss(n, env.c, env.t_edit, 1 << bits)
+
+
+# Hamming words of n = 2^m - 1 bits; n bits less the n - k the sketch reveals
+_WORDS = _Kind(
+    read=_read_word,
+    show=lambda env, w: _word_text(w, env.params.n) + "\n",
+    encode=lambda env, w: (w, env.params.n),
+    residual=lambda env, w: env.params.k,
+)
+# sets of nonzero elements of GF(2^m)
+_SETS = _Kind(
+    read=lambda path, m, t: _read_set(path, field_of(m)),
+    show=lambda env, es: _set_text(es),
+    encode=lambda env, es: pack_fields(es.elems, env.m),
+    residual=_set_residual,
+)
+# strings of '0'/'1' characters
+_STRINGS = _Kind(
+    read=lambda path, m, t: _read_word_text(path),
+    show=lambda env, w: w + "\n",
+    encode=lambda env, w: shingle_encoding(w, env.c),
+    residual=_edit_residual,
+)
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    """Everything sketch, recover, gen and rep know about one scheme."""
+
+    kind: _Kind
+    flags: tuple[str, ...]  # required by sketch and gen
+    sketch: Callable  # (args, w, rng) -> envelope bytes
+    recover: Callable  # (env, w') -> w
+
+
+def _bch(args):
+    return bch_params(args.m, args.t)
+
+
+def _shingle_len(args, n: int) -> int:
+    """--c, or the loss-minimizing shingle length for n binary characters."""
+    return args.c if args.c is not None else optimal_shingle_len(n, args.t, 2)
+
+
+def _sketch_edit(args, w: str, rng) -> bytes:
+    c = _shingle_len(args, len(w))
+    return serialize_edit(edit_ss(w, c, args.t), c, args.t)
+
+
+_SCHEMES = {
+    "hamming-syn": _Scheme(
+        _WORDS,
+        ("m", "t"),
+        lambda a, w, rng: serialize_hamming_syn(_bch(a), ss_syndrome(_bch(a), w)),
+        lambda env, w: rec_syndrome(env.params, w, env.sketch),
+    ),
+    "hamming-offset": _Scheme(
+        _WORDS,
+        ("m", "t"),
+        lambda a, w, rng: serialize_hamming_offset(_bch(a), ss_code_offset(_bch(a), w, rng)),
+        lambda env, w: rec_code_offset(env.params, w, env.sketch),
+    ),
+    "hamming-perm": _Scheme(
+        _WORDS,
+        ("m", "t"),
+        lambda a, w, rng: serialize_hamming_perm(_bch(a), ss_permuted(_bch(a), w, rng)),
+        lambda env, w: rec_permuted(env.params, w, env.sketch),
+    ),
+    "pinsketch": _Scheme(
+        _SETS,
+        ("m", "t"),
+        lambda a, es, rng: serialize_pinsketch(pinsketch_ss(es, a.t)),
+        lambda env, es: pinsketch_rec(es, env.sketch),
+    ),
+    "ijs": _Scheme(
+        _SETS,
+        ("m", "t"),
+        lambda a, es, rng: serialize_ijs(ijs_ss(es, a.t)),
+        lambda env, es: ijs_rec(es, env.sketch),
+    ),
+    "origjs": _Scheme(
+        _SETS,
+        ("m", "t", "r"),
+        lambda a, es, rng: serialize_origjs(origjs_ss(es, a.r, a.t, rng)),
+        lambda env, es: origjs_rec(es, env.sketch),
+    ),
+    "edit": _Scheme(
+        _STRINGS,
+        ("t",),
+        _sketch_edit,
+        lambda env, w: edit_rec(w, env.sketch),
+    ),
+}
 
 
 def _require(args, *names):
@@ -167,98 +275,41 @@ def _require(args, *names):
             raise ValueError(f"--{name.replace('_', '-')} is required for {args.scheme}")
 
 
-def _hamming_word(args, path: str):
-    params = bch_params(args.m, args.t)
-    text = _read_word_text(path)
-    if len(text) != params.n:
-        raise InputError(f"expected {params.n} bits, got {len(text)}")
-    return params, _word_int(text)
+def _sketch(args, rng):
+    """Read the input file and sketch it: (scheme, w, envelope bytes)."""
+    scheme = _SCHEMES[args.scheme]
+    _require(args, *scheme.flags)
+    w = scheme.kind.read(args.input, args.m, args.t)
+    return scheme, w, scheme.sketch(args, w, rng)
 
 
-def _make_sketch(args, rng) -> bytes:
-    scheme = args.scheme
-    if scheme in ("hamming-syn", "hamming-offset", "hamming-perm"):
-        _require(args, "m", "t")
-        params, w = _hamming_word(args, args.input)
-        if scheme == "hamming-syn":
-            return serialize_hamming_syn(params, ss_syndrome(params, w))
-        if scheme == "hamming-offset":
-            return serialize_hamming_offset(params, ss_code_offset(params, w, rng))
-        return serialize_hamming_perm(params, ss_permuted(params, w, rng))
-    if scheme in ("pinsketch", "ijs", "origjs"):
-        _require(args, "m", "t")
-        es = _read_set(args.input, field_of(args.m))
-        if scheme == "pinsketch":
-            return serialize_pinsketch(pinsketch_ss(es, args.t))
-        if scheme == "ijs":
-            return serialize_ijs(ijs_ss(es, args.t))
-        _require(args, "r")
-        return serialize_origjs(origjs_ss(es, args.r, args.t, rng))
-    # edit
-    _require(args, "t")
-    text = _read_word_text(args.input)
-    c = args.c if args.c is not None else optimal_shingle_len(len(text), args.t, 2)
-    return serialize_edit(edit_ss(text, c, args.t), c, args.t)
+def _open(args, env_bytes: bytes, what: str):
+    """Parse an envelope, cross-check --scheme, read the input file and
+    recover from it: (scheme, env, w', w)."""
+    env = deserialize(env_bytes)
+    name = SCHEME_NAMES[env.scheme]
+    if args.scheme is not None and args.scheme != name:
+        raise ValueError(f"{what} holds {name}, not {args.scheme}")
+    scheme = _SCHEMES[name]
+    w_prime = scheme.kind.read(args.input, env.m, env.t)
+    return scheme, env, w_prime, scheme.recover(env, w_prime)
 
 
-def _recover_word(env, w: int) -> int:
-    if env.scheme == SCHEME_HAMMING_SYN:
-        return rec_syndrome(env.params, w, env.sketch)
-    if env.scheme == SCHEME_HAMMING_OFFSET:
-        return rec_code_offset(env.params, w, env.sketch)
-    return rec_permuted(env.params, w, env.sketch)
-
-
-def _recover_set(env, es: ElementSet) -> ElementSet:
-    if env.scheme == SCHEME_PINSKETCH:
-        return pinsketch_rec(es, env.sketch)
-    if env.scheme == SCHEME_IJS:
-        return ijs_rec(es, env.sketch)
-    return origjs_rec(es, env.sketch)
-
-
-def _encode_word(n: int):
-    return lambda w: (w, n)
-
-
-def _encode_set(field):
-    def encode(es: ElementSet):
-        value = 0
-        for x in es.elems:
-            value = (value << field.m) | x
-        return value, field.m * len(es.elems)
-
-    return encode
-
-
-class _FixedSketcher:
-    """compose_gen/compose_rep adapter around precomputed pieces."""
-
-    def __init__(self, sketch_bytes: bytes = b"", recovered=None):
-        self._sketch = sketch_bytes
-        self._recovered = recovered
-
-    def sketch(self, w, rng):
-        return self._sketch
-
-    def recover(self, w_prime, sketch):
-        return self._recovered
-
-
-def _subset_entropy(m: int, s: int) -> float:
-    """Min-entropy of a uniform s-element subset of GF(2^m)*."""
-    return math.log2(math.comb((1 << m) - 1, s))
-
-
-def _key_bits_or_raise(out_bits, eps, residual: float) -> int:
-    if out_bits is not None:
-        return out_bits
-    if eps is None:
+def _hash_params(args, kind, env, w):
+    """The hash input encoder and parameters for a key over w.  The key
+    length is --out-bits, or follows from --eps and the residual entropy
+    of w given the sketch in env; gen and rep read the same envelope, so
+    they agree."""
+    encode = partial(kind.encode, env)
+    if args.out_bits is not None:
+        l = args.out_bits
+    elif args.eps is None:
         raise ValueError("need --out-bits or --eps")
-    l = max_extractable_bits(residual, eps)
-    if l < 1:
-        raise ValueError("no extractable bits at this eps; residual entropy too low")
-    return l
+    else:
+        l = max_extractable_bits(kind.residual(env, w), args.eps)
+        if l < 1:
+            raise ValueError("no extractable bits at this eps; residual entropy too low")
+    return encode, UHashParams(encode(w)[1], l)
 
 
 # ---------------------------------------------------------------------------
@@ -266,58 +317,22 @@ def _key_bits_or_raise(out_bits, eps, residual: float) -> int:
 
 
 def _cmd_sketch(args) -> int:
-    rng = random.Random(args.seed)
-    data = _make_sketch(args, rng)
+    _, _, data = _sketch(args, random.Random(args.seed))
     Path(args.output).write_bytes(data)
     return 0
 
 
 def _cmd_recover(args) -> int:
-    env = deserialize(_read_bytes(args.sketch))
-    if args.scheme is not None and _SCHEME_IDS[args.scheme] != env.scheme:
-        raise ValueError(
-            f"sketch holds {_SCHEME_NAMES[env.scheme]}, not {args.scheme}"
-        )
-    if env.scheme in (SCHEME_HAMMING_SYN, SCHEME_HAMMING_OFFSET, SCHEME_HAMMING_PERM):
-        text = _read_word_text(args.input)
-        if len(text) != env.params.n:
-            raise InputError(f"expected {env.params.n} bits, got {len(text)}")
-        out = _word_text(_recover_word(env, _word_int(text)), env.params.n) + "\n"
-    elif env.scheme in (SCHEME_PINSKETCH, SCHEME_IJS, SCHEME_ORIGJS):
-        out = _set_text(_recover_set(env, _read_set(args.input, env.sketch.field)))
-    else:
-        out = edit_rec(_read_word_text(args.input), env.sketch) + "\n"
-    _write_out(args.output, out)
+    scheme, env, _, w = _open(args, _read_bytes(args.sketch), "sketch")
+    _write_out(args.output, scheme.kind.show(env, w))
     return 0
 
 
 def _cmd_gen(args) -> int:
     rng = random.Random(args.seed)
-    scheme = args.scheme
-    if scheme == "edit":
-        _require(args, "t")
-        text = _read_word_text(args.input)
-        c = args.c if args.c is not None else optimal_shingle_len(len(text), args.t, 2)
-        residual = len(text) - edit_entropy_loss(len(text), c, args.t, 2)
-        l = _key_bits_or_raise(args.out_bits, args.eps, residual)
-        key = edit_gen(text, c, args.t, l, rng)
-    else:
-        sketch_bytes = _make_sketch(args, rng)
-        if scheme.startswith("hamming"):
-            params, w = _hamming_word(args, args.input)
-            encode, n_bits = _encode_word(params.n), params.n
-            residual = params.n - params.syndrome_bits
-        else:
-            field = field_of(args.m)
-            w = _read_set(args.input, field)
-            encode, n_bits = _encode_set(field), field.m * len(w.elems)
-            loss = setdiff_entropy_loss(
-                scheme, m=args.m, t=args.t, s=len(w.elems), r=args.r
-            )
-            residual = _subset_entropy(args.m, len(w.elems)) - loss
-        l = _key_bits_or_raise(args.out_bits, args.eps, residual)
-        u = UHashParams(n_bits, l)
-        key = compose_gen(_FixedSketcher(sketch_bytes=sketch_bytes), w, encode, u, rng)
+    scheme, w, data = _sketch(args, rng)
+    encode, u = _hash_params(args, scheme.kind, deserialize(data), w)
+    key = compose_gen(PreparedSketcher(sketch_bytes=data), w, encode, u, rng)
     Path(args.output).write_bytes(key.p)
     print(key.r.hex())
     return 0
@@ -325,48 +340,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_rep(args) -> int:
     p = _read_bytes(args.sketch)
-    env_bytes, _ = parse_helper(p)
-    env = deserialize(env_bytes)
-    scheme = _SCHEME_NAMES[env.scheme]
-    if args.scheme is not None and args.scheme != scheme:
-        raise ValueError(f"helper holds {scheme}, not {args.scheme}")
-    if env.scheme == SCHEME_EDIT:
-        n = env.sketch.s2.n
-        bits = (env.m - 1) // env.c
-        residual = n * bits - edit_entropy_loss(n, env.c, env.t_edit, 1 << bits)
-        l = _key_bits_or_raise(args.out_bits, args.eps, residual)
-        key = edit_rep(_read_word_text(args.input), p, l)
-    elif env.scheme in (SCHEME_HAMMING_SYN, SCHEME_HAMMING_OFFSET, SCHEME_HAMMING_PERM):
-        text = _read_word_text(args.input)
-        if len(text) != env.params.n:
-            raise InputError(f"expected {env.params.n} bits, got {len(text)}")
-        got = _recover_word(env, _word_int(text))
-        residual = env.params.n - env.params.syndrome_bits
-        l = _key_bits_or_raise(args.out_bits, args.eps, residual)
-        u = UHashParams(env.params.n, l)
-        key = compose_rep(
-            _FixedSketcher(recovered=got),
-            _word_int(text),
-            p,
-            _encode_word(env.params.n),
-            u,
-        )
-    else:
-        field = env.sketch.field
-        wp = _read_set(args.input, field)
-        got = _recover_set(env, wp)
-        s = len(got.elems)
-        if env.scheme == SCHEME_ORIGJS:
-            loss = setdiff_entropy_loss(
-                "origjs", m=field.m, t=env.sketch.t, s=env.sketch.s, r=env.sketch.r
-            )
-        else:
-            loss = setdiff_entropy_loss(scheme, m=field.m, t=env.sketch.t)
-        residual = _subset_entropy(field.m, s) - loss
-        l = _key_bits_or_raise(args.out_bits, args.eps, residual)
-        u = UHashParams(field.m * s, l)
-        key = compose_rep(_FixedSketcher(recovered=got), wp, p, _encode_set(field), u)
-    print(key.hex())
+    scheme, env, w_prime, w = _open(args, parse_helper(p)[0], "helper")
+    encode, u = _hash_params(args, scheme.kind, env, w)
+    print(compose_rep(PreparedSketcher(recovered=w), w_prime, p, encode, u).hex())
     return 0
 
 
@@ -389,12 +365,11 @@ def _cmd_params(args) -> int:
     if scheme.startswith("hamming"):
         _require(args, "m", "t")
         params = bch_params(args.m, args.t)
-        k = params.n - args.t * args.m
         lines += [
             f"n: {params.n}",
-            f"k: {k}",
+            f"k: {params.k}",
             f"sketch_bits: {params.syndrome_bits}",
-            f"loss_bits: {hamming_entropy_loss(params.n, k)}",
+            f"loss_bits: {hamming_entropy_loss(params.n, params.k)}",
         ]
     elif scheme in ("pinsketch", "ijs"):
         _require(args, "m", "t")
@@ -406,7 +381,7 @@ def _cmd_params(args) -> int:
         lines += [f"sketch_bits: {2 * args.r * args.m}", f"loss_bits: {loss}"]
     else:
         _require(args, "n", "t")
-        c = args.c if args.c is not None else optimal_shingle_len(args.n, args.t, 2)
+        c = _shingle_len(args, args.n)
         loss = edit_entropy_loss(args.n, c, args.t, 2, eps=args.eps)
         lines += [
             f"c: {c}",
@@ -422,7 +397,7 @@ def _cmd_params(args) -> int:
 
 
 def _add_common(sub, *, scheme_required=True, io_input=True, output_required=False):
-    sub.add_argument("--scheme", choices=_SCHEMES, required=scheme_required)
+    sub.add_argument("--scheme", choices=list(SCHEME_NAMES.values()), required=scheme_required)
     sub.add_argument("--m", type=int)
     sub.add_argument("--t", type=int)
     sub.add_argument("--c", type=int)

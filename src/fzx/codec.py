@@ -337,7 +337,7 @@ def small_decode_brute(code: SmallLinearCode, syn: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) solving over parity rows, shared by code-offset sampling
+# parity rows of the BCH syndrome map, for code-offset sampling
 
 
 def bch_parity_rows(code: BchCode) -> list[int]:
@@ -361,40 +361,3 @@ def bch_parity_rows(code: BchCode) -> list[int]:
             packed ^= b
     return rows
 
-
-def sample_syndrome_preimage(
-    rows: list[int], n: int, syn_bits: int, rng: random.Random
-) -> int:
-    """Uniform word v with parity(v & rows[j]) = bit j of syn_bits for all j.
-
-    Raises DecodeFailure when the system is inconsistent.
-    """
-    # full row reduction of [mask | rhs] so each kept row holds exactly
-    # one pivot bit and otherwise only free bits
-    work = [(rows[j], (syn_bits >> j) & 1) for j in range(len(rows))]
-    reduced: list[tuple[int, int, int]] = []  # (pivot bit, mask, rhs)
-    for mask, rhs in work:
-        for pb, pm, pr in reduced:
-            if (mask >> pb) & 1:
-                mask ^= pm
-                rhs ^= pr
-        if mask == 0:
-            if rhs:
-                raise DecodeFailure("inconsistent parity constraints")
-            continue
-        pb = (mask & -mask).bit_length() - 1
-        reduced = [
-            (opb, om ^ mask, orr ^ rhs) if (om >> pb) & 1 else (opb, om, orr)
-            for opb, om, orr in reduced
-        ]
-        reduced.append((pb, mask, rhs))
-    pivot_bits = {pb for pb, _, _ in reduced}
-    v = rng.getrandbits(n) if n else 0
-    for pb in pivot_bits:
-        v &= ~(1 << pb)
-    # back-substitute each pivot against the free assignment
-    for pb, mask, rhs in reduced:
-        acc = (v & mask).bit_count() & 1
-        if acc != rhs:
-            v |= 1 << pb
-    return v

@@ -11,10 +11,13 @@ sorted shingle sits at each position of the disjoint c-partition of w
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
+from .bitpack import pack_fields
 from .codec import DecodeFailure
 from .entropy import (
     ExtractedKey,
+    PreparedSketcher,
     UHashParams,
     compose_gen,
     compose_rep,
@@ -34,6 +37,7 @@ __all__ = [
     "edit_rec",
     "edit_gen",
     "edit_rep",
+    "shingle_encoding",
     "optimal_shingle_len",
     "edit_entropy_loss",
     "approx_edit_entropy_loss",
@@ -209,25 +213,12 @@ def edit_rec(w_prime, sk: EditSketch):
 # Fuzzy extractor (hashes the shingle set, not the raw string)
 
 
-def _encode_shingles(field: GF2m, elems: ElementSet) -> tuple[int, int]:
-    value = 0
-    for x in elems.elems:
-        value = (value << field.m) | x
-    return value, field.m * len(elems.elems)
-
-
-class _PreparedSketcher:
-    """Adapter handing compose_gen/compose_rep already-computed pieces."""
-
-    def __init__(self, sketch_bytes: bytes = b"", recovered=None):
-        self._sketch = sketch_bytes
-        self._recovered = recovered
-
-    def sketch(self, w, rng):
-        return self._sketch
-
-    def recover(self, w_prime, sketch):
-        return self._recovered
+def shingle_encoding(w, c: int) -> tuple[int, int]:
+    """The hash input of an edit key, as (value, n_bits): the embedded
+    shingle set of w, one field element per shingle, first element in the
+    most significant bits."""
+    bits = _alphabet_bits(w)
+    return pack_fields(_embedded_set(shingle(w, c), bits).elems, _shingle_field(c, bits).m)
 
 
 def edit_gen(w, c: int, t_edit: int, l_bits: int, rng: random.Random) -> ExtractedKey:
@@ -236,14 +227,10 @@ def edit_gen(w, c: int, t_edit: int, l_bits: int, rng: random.Random) -> Extract
 
     bits = _alphabet_bits(w)
     sk = edit_ss(w, c, t_edit)
-    field = _shingle_field(c, bits)
-
-    def encode(s):
-        return _encode_shingles(field, _embedded_set(shingle(s, c), bits))
-
-    u = UHashParams(field.m * len(shingle(w, c)), l_bits)
+    u = UHashParams(_shingle_field(c, bits).m * len(shingle(w, c)), l_bits)
     env = serialize_edit(sk, c, t_edit)
-    return compose_gen(_PreparedSketcher(sketch_bytes=env), w, encode, u, rng)
+    encode = partial(shingle_encoding, c=c)
+    return compose_gen(PreparedSketcher(sketch_bytes=env), w, encode, u, rng)
 
 
 def edit_rep(w_prime, p: bytes, l_bits: int) -> bytes:
@@ -255,15 +242,11 @@ def edit_rep(w_prime, p: bytes, l_bits: int) -> bytes:
     env = deserialize(env_bytes)
     if env.scheme != SCHEME_EDIT:
         raise MalformedEnvelope("bad-scheme", "helper does not hold an edit sketch")
-    sk, c = env.sketch, env.c
-    field = _shingle_field(c, bits)
-    w = edit_rec(w_prime, sk)
-
-    def encode(s):
-        return _encode_shingles(field, _embedded_set(shingle(s, c), bits))
-
-    u = UHashParams(field.m * len(shingle(w, c)), l_bits)
-    return compose_rep(_PreparedSketcher(recovered=w), w_prime, p, encode, u)
+    c = env.c
+    w = edit_rec(w_prime, env.sketch)
+    u = UHashParams(_shingle_field(c, bits).m * len(shingle(w, c)), l_bits)
+    encode = partial(shingle_encoding, c=c)
+    return compose_rep(PreparedSketcher(recovered=w), w_prime, p, encode, u)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,21 @@ def parse_helper(p: bytes) -> tuple[bytes, bytes]:
     return p[2 : 2 + sketch_len], p[2 + sketch_len :]
 
 
+class PreparedSketcher:
+    """The `sketcher` of compose_gen/compose_rep for a caller that already
+    holds the sketch bytes (Gen) or the recovered value (Rep)."""
+
+    def __init__(self, sketch_bytes: bytes = b"", recovered=None):
+        self._sketch = sketch_bytes
+        self._recovered = recovered
+
+    def sketch(self, w, rng):
+        return self._sketch
+
+    def recover(self, w_prime, sketch):
+        return self._recovered
+
+
 def compose_gen(sketcher, w, encode, u: UHashParams, rng: random.Random) -> ExtractedKey:
     """Fuzzy-extractor generation: P = (SS(w; r), x), R = H_x(encode(w)).
 

@@ -7,7 +7,8 @@ Wire layout, big-endian throughout:
 aux is scheme-specific: ijs carries u16 s; origjs u16 s, u16 r; edit
 u32 n, u16 c, u16 t_edit.  Payloads are bit-packed, left-aligned, and
 zero-padded to a byte; the pad bits must be zero.  An edit payload ends
-with the recovery indices, each minus one, in (n-c).bit_length() bits.
+with the recovery indices, each minus one, in (n-c).bit_length() bits;
+an index above the n-c+1 shingles of the string is rejected.
 """
 
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ __all__ = [
     "SCHEME_EDIT",
     "SCHEME_HAMMING_PERM",
     "SCHEME_ORIGJS",
+    "SCHEME_NAMES",
     "MalformedEnvelope",
     "Envelope",
     "ReconcileReport",
@@ -64,14 +66,15 @@ SCHEME_EDIT = 0x05
 SCHEME_HAMMING_PERM = 0x06
 SCHEME_ORIGJS = 0x07
 
-_SCHEMES = {
-    SCHEME_HAMMING_SYN,
-    SCHEME_HAMMING_OFFSET,
-    SCHEME_PINSKETCH,
-    SCHEME_IJS,
-    SCHEME_EDIT,
-    SCHEME_HAMMING_PERM,
-    SCHEME_ORIGJS,
+# wire id -> CLI name, for every scheme with a wire format
+SCHEME_NAMES = {
+    SCHEME_HAMMING_SYN: "hamming-syn",
+    SCHEME_HAMMING_OFFSET: "hamming-offset",
+    SCHEME_HAMMING_PERM: "hamming-perm",
+    SCHEME_PINSKETCH: "pinsketch",
+    SCHEME_IJS: "ijs",
+    SCHEME_ORIGJS: "origjs",
+    SCHEME_EDIT: "edit",
 }
 
 
@@ -226,7 +229,7 @@ def deserialize(data: bytes) -> Envelope:
         raise MalformedEnvelope("bad-magic", f"expected {MAGIC!r}")
     scheme, m = head[4], head[5]
     t = int.from_bytes(head[6:8], "big")
-    if scheme not in _SCHEMES:
+    if scheme not in SCHEME_NAMES:
         raise MalformedEnvelope("bad-scheme", f"unknown scheme 0x{scheme:02x}")
     if m < 1:
         raise MalformedEnvelope("bad-header", "m must be >= 1")
@@ -296,6 +299,8 @@ def deserialize(data: bytes) -> Envelope:
         width = (n - c).bit_length()
         value = _exact_payload(data, pos, k * width)
         indices = tuple(i + 1 for i in unpack_fields(value, k * width, width))
+        if max(indices) > n - c + 1:
+            raise MalformedEnvelope("bad-index", f"recovery index above {n - c + 1} shingles")
         sk = EditSketch(PinSketchData(field, t, tuple(sums)), RecoveryInfo(n, indices))
         return Envelope(scheme, m, t, sk, c=c, t_edit=t_edit)
     except MalformedEnvelope:

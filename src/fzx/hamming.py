@@ -25,7 +25,7 @@ from .codec import (
     small_syndrome,
     support_from_syndrome,
 )
-from .gf2m import GF2m
+from .gf2m import PRIMITIVE_POLYS, field_of
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,26 @@ class HammingParams:
 
     @property
     def syndrome_bits(self) -> int:
-        """Sketch payload width n - k in bits."""
+        """Sketch payload width in bits: t*m for BCH, which exceeds n - k
+        when the t*m parity rows are linearly dependent."""
         if isinstance(self.code, BchCode):
             return self.code.t * self.code.field.m
         return len(self.code.rows)
+
+    @property
+    def k(self) -> int:
+        """Code dimension.  For BCH, n - k is the size of the union of the
+        cyclotomic cosets of 1, 3, ..., 2t-1 mod n (the exponents of the
+        generator polynomial's roots)."""
+        code = self.code
+        if not isinstance(code, BchCode):
+            return code.k
+        roots: set[int] = set()
+        for i in range(1, 2 * code.t, 2):
+            while i not in roots:
+                roots.add(i)
+                i = 2 * i % code.n
+        return code.n - len(roots)
 
     @property
     def t(self) -> int:
@@ -94,9 +110,12 @@ class PermutedSketch:
 @lru_cache(maxsize=None)
 def bch_params(m: int, t: int) -> HammingParams:
     """Hamming-sketch parameters over the length-(2^m - 1) BCH code with
-    designed distance 2t + 1.  Cached so repeated lookups share the field
-    and its tables."""
-    code = BchCode(GF2m(m), 2 * t + 1)
+    designed distance 2t + 1, over the shared `field_of(m)`.  Only degrees
+    with a pinned primitive polynomial qualify, so a hostile m never
+    searches for a modulus."""
+    if m not in PRIMITIVE_POLYS:
+        raise ValueError(f"no pinned primitive polynomial for m={m}")
+    code = BchCode(field_of(m), 2 * t + 1)
     return HammingParams(code, code.n)
 
 
@@ -184,7 +203,8 @@ def rec_syndrome(p: HammingParams, w_prime: int, s: SyndromeSketch) -> int:
 
 @lru_cache(maxsize=None)
 def _reduced_parity(code) -> tuple[tuple[int, int], ...]:
-    """Parity rows in reduced row echelon form, as (pivot bit, mask) pairs.
+    """A basis of the parity rows in reduced row echelon form, as (pivot
+    bit, mask) pairs; dependent rows are dropped, so its length is n - k.
 
     Precomputed once per code so uniform-codeword sampling is a handful of
     mask operations per draw rather than a fresh elimination.
@@ -196,7 +216,7 @@ def _reduced_parity(code) -> tuple[tuple[int, int], ...]:
             if (mask >> pb) & 1:
                 mask ^= pm
         if mask == 0:
-            raise ValueError("parity rows not linearly independent")
+            continue
         pb = (mask & -mask).bit_length() - 1
         reduced = [
             (opb, om ^ mask) if (om >> pb) & 1 else (opb, om)
@@ -273,7 +293,7 @@ def rec_permuted(p: HammingParams, w_prime: int, sk: PermutedSketch) -> int:
 
 def hamming_entropy_loss(n: int, k: int) -> float:
     """Entropy loss of the linear-code constructions: n - k bits, the
-    syndrome length.  For BCH, n - k = t*m."""
+    rank of the syndrome map.  For BCH, n - k <= t*m."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     return float(n - k)

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from fzx.cli import main
+from fzx.cli import _SCHEMES, main
+from fzx.envelope import SCHEME_NAMES
 
 
 def _write(tmp_path, name, text):
@@ -117,6 +118,19 @@ def test_edit_sketch_recover_full_index_width(tmp_path):
                  "-i", wi, "-o", str(out)]) == 0
     assert main(["recover", "-i", wpi, "--sketch", str(out), "-o", str(rec)]) == 0
     assert rec.read_text().strip() == "00110"
+
+def test_hamming_offset_rank_deficient_round_trip(tmp_path):
+    # m=4 t=3: the 12 parity rows have rank 10
+    w = "".join(random.Random(12).choice("01") for _ in range(15))
+    wi = _write(tmp_path, "w.txt", w)
+    wpi = _write(tmp_path, "wp.txt", _flip(w, [1, 6, 13]))
+    out = tmp_path / "sk.bin"
+    rec = tmp_path / "rec.txt"
+    assert main(["sketch", "--scheme", "hamming-offset", "--m", "4", "--t", "3",
+                 "--seed", "5", "-i", wi, "-o", str(out)]) == 0
+    assert main(["recover", "-i", wpi, "--sketch", str(out), "-o", str(rec)]) == 0
+    assert rec.read_text().strip() == w
+
 
 def test_recover_to_stdout(tmp_path, capsys):
     w = "101100101010110"
@@ -259,6 +273,12 @@ def test_params_hamming(capsys):
     assert "n: 15" in out and "k: 7" in out and "loss_bits: 8.0" in out
 
 
+def test_params_hamming_rank_deficient(capsys):
+    assert main(["params", "--scheme", "hamming-offset", "--m", "4", "--t", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "k: 5" in out and "sketch_bits: 12" in out and "loss_bits: 10.0" in out
+
+
 def test_params_edit_picks_c(capsys):
     assert main(["params", "--scheme", "edit", "--n", "64", "--t", "2"]) == 0
     out = capsys.readouterr().out
@@ -350,6 +370,10 @@ def test_exit_4_on_rep_without_length(tmp_path, capsys):
           "--out-bits", "8", "-i", wi, "-o", str(helper)])
     capsys.readouterr()
     assert main(["rep", "-i", wi, "--sketch", str(helper)]) == 4
+
+
+def test_scheme_table_covers_every_wire_scheme():
+    assert list(_SCHEMES) == list(SCHEME_NAMES.values())
 
 
 def test_help_exits_zero(capsys):

@@ -17,7 +17,6 @@ from fzx.codec import (
     expand_syndrome,
     hamming_7_4,
     rs_decode,
-    sample_syndrome_preimage,
     small_decode_brute,
     small_syndrome,
     support_from_syndrome,
@@ -26,6 +25,7 @@ from fzx.codec import (
     syndrome_to_bytes,
 )
 from fzx.gf2m import GF2m, poly_eval
+from fzx.hamming import bch_params, random_codeword
 
 
 def oracle_syndrome(code, support):
@@ -276,25 +276,17 @@ def test_parity_row_bit_convention():
         assert small_syndrome(small, word) == packed
 
 
-def test_sample_syndrome_preimage_consistent_and_spread():
-    f = GF2m(4)
-    code = BchCode(f, 5)
-    rows = bch_parity_rows(code)
+def test_random_codeword_consistent_and_spread():
+    p = bch_params(4, 2)
+    small = SmallLinearCode(15, tuple(bch_parity_rows(p.code)))
     rng = random.Random(23)
-    small = SmallLinearCode(15, tuple(rows))
     seen = set()
     for _ in range(200):
-        v = sample_syndrome_preimage(rows, 15, 0, rng)
+        v = random_codeword(p, rng)
         assert small_syndrome(small, v) == 0
         seen.add(v)
     # 2^7 codewords; 200 uniform draws should hit many distinct ones
     assert len(seen) > 50
-    target = small_syndrome(small, 0b1011)
-    for _ in range(50):
-        v = sample_syndrome_preimage(rows, 15, target, rng)
-        assert small_syndrome(small, v) == target
-    with pytest.raises(DecodeFailure):
-        sample_syndrome_preimage([0b11, 0b11], 2, 0b01, rng)
 
 
 def test_syndrome_bytes_round_trip():

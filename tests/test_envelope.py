@@ -147,6 +147,24 @@ def test_reject_inconsistent_contents():
     assert err.value.code == "bad-header"
 
 
+def test_reject_edit_index_beyond_shingle_count():
+    data = bytearray(serialize_edit(edit_ss("001101", 2, 1), 2, 1))
+    # three 3-bit indices close the payload: set all nine to 1, i.e. index 8
+    # where the 6-bit string has at most 5 shingles
+    data[-2:] = b"\xff\x80"
+    with pytest.raises(MalformedEnvelope) as err:
+        deserialize(bytes(data))
+    assert err.value.code == "bad-index"
+
+
+def test_reject_hamming_degree_without_pinned_polynomial():
+    # m=33 has no pinned primitive polynomial; no modulus search may start
+    data = b"FZX1" + bytes([0x01, 33]) + (1).to_bytes(2, "big") + bytes(5)
+    with pytest.raises(MalformedEnvelope) as err:
+        deserialize(data)
+    assert err.value.code == "inconsistent"
+
+
 def test_round_trips_randomized():
     rng = random.Random(600)
     f = GF2m(10)

@@ -8,12 +8,13 @@ import pytest
 
 from fzx.codec import BchCode, DecodeFailure, hamming_7_4, small_syndrome
 from fzx.entropy import JointDistribution, avg_min_entropy
-from fzx.gf2m import GF2m
+from fzx.gf2m import GF2m, field_of
 from fzx.hamming import (
     CodeOffsetSketch,
     HammingParams,
     PermutedSketch,
     SyndromeSketch,
+    _reduced_parity,
     bch_params,
     hamming_entropy_loss,
     invert_permutation,
@@ -267,3 +268,35 @@ def test_entropy_loss_values():
     assert hamming_entropy_loss(p.n, p.n - p.syndrome_bits) == 50.0
     with pytest.raises(ValueError):
         hamming_entropy_loss(4, 5)
+
+
+def test_bch_k_from_cyclotomic_cosets_matches_parity_rank():
+    for m in range(2, 9):
+        for t in range(1, 9):
+            if 2 * t + 1 > (1 << m) - 1:
+                continue
+            p = bch_params(m, t)
+            assert p.n - p.k == len(_reduced_parity(p.code)), (m, t)
+    # m=4 t=3: cosets {1,2,4,8}, {3,6,12,9}, {5,10} give n-k = 10 < t*m = 12
+    assert bch_params(4, 3).k == 5
+    assert small_params().k == 4
+
+
+@pytest.mark.parametrize("m, t", [(3, 3), (4, 3), (4, 7), (5, 8), (6, 5)])
+def test_code_offset_round_trip_rank_deficient(m, t):
+    p = bch_params(m, t)
+    rng = random.Random(m * 16 + t)
+    w = rng.getrandbits(p.n)
+    sk = ss_code_offset(p, w, rng)
+    assert ss_syndrome(p, w ^ sk.shift).syn_bits == 0
+    wp = w
+    for i in rng.sample(range(p.n), t):
+        wp ^= 1 << i
+    assert rec_code_offset(p, wp, sk) == w
+
+
+def test_bch_params_share_the_interned_field():
+    assert bch_params(13, 1).code.field is field_of(13)
+    assert bch_params(13, 2).code.field is field_of(13)
+    with pytest.raises(ValueError):
+        bch_params(33, 1)
