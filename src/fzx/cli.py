@@ -373,8 +373,9 @@ def _cmd_params(args) -> int:
         ]
     elif scheme in ("pinsketch", "ijs"):
         _require(args, "m", "t")
-        loss = setdiff_entropy_loss(scheme, m=args.m, t=args.t)
-        lines += [f"sketch_bits: {args.t * args.m}", f"loss_bits: {loss}"]
+        t = args.t - args.t % 2 if scheme == "ijs" else args.t  # as ijs_ss rounds
+        loss = setdiff_entropy_loss(scheme, m=args.m, t=t)
+        lines += [f"sketch_bits: {t * args.m}", f"loss_bits: {loss}"]
     elif scheme == "origjs":
         _require(args, "m", "t", "s", "r")
         loss = setdiff_entropy_loss("origjs", m=args.m, t=args.t, s=args.s, r=args.r)

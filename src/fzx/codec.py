@@ -22,6 +22,7 @@ from .gf2m import (
     poly_eval,
     poly_monic,
     poly_mul,
+    poly_norm,
     poly_roots,
     poly_scale,
 )
@@ -103,20 +104,10 @@ def support_from_syndrome(
         return set()
 
     full = expand_syndrome(code, odd_sums)
-    s_over_z = list(full)  # S(z)/z: coefficient of z^i is s_{i+1}
-    while s_over_z and s_over_z[-1] == 0:
-        s_over_z.pop()
+    s_over_z = poly_norm(list(full))  # S(z)/z: coefficient of z^i is s_{i+1}
 
-    r_old = [0] * (code.delta - 1) + [1]  # z^(delta-1)
-    r_cur = s_over_z
-    v_old: list[int] = []
-    v_cur: list[int] = [1]
-    half = (code.delta - 1) // 2
-    while poly_deg(r_cur) >= half:
-        q, r_new = poly_divmod(f, r_old, r_cur)
-        v_new = poly_add(v_old, poly_mul(f, q, v_cur))
-        r_old, r_cur = r_cur, r_new
-        v_old, v_cur = v_cur, v_new
+    z_delta = [0] * (code.delta - 1) + [1]  # z^(delta-1)
+    r_cur, v_cur = _partial_euclid(f, z_delta, s_over_z, (code.delta - 1) // 2)
 
     c = poly_eval(f, v_cur, 0)
     if c == 0:
@@ -140,6 +131,22 @@ def support_from_syndrome(
     return support
 
 
+def _partial_euclid(
+    field: GF2m, a: list[int], b: list[int], stop: int
+) -> tuple[list[int], list[int]]:
+    """Extended Euclid on (a, b), halted at the first remainder r with
+    deg r < stop.  Returns r and its Bezout coefficient v of b, so that
+    r = u*a + v*b for some u."""
+    r_old, r_cur = a, b
+    v_old: list[int] = []
+    v_cur: list[int] = [1]
+    while poly_deg(r_cur) >= stop:
+        q, r_new = poly_divmod(field, r_old, r_cur)
+        v_old, v_cur = v_cur, poly_add(v_old, poly_mul(field, q, v_cur))
+        r_old, r_cur = r_cur, r_new
+    return r_cur, v_cur
+
+
 def rs_decode(
     field: GF2m,
     points: list[tuple[int, int]],
@@ -147,11 +154,16 @@ def rs_decode(
     max_wrong: int,
 ) -> list[int]:
     """Unique polynomial of degree <= deg_bound agreeing with all but at
-    most max_wrong of the (x, y) pairs, via the Berlekamp-Welch system.
+    most max_wrong of the (x, y) pairs, by Gao's algorithm (2003).
 
-    Requires the unique-decoding regime len(points) - max_wrong >
-    deg_bound + max_wrong; raises DecodeFailure when no polynomial meets
-    the agreement bound.
+    Interpolates g1 through all n points, with g1(x_i) = y_i and
+    deg g1 < n, next to g0 = prod (z - x_i), and runs the extended Euclid
+    on (g0, g1) until the remainder r has degree < (n + deg_bound + 1)/2;
+    with Bezout coefficient v of g1, the answer is r / v.  O(n^2) field
+    multiplications.  Requires the unique-decoding regime
+    len(points) - max_wrong > deg_bound + max_wrong; raises DecodeFailure
+    when no polynomial meets the agreement bound, which is checked on the
+    result itself.
     """
     n = len(points)
     xs = [p[0] for p in points]
@@ -162,79 +174,32 @@ def rs_decode(
     if n - max_wrong <= deg_bound + max_wrong:
         raise ValueError("parameters outside the unique-decoding regime")
 
-    e = max_wrong
-    nq = deg_bound + e + 1  # coefficients of Q, degree <= deg_bound + e
-    # unknowns: q_0..q_{nq-1}, e_0..e_{e-1} (E monic of degree e)
-    # equation per point: sum q_j x^j + y * sum e_j x^j = y * x^e
-    width = nq + e
-    rows = []
     mul = field.mul
+    g0 = [1]
+    for x in xs:  # g0 *= z + x
+        g0 = [mul(x, c) ^ d for c, d in zip(g0 + [0], [0] + g0)]
+    # g1 = sum y_i / g0'(x_i) * g0 / (z - x_i).  In characteristic 2 the
+    # derivative g0' keeps only the odd coefficients of g0, so g0'(x) is a
+    # polynomial in x^2 with about n/2 terms.
+    odd = g0[1::2]
+    g1 = [0] * n
     for x, y in points:
-        row = [0] * (width + 1)
-        xp = 1
-        for j in range(nq):
-            row[j] = xp
-            xp = mul(xp, x)
-        xp = 1
-        for j in range(e):
-            row[nq + j] = mul(y, xp)
-            xp = mul(xp, x)
-        row[width] = mul(y, xp)  # y * x^e
-        rows.append(row)
-
-    sol = _solve_linear(field, rows, width)
-    if sol is None:
-        raise DecodeFailure("no Berlekamp-Welch solution")
-    q_poly = sol[:nq]
-    e_poly = sol[nq:] + [1]
-    while q_poly and q_poly[-1] == 0:
-        q_poly.pop()
-    fpoly, rem = poly_divmod(field, q_poly, e_poly)
+        if y:
+            w = mul(y, field.inv(poly_eval(field, odd, mul(x, x))))
+            c = 0
+            for k in range(n, 0, -1):  # g0 / (z - x) by synthetic division
+                c = mul(c, x) ^ g0[k]
+                g1[k - 1] ^= mul(w, c)
+    r, v = _partial_euclid(field, g0, poly_norm(g1), (n + deg_bound + 2) // 2)
+    fpoly, rem = poly_divmod(field, r, v)
     if rem:
-        raise DecodeFailure("error locator does not divide Q")
+        raise DecodeFailure("Bezout coefficient does not divide the remainder")
     if poly_deg(fpoly) > deg_bound:
         raise DecodeFailure("quotient exceeds degree bound")
     agree = sum(1 for x, y in points if poly_eval(field, fpoly, x) == y)
     if agree < n - max_wrong:
         raise DecodeFailure("no polynomial meets the agreement bound")
     return fpoly
-
-
-def _solve_linear(field: GF2m, rows: list[list[int]], width: int):
-    """Gaussian elimination over the field; any solution, free vars = 0.
-
-    Rows are lists of width+1 entries (augmented).  Returns None when
-    inconsistent.
-    """
-    mul, inv = field.mul, field.inv
-    pivots = []
-    r = 0
-    for col in range(width):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv_inv = inv(rows[r][col])
-        rows[r] = [mul(v, piv_inv) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                coef = rows[i][col]
-                rows[i] = [a ^ mul(coef, b) for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][width]:
-            return None
-    sol = [0] * width
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][width]
-    return sol
 
 
 def syndrome_to_bytes(code: BchCode, odd_sums: list[int]) -> bytes:

@@ -267,6 +267,13 @@ def test_params_pinsketch(capsys):
     assert "loss_bits: 50.0" in out
 
 
+def test_params_ijs_odd_t_counts_rounded_t(capsys):
+    # ijs_ss rounds t=5 down to 4 coefficients: 64 bits at m=16
+    assert main(["params", "--scheme", "ijs", "--m", "16", "--t", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "sketch_bits: 64" in out and "loss_bits: 64.0" in out
+
+
 def test_params_hamming(capsys):
     assert main(["params", "--scheme", "hamming-syn", "--m", "4", "--t", "2"]) == 0
     out = capsys.readouterr().out

@@ -5,7 +5,8 @@ the enumeration oracles below before the decoder existed.
 """
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -24,7 +25,7 @@ from fzx.codec import (
     syndrome_from_support,
     syndrome_to_bytes,
 )
-from fzx.gf2m import GF2m, poly_eval
+from fzx.gf2m import GF2m, poly_eval, poly_norm
 from fzx.hamming import bch_params, random_codeword
 
 
@@ -193,6 +194,60 @@ def test_rs_decode_rejects_bad_parameters():
         rs_decode(f, pts, 1, 0)  # duplicate x
     with pytest.raises(ValueError):
         rs_decode(f, [(1, 1), (2, 2)], 1, 1)  # outside unique regime
+
+
+def brute_rs(field, points, deg_bound, max_wrong):
+    """Every polynomial of degree <= deg_bound that disagrees with at most
+    max_wrong of the points, by enumeration: for each choice of the
+    non-constant coefficients, every constant term is scored at once by
+    counting the residues y - (p(x) - p(0))."""
+    out = []
+    for tail in product(range(field.order + 1), repeat=deg_bound):
+        residues = Counter(y ^ poly_eval(field, [0, *tail], x) for x, y in points)
+        for c0, agree in residues.items():
+            if agree >= len(points) - max_wrong:
+                out.append(poly_norm([c0, *tail]))
+    return out
+
+
+def test_rs_decode_matches_brute_force_gf16():
+    f = GF2m(4)
+    rng = random.Random(4242)
+    seen = Counter()
+    for _ in range(400):
+        deg_bound = rng.randint(0, 2)
+        n = rng.randint(deg_bound + 1, 15)
+        radius = (n - deg_bound - 1) // 2
+        max_wrong = rng.randint(0, radius)
+        target = [rng.randrange(16) for _ in range(deg_bound + 1)]
+        pts = [(x, poly_eval(f, target, x)) for x in rng.sample(range(16), n)]
+        wrong = min(n, rng.randint(0, max_wrong + 2))
+        for i in rng.sample(range(n), wrong):
+            pts[i] = (pts[i][0], pts[i][1] ^ rng.randint(1, 15))
+        expected = brute_rs(f, pts, deg_bound, max_wrong)
+        assert len(expected) <= 1  # unique-decoding regime
+        if expected:
+            assert rs_decode(f, pts, deg_bound, max_wrong) == expected[0]
+        else:
+            with pytest.raises(DecodeFailure):
+                rs_decode(f, pts, deg_bound, max_wrong)
+        seen["decoded" if expected else "failed"] += 1
+        if max_wrong < radius:  # only the agreement check holds max_wrong
+            seen["below-radius"] += 1
+            if not expected and wrong <= radius:
+                seen["rejected-inside-radius"] += 1
+    assert min(seen[k] for k in ("decoded", "failed", "below-radius")) >= 20, seen
+    assert seen["rejected-inside-radius"] >= 5, seen
+
+
+def test_rs_decode_m16_32_points_8_errors():
+    f = GF2m(16)
+    rng = random.Random(16)
+    target = [rng.randrange(1 << 16) for _ in range(15)] + [1]
+    pts = [(x, poly_eval(f, target, x)) for x in rng.sample(range(1, 1 << 16), 32)]
+    for i in rng.sample(range(32), 8):
+        pts[i] = (pts[i][0], pts[i][1] ^ rng.randrange(1, 1 << 16))
+    assert rs_decode(f, pts, 15, 8) == target
 
 
 def test_small_linear_code_hamming():
