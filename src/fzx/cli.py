@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .bitpack import pack_fields
-from .codec import DecodeFailure
+from .codec import BchCode, DecodeFailure
 from .edit import (
     approx_edit_entropy_loss,
     edit_entropy_loss,
@@ -373,11 +373,16 @@ def _cmd_params(args) -> int:
         ]
     elif scheme in ("pinsketch", "ijs"):
         _require(args, "m", "t")
+        field = field_of(args.m)  # rejects the degrees sketch rejects
         t = args.t - args.t % 2 if scheme == "ijs" else args.t  # as ijs_ss rounds
+        if scheme == "pinsketch":
+            BchCode(field, 2 * t + 1)  # the capacity checks of pinsketch_ss
         loss = setdiff_entropy_loss(scheme, m=args.m, t=t)
         lines += [f"sketch_bits: {t * args.m}", f"loss_bits: {loss}"]
     elif scheme == "origjs":
         _require(args, "m", "t", "s", "r")
+        if not 0 <= args.t <= args.s < args.r <= field_of(args.m).order:
+            raise ValueError("need 0 <= t <= s < r <= 2^m - 1")
         loss = setdiff_entropy_loss("origjs", m=args.m, t=args.t, s=args.s, r=args.r)
         lines += [f"sketch_bits: {2 * args.r * args.m}", f"loss_bits: {loss}"]
     else:

@@ -59,11 +59,11 @@ def syndrome_from_support(code: BchCode, support) -> list[int]:
     f = code.field
     t = code.t
     sums = [0] * t
-    mul = f.mul
+    mul, sqr = f.mul, f.sqr
     for x in support:
         if not 0 < x <= f.order:
             raise ValueError(f"support element {x} outside GF(2^m)*")
-        x2 = mul(x, x)
+        x2 = sqr(x)
         y = x
         for j in range(t):
             sums[j] ^= y
@@ -185,7 +185,7 @@ def rs_decode(
     g1 = [0] * n
     for x, y in points:
         if y:
-            w = mul(y, field.inv(poly_eval(field, odd, mul(x, x))))
+            w = mul(y, field.inv(poly_eval(field, odd, field.sqr(x))))
             c = 0
             for k in range(n, 0, -1):  # g0 / (z - x) by synthetic division
                 c = mul(c, x) ^ g0[k]

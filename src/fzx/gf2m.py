@@ -12,6 +12,8 @@ first, with no trailing zero coefficients (the zero polynomial is []).
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from functools import lru_cache
 
 # Lexicographically smallest primitive polynomial of each degree, found by
@@ -52,10 +54,15 @@ PRIMITIVE_POLYS = {
     32: 0x1000000AF,
 }
 
-# Degree above which log/antilog tables are not built.  Keeps table
-# construction cheap and keeps timing at m >= 14 reflective of the bitwise
-# multiply, so measured decoder scaling is not a table artifact.
+# Degree above which log/antilog tables are not built.  Their size and
+# build time double with each degree: at m = 16 they take about 15 ms and
+# 5.5 MiB per process, so fields of degree 14..16 multiply by byte
+# slices of the shared carry-less product table instead (`_clmul_bytes`),
+# and fields above 16 fold four bits of one operand at a time.
 _TABLE_MAX_M = 13
+
+# Largest degree multiplied by byte slices: both operands fit in two bytes.
+_BYTES_MAX_M = 16
 
 # Largest degree accepted for caller-supplied moduli.  Big enough for the
 # universal-hash fields over production key lengths.
@@ -233,6 +240,117 @@ def irreducible_modulus(m: int) -> int:
     raise ValueError(f"no irreducible polynomial of degree {m} found")
 
 
+@lru_cache(maxsize=1)
+def _clmul_bytes() -> array:
+    """T[x << 8 | y] = carry-less product of bytes x and y (65,536 entries).
+
+    Row x is built as one int of 256 16-bit lanes, lane y holding x*y: it
+    is the row of x with its lowest set bit 2^k cleared, XOR the lane
+    vector (0, 1, ..., 255) shifted up by k.  No lane product exceeds 15
+    bits, so the shift never carries into the next lane.  Built on the
+    first field of degree 14..16, not at import.
+    """
+    lanes = 0
+    for y in range(256):
+        lanes |= y << (16 * y)
+    rows = [0] * 256
+    for x in range(1, 256):
+        rows[x] = rows[x & (x - 1)] ^ lanes << ((x & -x).bit_length() - 1)
+    table = array("H")
+    table.frombytes(b"".join(r.to_bytes(512, "little") for r in rows))
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
+
+
+def _reduction_table(m: int, modulus: int, bits: int) -> list[int]:
+    """red[h] = h * x^m mod `modulus` for every h of `bits` bits."""
+    red, v = [0], modulus ^ (1 << m)
+    for _ in range(bits):
+        red += [r ^ v for r in red]
+        v <<= 1
+        if v >> m:
+            v ^= modulus
+    return red
+
+
+def _log_ops(exp: list[int], log: list[int]):
+    """mul and sqr by log/antilog lookup."""
+
+    def mul(a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return exp[log[a] + log[b]]
+
+    def sqr(a: int) -> int:
+        return exp[2 * log[a]] if a else 0
+
+    return mul, sqr
+
+
+def _byte_ops(m: int, modulus: int):
+    """mul and sqr for m <= 16: four byte-by-byte lookups in the shared
+    product table, then two byte folds of the bits at x^m and above.
+
+    The product has at most 2m - 1 <= 31 bits.  The first fold clears the
+    bits at x^(m+8) and above, h * x^(m+8) = (h * x^m mod f) * x^8, and the
+    second the byte left at x^m..x^(m+7).  T's diagonal T[x * 257] is the
+    bit spread of x, which is its square before reduction.
+    """
+    T = _clmul_bytes()
+    red = _reduction_table(m, modulus, 8)
+    top, low, mask = m + 8, (1 << (m + 8)) - 1, (1 << m) - 1
+
+    def mul(a: int, b: int) -> int:
+        a0, a1 = (a & 255) << 8, a >> 8 << 8
+        b0, b1 = b & 255, b >> 8
+        p = T[a0 | b0] ^ (T[a0 | b1] ^ T[a1 | b0]) << 8 ^ T[a1 | b1] << 16
+        p = p & low ^ red[p >> top] << 8
+        return p & mask ^ red[p >> m]
+
+    def sqr(a: int) -> int:
+        p = T[(a & 255) * 257] ^ T[(a >> 8) * 257] << 16
+        p = p & low ^ red[p >> top] << 8
+        return p & mask ^ red[p >> m]
+
+    return mul, sqr
+
+
+def _window_ops(m: int, modulus: int):
+    """mul and sqr for m > 16: carry-less multiply mod f, folding b four
+    bits at a time through a 16-entry multiple table of a."""
+    red = _reduction_table(m, modulus, 4)
+    mask, hi = (1 << m) - 1, m - 4
+
+    def mul(a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        t2 = a << 1
+        if t2 >> m:
+            t2 ^= modulus
+        t4 = t2 << 1
+        if t4 >> m:
+            t4 ^= modulus
+        t8 = t4 << 1
+        if t8 >> m:
+            t8 ^= modulus
+        t3 = a ^ t2
+        t12 = t4 ^ t8
+        amul = (
+            0, a, t2, t3, t4, a ^ t4, t2 ^ t4, t3 ^ t4,
+            t8, a ^ t8, t2 ^ t8, t3 ^ t8, t12, a ^ t12, t2 ^ t12, t3 ^ t12,
+        )
+        r = 0
+        for shift in range(((b.bit_length() + 3) & ~3) - 4, -1, -4):
+            r = ((r << 4) & mask) ^ red[r >> hi] ^ amul[(b >> shift) & 15]
+        return r
+
+    def sqr(a: int) -> int:
+        return mul(a, a)
+
+    return mul, sqr
+
+
 class GF2m:
     """A binary extension field GF(2^m) with a fixed reduction modulus.
 
@@ -243,9 +361,14 @@ class GF2m:
     reads every power it needs off one squaring chain x, x^2, x^4, ...,
     x^(2^m) mod the modulus.  `field_of(m)` hands out one shared instance
     per degree.
+
+    `mul(a, b)` and `sqr(a)` are picked once, at construction, by degree:
+    log/antilog lookup for m <= 13, byte slices of the shared carry-less
+    product table for m in 14..16, and a 4-bit window above 16.  Operands
+    must be field elements; they are not checked.
     """
 
-    __slots__ = ("m", "modulus", "order", "_log", "_exp", "_red4")
+    __slots__ = ("m", "modulus", "order", "mul", "sqr", "_log", "_exp")
 
     def __init__(self, m: int, modulus: int | None = None):
         if modulus is None:
@@ -267,17 +390,13 @@ class GF2m:
         self.order = (1 << m) - 1
         self._log = None
         self._exp = None
-        # reduction table for the windowed multiply: (h << m) mod f
-        red = []
-        for h in range(16):
-            v = h << m
-            for bit in range(v.bit_length() - 1, m - 1, -1):
-                if (v >> bit) & 1:
-                    v ^= modulus << (bit - m)
-            red.append(v)
-        self._red4 = tuple(red)
         if m <= _TABLE_MAX_M:
             self._build_tables()
+            self.mul, self.sqr = _log_ops(self._exp, self._log)
+        elif m <= _BYTES_MAX_M:
+            self.mul, self.sqr = _byte_ops(m, modulus)
+        else:
+            self.mul, self.sqr = _window_ops(m, modulus)
 
     def __repr__(self):
         return f"GF2m({self.m}, 0x{self.modulus:x})"
@@ -291,6 +410,10 @@ class GF2m:
 
     def __hash__(self):
         return hash((self.m, self.modulus))
+
+    def __reduce__(self):
+        # mul and sqr are closures, so a field pickles as its constructor call
+        return GF2m, (self.m, self.modulus)
 
     def _build_tables(self):
         order = self.order
@@ -310,57 +433,10 @@ class GF2m:
         self._exp = exp
         self._log = log
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Carry-less multiply mod f, folding b four bits at a time."""
-        m, mod = self.m, self.modulus
-        if m < 4:
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a >> m:
-                    a ^= mod
-            return r
-        if a == 0 or b == 0:
-            return 0
-        t2 = a << 1
-        if t2 >> m:
-            t2 ^= mod
-        t4 = t2 << 1
-        if t4 >> m:
-            t4 ^= mod
-        t8 = t4 << 1
-        if t8 >> m:
-            t8 ^= mod
-        t3 = a ^ t2
-        t12 = t4 ^ t8
-        amul = (
-            0, a, t2, t3, t4, a ^ t4, t2 ^ t4, t3 ^ t4,
-            t8, a ^ t8, t2 ^ t8, t3 ^ t8, t12, a ^ t12, t2 ^ t12, t3 ^ t12,
-        )
-        mask, red = self.order, self._red4
-        hi = m - 4
-        r = 0
-        for shift in range(((b.bit_length() + 3) & ~3) - 4, -1, -4):
-            r = ((r << 4) & mask) ^ red[r >> hi] ^ amul[(b >> shift) & 15]
-        return r
-
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a <= self.order:
             raise ValueError(f"not a field element: {a!r}")
         return a
-
-    def mul(self, a: int, b: int) -> int:
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
-
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; ValueError on zero."""

@@ -134,11 +134,11 @@ def _bch_byte_table(code: BchCode) -> list[list[int]]:
     """
     f = code.field
     m, t, n = f.m, code.t, code.n
-    mul = f.mul
+    mul, sqr = f.mul, f.sqr
     per_bit = []
     for i in range(n):
         x = i + 1
-        x2 = mul(x, x)
+        x2 = sqr(x)
         y = x
         packed = 0
         for j in range(t):

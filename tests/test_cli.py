@@ -353,6 +353,20 @@ def test_exit_4_on_missing_scheme_param(tmp_path):
                  "-i", ai, "-o", str(sk)]) == 4
 
 
+@pytest.mark.parametrize("flags", [
+    ["--scheme", "pinsketch", "--m", "16", "--t", "0"],  # designed distance 1
+    ["--scheme", "pinsketch", "--m", "3", "--t", "4"],  # distance 9 > 2^3 - 1
+    ["--scheme", "ijs", "--m", "600", "--t", "2"],  # no field of degree 600
+    ["--scheme", "origjs", "--m", "3", "--t", "1", "--r", "8"],  # r > 2^3 - 1
+])
+def test_params_rejects_what_sketch_rejects(tmp_path, capsys, flags):
+    ai = _write_set(tmp_path, "a.set", [1, 2, 3])
+    sk = str(tmp_path / "sk.bin")
+    assert main(["sketch", *flags, "-i", ai, "-o", sk]) == 4
+    assert main(["params", *flags, "--s", "3"]) == 4
+    assert "bad parameters" in capsys.readouterr().err
+
+
 def test_exit_4_on_unknown_scheme(tmp_path, capsys):
     ai = _write_set(tmp_path, "a.set", [1, 2, 3])
     rc = main(["sketch", "--scheme", "nope", "--m", "4", "--t", "2",

@@ -124,6 +124,29 @@ def test_reject_truncation():
             deserialize(data + b"\x00")
 
 
+def _mutants(data: bytes):
+    """Every proper prefix of data, then data with each single bit flipped."""
+    for cut in range(len(data)):
+        yield data[:cut]
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        yield bytes(flipped)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_bit_flip_and_truncation_parses_or_is_rejected(name):
+    # a flipped header byte may name another degree, so this also builds
+    # fields of new degrees from hostile input
+    for data in _mutants(bytes.fromhex(GOLDEN[name])):
+        try:
+            deserialize(data)
+        except MalformedEnvelope:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{data.hex()}: {exc!r}")
+
+
 def test_reject_nonzero_padding():
     data = bytearray(bytes.fromhex(GOLDEN["pinsketch"]))
     data[-1] |= 0x03  # the pad bits of the 6-bit payload

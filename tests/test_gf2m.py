@@ -5,11 +5,14 @@ of GF(2)[x] arithmetic (schoolbook multiply, long division), kept separate
 from the library's int-based fast path on purpose.
 """
 
+import pickle
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fzx.gf2m import (
     GF2m,
@@ -52,6 +55,41 @@ def test_mul_matches_oracle_exhaustively(m):
     for a in range(1 << m):
         for b in range(1 << m):
             assert f.mul(a, b) == oracle_mul(a, b, f.modulus, m)
+
+
+# A dense primitive modulus per degree next to the sparse pinned one, so the
+# byte folds also reduce through a tail with most of its bits set.
+DENSE_PRIMITIVE = {14: 0x7FE7, 15: 0xFFFD, 16: 0x1FFED}
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("m", [14, 15, 16])
+def test_byte_sliced_mul_matches_oracle(m, dense):
+    f = GF2m(m, DENSE_PRIMITIVE[m]) if dense else GF2m(m)
+    rng = random.Random(m)
+    edges = [0, 1, f.order, 1 << (m - 1)]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(a, rng.randrange(1 << m)) for a in edges for _ in range(10)]
+    pairs += [(rng.randrange(1 << m), rng.randrange(1 << m)) for _ in range(200)]
+    for a, b in pairs:
+        assert f.mul(a, b) == oracle_mul(a, b, f.modulus, m)
+        assert f.mul(b, a) == f.mul(a, b)
+        assert f.sqr(a) == f.mul(a, a)
+
+
+_M16 = st.integers(0, (1 << 16) - 1)
+
+
+@pytest.mark.parametrize(
+    "modulus", [PRIMITIVE_POLYS[16], DENSE_PRIMITIVE[16]], ids=["pinned", "dense"]
+)
+@settings(max_examples=300, derandomize=True, database=None)
+@given(a=_M16, b=_M16, c=_M16)
+def test_m16_mul_associative_and_distributive(modulus, a, b, c):
+    f = GF2m(16, modulus)
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
+    assert f.sqr(a ^ b) == f.sqr(a) ^ f.sqr(b)
 
 
 def test_frozen_mul_examples():
@@ -254,10 +292,18 @@ def test_field_of_interns_one_field_per_degree():
         assert f == (GF2m(m) if m <= 32 else GF2m(m, irreducible_modulus(m)))
 
 
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_field_pickles_to_an_equal_field(m):
+    f = GF2m(m)
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g.mul(3, f.order) == f.mul(3, f.order)
+
+
 def test_import_does_no_modulus_work():
     code = (
         "import fzx.cli, fzx.gf2m as g; "
         "assert g._screen_factors.cache_info().currsize == 0; "
+        "assert g._clmul_bytes.cache_info().currsize == 0; "
         "assert not g._IRREDUCIBLE_CACHE"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
