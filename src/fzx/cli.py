@@ -22,6 +22,7 @@ from .bitpack import pack_fields
 from .codec import BchCode, DecodeFailure
 from .edit import (
     approx_edit_entropy_loss,
+    edit_capacity,
     edit_entropy_loss,
     edit_rec,
     edit_ss,
@@ -388,6 +389,7 @@ def _cmd_params(args) -> int:
     else:
         _require(args, "n", "t")
         c = _shingle_len(args, args.n)
+        edit_capacity(args.n, c, args.t, 1)  # the checks of edit_ss
         loss = edit_entropy_loss(args.n, c, args.t, 2, eps=args.eps)
         lines += [
             f"c: {c}",

@@ -11,8 +11,7 @@ stored.  All decoding work is polynomial in t and m, never in 2^m.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from dataclasses import dataclass
 
 from .gf2m import (
     GF2m,
@@ -200,129 +199,3 @@ def rs_decode(
     if agree < n - max_wrong:
         raise DecodeFailure("no polynomial meets the agreement bound")
     return fpoly
-
-
-def syndrome_to_bytes(code: BchCode, odd_sums: list[int]) -> bytes:
-    """t field elements concatenated, each big-endian ceil(m/8) bytes, s_1 first."""
-    if len(odd_sums) != code.t:
-        raise ValueError("expected t odd power sums")
-    width = (code.field.m + 7) // 8
-    return b"".join(code.field.check(s).to_bytes(width, "big") for s in odd_sums)
-
-
-def syndrome_from_bytes(code: BchCode, data: bytes) -> list[int]:
-    width = (code.field.m + 7) // 8
-    if len(data) != code.t * width:
-        raise ValueError("wrong syndrome byte length")
-    out = []
-    for i in range(code.t):
-        out.append(code.field.check(int.from_bytes(data[i * width : (i + 1) * width], "big")))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# small explicit linear codes (test oracle regime)
-
-
-@dataclass(frozen=True)
-class SmallLinearCode:
-    """Binary [n, k] code given by n-k independent parity rows (bit masks).
-
-    Parity row j contributes bit j of the syndrome.  Enumeration-based
-    decoding restricts n to 24.
-    """
-
-    n: int
-    rows: tuple[int, ...] = dc_field(default=())
-
-    def __post_init__(self):
-        if not 1 <= self.n <= 24:
-            raise ValueError("SmallLinearCode limited to 1 <= n <= 24")
-        mask = (1 << self.n) - 1
-        basis: dict[int, int] = {}
-        for row in self.rows:
-            if row & ~mask:
-                raise ValueError("parity row wider than n")
-            v = row
-            while v:
-                h = v.bit_length() - 1
-                if h in basis:
-                    v ^= basis[h]
-                else:
-                    basis[h] = v
-                    break
-            if v == 0:
-                raise ValueError("parity rows not linearly independent")
-
-    @property
-    def k(self) -> int:
-        return self.n - len(self.rows)
-
-
-def hamming_7_4() -> SmallLinearCode:
-    """The [7,4,3] Hamming code with parity columns = binary position index."""
-    rows = []
-    for j in range(3):
-        mask = 0
-        for i in range(1, 8):
-            if (i >> j) & 1:
-                mask |= 1 << (i - 1)
-        rows.append(mask)
-    return SmallLinearCode(7, tuple(rows))
-
-
-def small_syndrome(code: SmallLinearCode, word: int) -> int:
-    """Syndrome of a word; bit j of the result comes from parity row j."""
-    if word >> code.n:
-        raise ValueError("word wider than code length")
-    syn = 0
-    for j, row in enumerate(code.rows):
-        if (word & row).bit_count() & 1:
-            syn |= 1 << j
-    return syn
-
-
-def small_decode_brute(code: SmallLinearCode, syn: int) -> int:
-    """Minimum-weight word with the given syndrome (coset leader) by
-    enumeration over weight classes; ties broken by numeric value."""
-    if syn >> len(code.rows):
-        raise ValueError("syndrome wider than n - k")
-    for weight in range(code.n + 1):
-        best = None
-        for positions in combinations(range(code.n), weight):
-            word = 0
-            for p in positions:
-                word |= 1 << p
-            if small_syndrome(code, word) == syn:
-                if best is None or word < best:
-                    best = word
-        if best is not None:
-            return best
-    raise DecodeFailure("no preimage for syndrome")  # unreachable for onto maps
-
-
-# ---------------------------------------------------------------------------
-# parity rows of the BCH syndrome map, for code-offset sampling
-
-
-def bch_parity_rows(code: BchCode) -> list[int]:
-    """The t*m parity rows of the BCH syndrome map as n-bit masks.
-
-    Row index j matches bit j of the packed syndrome produced by packing
-    the odd power sums s_1 first into the most significant field.
-    """
-    f = code.field
-    t, m, n = code.t, f.m, code.n
-    total = t * m
-    rows = [0] * total
-    for i in range(n):
-        sums = syndrome_from_support(code, (i + 1,))
-        packed = 0
-        for s in sums:
-            packed = (packed << m) | s
-        while packed:
-            b = packed & -packed
-            rows[b.bit_length() - 1] |= 1 << i
-            packed ^= b
-    return rows
-

@@ -33,6 +33,7 @@ __all__ = [
     "shingle",
     "recovery_info",
     "unshingle",
+    "edit_capacity",
     "edit_ss",
     "edit_rec",
     "edit_gen",
@@ -172,17 +173,27 @@ def _unembed_one(e: int, c: int, bits: int):
 # Secure sketch
 
 
-def edit_ss(w, c: int, t_edit: int) -> EditSketch:
-    """Sketch tolerating t_edit character insertions/deletions in w."""
+def edit_capacity(n: int, c: int, t_edit: int, bits: int) -> int:
+    """Set-difference capacity (2c-1)*t_edit of the sketch of an
+    n-character string over bits-bit characters, or ValueError for a
+    sketch that could not be read back: it needs 1 <= c < n (c = n leaves
+    no recovery index) and room for the capacity in the shingle universe
+    GF(2^(c*bits+1))*."""
     if t_edit < 1:
         raise ValueError("capacity must be >= 1")
-    bits = _alphabet_bits(w)
-    ss = shingle(w, c)
+    if not 1 <= c < n:
+        raise ValueError("need 1 <= c < |w|")
     t_set = (2 * c - 1) * t_edit
-    field = _shingle_field(c, bits)
-    if 2 * t_set + 1 > field.order:
+    if 2 * t_set + 1 >= 1 << (c * bits + 1):
         raise ValueError("capacity too large for the shingle universe")
-    s1 = pinsketch_ss(_embedded_set(ss, bits), t_set)
+    return t_set
+
+
+def edit_ss(w, c: int, t_edit: int) -> EditSketch:
+    """Sketch tolerating t_edit character insertions/deletions in w."""
+    bits = _alphabet_bits(w)
+    t_set = edit_capacity(len(w), c, t_edit, bits)
+    s1 = pinsketch_ss(_embedded_set(shingle(w, c), bits), t_set)
     return EditSketch(s1, recovery_info(w, c))
 
 

@@ -14,7 +14,7 @@ an index above the n-c+1 shingles of the string is rejected.
 from dataclasses import dataclass
 
 from .bitpack import bits_to_bytes, bytes_to_bits, pack_fields, unpack_fields, word_from_bytes, word_to_bytes
-from .codec import BchCode, syndrome_from_bytes, syndrome_to_bytes
+from .codec import BchCode
 from .edit import EditSketch, RecoveryInfo
 from .gf2m import field_of
 from .hamming import (
@@ -111,14 +111,13 @@ def _header(scheme: int, m: int, t: int) -> bytes:
 # Serializers
 
 
-def _bch_of(params: HammingParams) -> BchCode:
-    if not isinstance(params.code, BchCode):
-        raise ValueError("only BCH-backed Hamming sketches have a wire format")
-    return params.code
+def _byte_width(m: int) -> int:
+    # an edit syndrome travels as whole bytes per field element
+    return 8 * ((m + 7) // 8)
 
 
 def serialize_hamming_syn(params: HammingParams, sk: SyndromeSketch) -> bytes:
-    code = _bch_of(params)
+    code = params.code
     if sk.n_bits != params.syndrome_bits:
         raise ValueError("sketch width does not match parameters")
     return _header(SCHEME_HAMMING_SYN, code.field.m, code.t) + bits_to_bytes(
@@ -127,7 +126,7 @@ def serialize_hamming_syn(params: HammingParams, sk: SyndromeSketch) -> bytes:
 
 
 def serialize_hamming_offset(params: HammingParams, sk: CodeOffsetSketch) -> bytes:
-    code = _bch_of(params)
+    code = params.code
     if sk.n_bits != params.n:
         raise ValueError("sketch width does not match parameters")
     return _header(SCHEME_HAMMING_OFFSET, code.field.m, code.t) + word_to_bytes(
@@ -136,7 +135,7 @@ def serialize_hamming_offset(params: HammingParams, sk: CodeOffsetSketch) -> byt
 
 
 def serialize_hamming_perm(params: HammingParams, sk: PermutedSketch) -> bytes:
-    code = _bch_of(params)
+    code = params.code
     if len(sk.perm) != params.n or sk.syn.n_bits != params.syndrome_bits:
         raise ValueError("sketch shape does not match parameters")
     body = b"".join(i.to_bytes(4, "big") for i in sk.perm)
@@ -190,12 +189,13 @@ def serialize_edit(sk: EditSketch, c: int, t_edit: int) -> bytes:
     if any((i - 1) >> width for i in sk.s2.indices):
         raise ValueError("recovery index does not fit the pinned field width")
     value, nb = pack_fields([i - 1 for i in sk.s2.indices], width)
+    BchCode(field, 2 * sk.s1.t + 1)  # the capacity check deserialize makes
     return (
         _header(SCHEME_EDIT, field.m, sk.s1.t)
         + n.to_bytes(4, "big")
         + c.to_bytes(2, "big")
         + t_edit.to_bytes(2, "big")
-        + syndrome_to_bytes(BchCode(field, 2 * sk.s1.t + 1), list(sk.s1.odd_sums))
+        + bits_to_bytes(*pack_fields(sk.s1.odd_sums, _byte_width(field.m)))
         + bits_to_bytes(value, nb)
     )
 
@@ -291,10 +291,12 @@ def deserialize(data: bytes) -> Envelope:
             # n == c has a zero-width index field; nothing to sketch
             raise MalformedEnvelope("bad-header", "string no longer than shingle length")
         field = field_of(m)
-        code = BchCode(field, 2 * t + 1)
-        syn_len = t * ((m + 7) // 8)
-        body, pos = _take(data, pos, syn_len)
-        sums = syndrome_from_bytes(code, body)
+        BchCode(field, 2 * t + 1)  # capacity within the shingle universe
+        syn_width = _byte_width(m)
+        body, pos = _take(data, pos, t * syn_width // 8)
+        sums = unpack_fields(int.from_bytes(body, "big"), t * syn_width, syn_width)
+        for s in sums:
+            field.check(s)
         k = -(-n // c)
         width = (n - c).bit_length()
         value = _exact_payload(data, pos, k * width)

@@ -661,24 +661,3 @@ def poly_roots(
         else:
             raise RuntimeError("root splitting exceeded attempt budget")
     return roots
-
-
-def brute_roots(field: GF2m, f: list[int]) -> set[int]:
-    """Oracle root finder: evaluate f everywhere.  Guarded to m <= 16."""
-    if field.m > 16:
-        raise ValueError("brute_roots limited to m <= 16")
-    if not f:
-        raise ValueError("zero polynomial")
-    return {x for x in range(1 << field.m) if poly_eval(field, f, x) == 0}
-
-
-def element_to_bytes(field: GF2m, a: int) -> bytes:
-    """Big-endian, ceil(m/8) bytes."""
-    return field.check(a).to_bytes((field.m + 7) // 8, "big")
-
-
-def element_from_bytes(field: GF2m, data: bytes) -> int:
-    if len(data) != (field.m + 7) // 8:
-        raise ValueError("wrong element byte length")
-    a = int.from_bytes(data, "big")
-    return field.check(a)

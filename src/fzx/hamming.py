@@ -6,9 +6,10 @@ sketch (store w XOR c for a random codeword c), and the permuted variant
 (store a fresh random permutation pi together with syn(pi(w))), which maps
 any fixed error pattern to a uniformly random pattern of the same weight.
 
-The underlying code is pluggable: a BchCode, for which bit i corresponds
-to the field element i+1 and all decoding is syndrome-based, or a
-SmallLinearCode decoded by coset-leader enumeration.
+The code is the binary BCH code of length 2^m - 1 from `bch_params`: bit
+i of a word is the field element i+1, the syndrome map packs the odd
+power sums s_1, s_3, ..., s_{2t-1} of a word's support, and decoding
+solves the key equation on that syndrome.
 """
 
 from __future__ import annotations
@@ -17,44 +18,32 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codec import (
-    BchCode,
-    SmallLinearCode,
-    bch_parity_rows,
-    small_decode_brute,
-    small_syndrome,
-    support_from_syndrome,
-)
+from .codec import BchCode, support_from_syndrome
 from .gf2m import PRIMITIVE_POLYS, field_of
 
 
 @dataclass(frozen=True)
 class HammingParams:
-    """A word length n together with the linear code correcting its noise."""
+    """The BCH code whose syndrome map sketches words of length n = 2^m - 1."""
 
-    code: BchCode | SmallLinearCode
-    n: int
+    code: BchCode
 
-    def __post_init__(self):
-        if self.n != self.code.n:
-            raise ValueError("word length does not match code length")
+    @property
+    def n(self) -> int:
+        return self.code.n
 
     @property
     def syndrome_bits(self) -> int:
-        """Sketch payload width in bits: t*m for BCH, which exceeds n - k
-        when the t*m parity rows are linearly dependent."""
-        if isinstance(self.code, BchCode):
-            return self.code.t * self.code.field.m
-        return len(self.code.rows)
+        """Sketch payload width in bits: t*m, which exceeds n - k when the
+        t*m parity rows are linearly dependent."""
+        return self.code.t * self.code.field.m
 
     @property
     def k(self) -> int:
-        """Code dimension.  For BCH, n - k is the size of the union of the
+        """Code dimension.  n - k is the size of the union of the
         cyclotomic cosets of 1, 3, ..., 2t-1 mod n (the exponents of the
         generator polynomial's roots)."""
         code = self.code
-        if not isinstance(code, BchCode):
-            return code.k
         roots: set[int] = set()
         for i in range(1, 2 * code.t, 2):
             while i not in roots:
@@ -64,10 +53,8 @@ class HammingParams:
 
     @property
     def t(self) -> int:
-        """Correction radius; 0 declares no guarantee for a generic code."""
-        if isinstance(self.code, BchCode):
-            return self.code.t
-        return 0
+        """Correction radius: every pattern of at most t flips decodes."""
+        return self.code.t
 
 
 @dataclass(frozen=True)
@@ -115,8 +102,7 @@ def bch_params(m: int, t: int) -> HammingParams:
     searches for a modulus."""
     if m not in PRIMITIVE_POLYS:
         raise ValueError(f"no pinned primitive polynomial for m={m}")
-    code = BchCode(field_of(m), 2 * t + 1)
-    return HammingParams(code, code.n)
+    return HammingParams(BchCode(field_of(m), 2 * t + 1))
 
 
 def _check_word(p: HammingParams, w: int) -> int:
@@ -174,11 +160,7 @@ def _packed_to_sums(code: BchCode, packed: int) -> list[int]:
 def ss_syndrome(p: HammingParams, w: int) -> SyndromeSketch:
     """Sketch w as its syndrome under the code's parity map."""
     _check_word(p, w)
-    if isinstance(p.code, BchCode):
-        syn = _bch_word_syndrome(p.code, w)
-    else:
-        syn = small_syndrome(p.code, w)
-    return SyndromeSketch(syn, p.syndrome_bits)
+    return SyndromeSketch(_bch_word_syndrome(p.code, w), p.syndrome_bits)
 
 
 def rec_syndrome(p: HammingParams, w_prime: int, s: SyndromeSketch) -> int:
@@ -190,26 +172,31 @@ def rec_syndrome(p: HammingParams, w_prime: int, s: SyndromeSketch) -> int:
     if s.n_bits != p.syndrome_bits:
         raise ValueError("sketch length does not match code parameters")
     code = p.code
-    if isinstance(code, BchCode):
-        diff = _bch_word_syndrome(code, w_prime) ^ s.syn_bits
-        support = support_from_syndrome(code, _packed_to_sums(code, diff))
-        e = 0
-        for x in support:
-            e |= 1 << (x - 1)
-    else:
-        e = small_decode_brute(code, small_syndrome(code, w_prime) ^ s.syn_bits)
+    diff = _bch_word_syndrome(code, w_prime) ^ s.syn_bits
+    e = 0
+    for x in support_from_syndrome(code, _packed_to_sums(code, diff)):
+        e |= 1 << (x - 1)
     return w_prime ^ e
 
 
 @lru_cache(maxsize=None)
-def _reduced_parity(code) -> tuple[tuple[int, int], ...]:
+def _reduced_parity(code: BchCode) -> tuple[tuple[int, int], ...]:
     """A basis of the parity rows in reduced row echelon form, as (pivot
     bit, mask) pairs; dependent rows are dropped, so its length is n - k.
 
-    Precomputed once per code so uniform-codeword sampling is a handful of
-    mask operations per draw rather than a fresh elimination.
+    Row j is bit j of the packed syndrome, read off position i's entry
+    table[i >> 3][1 << (i & 7)] of the byte table.  Precomputed once per
+    code so uniform-codeword sampling is a handful of mask operations per
+    draw rather than a fresh elimination.
     """
-    rows = bch_parity_rows(code) if isinstance(code, BchCode) else list(code.rows)
+    table = _bch_byte_table(code)
+    rows = [0] * (code.t * code.field.m)
+    for i in range(code.n):
+        packed = table[i >> 3][1 << (i & 7)]
+        while packed:
+            b = packed & -packed
+            rows[b.bit_length() - 1] |= 1 << i
+            packed ^= b
     reduced: list[tuple[int, int]] = []
     for mask in rows:
         for pb, pm in reduced:

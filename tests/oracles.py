@@ -1,0 +1,140 @@
+"""Brute-force references the tests compare the library against.
+
+Each oracle is built independently of the fast path it checks: explicit
+parity rows and coset-leader enumeration for linear codes, one
+`syndrome_from_support` call per position for the BCH parity rows, a
+column-by-column Gauss-Jordan elimination for their reduced form, and
+evaluation at every field element for polynomial roots.  All of them
+are exponential or linear in 2^m, so they stay in the small regime.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field as dc_field
+from itertools import combinations
+
+from fzx.codec import BchCode, DecodeFailure, syndrome_from_support
+from fzx.gf2m import GF2m, poly_eval
+
+
+@dataclass(frozen=True)
+class SmallLinearCode:
+    """Binary [n, k] code given by n-k independent parity rows (bit masks).
+
+    Parity row j contributes bit j of the syndrome.  Enumeration-based
+    decoding restricts n to 24.
+    """
+
+    n: int
+    rows: tuple[int, ...] = dc_field(default=())
+
+    def __post_init__(self):
+        if not 1 <= self.n <= 24:
+            raise ValueError("SmallLinearCode limited to 1 <= n <= 24")
+        mask = (1 << self.n) - 1
+        basis: dict[int, int] = {}
+        for row in self.rows:
+            if row & ~mask:
+                raise ValueError("parity row wider than n")
+            v = row
+            while v:
+                h = v.bit_length() - 1
+                if h in basis:
+                    v ^= basis[h]
+                else:
+                    basis[h] = v
+                    break
+            if v == 0:
+                raise ValueError("parity rows not linearly independent")
+
+    @property
+    def k(self) -> int:
+        return self.n - len(self.rows)
+
+
+def hamming_7_4() -> SmallLinearCode:
+    """The [7,4,3] Hamming code with parity columns = binary position index."""
+    rows = []
+    for j in range(3):
+        mask = 0
+        for i in range(1, 8):
+            if (i >> j) & 1:
+                mask |= 1 << (i - 1)
+        rows.append(mask)
+    return SmallLinearCode(7, tuple(rows))
+
+
+def small_syndrome(code: SmallLinearCode, word: int) -> int:
+    """Syndrome of a word; bit j of the result comes from parity row j."""
+    if word >> code.n:
+        raise ValueError("word wider than code length")
+    syn = 0
+    for j, row in enumerate(code.rows):
+        if (word & row).bit_count() & 1:
+            syn |= 1 << j
+    return syn
+
+
+def small_decode_brute(code: SmallLinearCode, syn: int) -> int:
+    """Minimum-weight word with the given syndrome (coset leader) by
+    enumeration over weight classes; ties broken by numeric value."""
+    if syn >> len(code.rows):
+        raise ValueError("syndrome wider than n - k")
+    for weight in range(code.n + 1):
+        best = None
+        for positions in combinations(range(code.n), weight):
+            word = 0
+            for p in positions:
+                word |= 1 << p
+            if small_syndrome(code, word) == syn:
+                if best is None or word < best:
+                    best = word
+        if best is not None:
+            return best
+    raise DecodeFailure("no preimage for syndrome")  # unreachable for onto maps
+
+
+def bch_parity_rows(code: BchCode) -> list[int]:
+    """The t*m parity rows of the BCH syndrome map as n-bit masks.
+
+    Row index j matches bit j of the packed syndrome produced by packing
+    the odd power sums s_1 first into the most significant field.
+    """
+    f = code.field
+    t, m, n = code.t, f.m, code.n
+    rows = [0] * (t * m)
+    for i in range(n):
+        packed = 0
+        for s in syndrome_from_support(code, (i + 1,)):
+            packed = (packed << m) | s
+        while packed:
+            b = packed & -packed
+            rows[b.bit_length() - 1] |= 1 << i
+            packed ^= b
+    return rows
+
+
+def rref(rows, n: int) -> list[tuple[int, int]]:
+    """Reduced row echelon form of n-bit rows over GF(2), pivoting on the
+    lowest column first, as (pivot bit, row) pairs sorted by pivot; zero
+    rows are dropped, so its length is the rank."""
+    rest = list(rows)
+    done: list[int] = []
+    for col in range(n):
+        pivot = next((r for r in rest if (r >> col) & 1), None)
+        if pivot is None:
+            continue
+        rest.remove(pivot)
+        rest = [r ^ pivot if (r >> col) & 1 else r for r in rest]
+        done = [r ^ pivot if (r >> col) & 1 else r for r in done]
+        done.append(pivot)
+    return sorted(((r & -r).bit_length() - 1, r) for r in done)
+
+
+def brute_roots(field: GF2m, f: list[int]) -> set[int]:
+    """Root finder by evaluating f everywhere.  Guarded to m <= 16."""
+    if field.m > 16:
+        raise ValueError("brute_roots limited to m <= 16")
+    if not f:
+        raise ValueError("zero polynomial")
+    return {x for x in range(1 << field.m) if poly_eval(field, f, x) == 0}

@@ -16,8 +16,6 @@ import pytest
 from fzx.codec import (
     BchCode,
     DecodeFailure,
-    hamming_7_4,
-    small_syndrome,
     support_from_syndrome,
     syndrome_from_support,
 )
@@ -58,6 +56,7 @@ from fzx.setdiff import (
     pinsketch_ss,
     setdiff_entropy_loss,
 )
+from oracles import hamming_7_4, small_syndrome
 
 # chi-square upper critical value at p = 0.001 for 104 degrees of freedom,
 # computed offline by bisection on the regularized incomplete gamma

@@ -367,6 +367,18 @@ def test_params_rejects_what_sketch_rejects(tmp_path, capsys, flags):
     assert "bad parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t, c", [
+    ("20", "2"),  # capacity 60 exceeds the 7 elements of GF(8)*
+    ("1", "16"),  # c = n leaves no recovery index
+])
+def test_edit_params_rejects_what_sketch_rejects(tmp_path, capsys, t, c):
+    wi = _write(tmp_path, "w.txt", "0110100110010110")
+    sk = str(tmp_path / "e.bin")
+    assert main(["sketch", "--scheme", "edit", "--t", t, "--c", c, "-i", wi, "-o", sk]) == 4
+    assert main(["params", "--scheme", "edit", "--n", "16", "--t", t, "--c", c]) == 4
+    assert "bad parameters" in capsys.readouterr().err
+
+
 def test_exit_4_on_unknown_scheme(tmp_path, capsys):
     ai = _write_set(tmp_path, "a.set", [1, 2, 3])
     rc = main(["sketch", "--scheme", "nope", "--m", "4", "--t", "2",

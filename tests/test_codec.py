@@ -13,20 +13,20 @@ import pytest
 from fzx.codec import (
     BchCode,
     DecodeFailure,
-    SmallLinearCode,
-    bch_parity_rows,
     expand_syndrome,
-    hamming_7_4,
     rs_decode,
-    small_decode_brute,
-    small_syndrome,
     support_from_syndrome,
-    syndrome_from_bytes,
     syndrome_from_support,
-    syndrome_to_bytes,
 )
 from fzx.gf2m import GF2m, poly_eval, poly_norm
 from fzx.hamming import bch_params, random_codeword
+from oracles import (
+    SmallLinearCode,
+    bch_parity_rows,
+    hamming_7_4,
+    small_decode_brute,
+    small_syndrome,
+)
 
 
 def oracle_syndrome(code, support):
@@ -342,16 +342,6 @@ def test_random_codeword_consistent_and_spread():
         seen.add(v)
     # 2^7 codewords; 200 uniform draws should hit many distinct ones
     assert len(seen) > 50
-
-
-def test_syndrome_bytes_round_trip():
-    code = BchCode(GF2m(10), 11)
-    syn = syndrome_from_support(code, {5, 100, 1000})
-    blob = syndrome_to_bytes(code, syn)
-    assert len(blob) == code.t * 2
-    assert syndrome_from_bytes(code, blob) == syn
-    with pytest.raises(ValueError):
-        syndrome_from_bytes(code, blob + b"\x00")
 
 
 def test_bch_code_validation():

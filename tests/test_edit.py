@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fzx.codec import DecodeFailure
 from fzx.edit import (
@@ -11,6 +13,7 @@ from fzx.edit import (
     RecoveryInfo,
     ShingleSet,
     approx_edit_entropy_loss,
+    edit_capacity,
     edit_entropy_loss,
     edit_rec,
     edit_ss,
@@ -19,6 +22,7 @@ from fzx.edit import (
     shingle,
     unshingle,
 )
+from fzx.envelope import deserialize, serialize_edit
 from fzx.setdiff import PinSketchData
 
 
@@ -249,6 +253,35 @@ def test_edit_input_validation():
     sk = edit_ss("01100110", 3, 1)
     with pytest.raises(ValueError):
         edit_rec(b"\x66", sk)  # alphabet mismatch with sketch universe
+
+
+def test_edit_ss_needs_a_shingle_shorter_than_the_word():
+    # with c = |w| the one shingle is w itself: no recovery index is left
+    # to send, and the envelope could not be read back
+    w = "0110100110010110"
+    for c in (16, 17):
+        with pytest.raises(ValueError):
+            edit_ss(w, c, 1)
+    assert edit_ss(w, 15, 1).s1.t == 29
+    assert edit_capacity(16, 15, 1, 1) == 29
+    with pytest.raises(ValueError):
+        edit_capacity(16, 2, 20, 1)  # 2*60 + 1 > the 7 elements of GF(8)*
+    with pytest.raises(ValueError):
+        edit_ss(w, 2, 20)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(w=st.text("01", min_size=2, max_size=20), data=st.data())
+def test_every_accepted_edit_sketch_reads_back(w, data):
+    c = data.draw(st.integers(1, len(w)), label="c")
+    t_edit = data.draw(st.integers(1, 3), label="t_edit")
+    try:
+        sk = edit_ss(w, c, t_edit)
+    except ValueError:
+        return
+    env = deserialize(serialize_edit(sk, c, t_edit))
+    assert env.sketch == sk and env.c == c and env.t_edit == t_edit
+    assert edit_rec(w, env.sketch) == w
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fzx.codec import DecodeFailure, hamming_7_4, small_decode_brute, small_syndrome
+from fzx.codec import DecodeFailure
 from fzx.entropy import (
     ExtractedKey,
     FiniteDistribution,
@@ -22,6 +22,7 @@ from fzx.entropy import (
     statistical_distance,
     uhash,
 )
+from oracles import hamming_7_4, small_decode_brute, small_syndrome
 
 
 def test_distribution_validation():

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from fzx.codec import BchCode, DecodeFailure, hamming_7_4, small_syndrome
+from fzx.codec import BchCode, DecodeFailure
 from fzx.entropy import JointDistribution, avg_min_entropy
 from fzx.gf2m import GF2m, field_of
 from fzx.hamming import (
@@ -27,10 +27,15 @@ from fzx.hamming import (
     ss_permuted,
     ss_syndrome,
 )
+from oracles import bch_parity_rows, hamming_7_4, rref, small_syndrome
+
+# the codewords of the [7,4,3] Hamming code, from its explicit parity rows
+HAMMING_7_4_CODEWORDS = {c for c in range(128) if small_syndrome(hamming_7_4(), c) == 0}
 
 
 def small_params() -> HammingParams:
-    return HammingParams(hamming_7_4(), 7)
+    # the m=3 t=1 BCH code is the [7,4,3] Hamming code bit for bit
+    return bch_params(3, 1)
 
 
 class FixedBits:
@@ -45,9 +50,8 @@ class FixedBits:
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        HammingParams(hamming_7_4(), 8)
     p = bch_params(4, 2)
+    assert HammingParams(p.code) == p
     assert p.n == 15 and p.t == 2
     assert p.syndrome_bits == 8  # t*m
     assert small_params().syndrome_bits == 3
@@ -62,6 +66,8 @@ def test_ss_syndrome_examples():
     assert ss_syndrome(bch_params(4, 2), 0) == SyndromeSketch(0, 8)
     with pytest.raises(ValueError):
         ss_syndrome(p, 1 << 7)
+    code = hamming_7_4()
+    assert all(ss_syndrome(p, w).syn_bits == small_syndrome(code, w) for w in range(128))
 
 
 def test_bch_syndrome_matches_support_path():
@@ -170,14 +176,13 @@ def test_code_offset_sketch_uniform_over_coset():
     counts = Counter(
         ss_code_offset(p, w, FixedBits(v)).shift for v in range(128)
     )
-    codewords = {c for c in range(128) if small_syndrome(p.code, c) == 0}
-    assert counts == {w ^ c: 8 for c in codewords}
+    assert counts == {w ^ c: 8 for c in HAMMING_7_4_CODEWORDS}
 
 
 def test_random_codeword_uniform():
     p = small_params()
     counts = Counter(random_codeword(p, FixedBits(v)) for v in range(128))
-    assert set(counts) == {c for c in range(128) if small_syndrome(p.code, c) == 0}
+    assert set(counts) == HAMMING_7_4_CODEWORDS
     assert set(counts.values()) == {8}
 
 
@@ -199,10 +204,8 @@ def test_residual_entropy_syndrome():
 
 def test_residual_entropy_code_offset():
     # uniform w and an independent uniform codeword, enumerated exactly
-    p = small_params()
-    codewords = [c for c in range(128) if small_syndrome(p.code, c) == 0]
     pairs = [
-        (bytes([w]), bytes([w ^ c])) for w in range(128) for c in codewords
+        (bytes([w]), bytes([w ^ c])) for w in range(128) for c in HAMMING_7_4_CODEWORDS
     ]
     assert abs(residual_entropy(pairs) - 4.0) <= 1e-9
 
@@ -277,6 +280,7 @@ def test_bch_k_from_cyclotomic_cosets_matches_parity_rank():
                 continue
             p = bch_params(m, t)
             assert p.n - p.k == len(_reduced_parity(p.code)), (m, t)
+            assert sorted(_reduced_parity(p.code)) == rref(bch_parity_rows(p.code), p.n)
     # m=4 t=3: cosets {1,2,4,8}, {3,6,12,9}, {5,10} give n-k = 10 < t*m = 12
     assert bch_params(4, 3).k == 5
     assert small_params().k == 4
