@@ -177,13 +177,16 @@ def edit_capacity(n: int, c: int, t_edit: int, bits: int) -> int:
     """Set-difference capacity (2c-1)*t_edit of the sketch of an
     n-character string over bits-bit characters, or ValueError for a
     sketch that could not be read back: it needs 1 <= c < n (c = n leaves
-    no recovery index) and room for the capacity in the shingle universe
-    GF(2^(c*bits+1))*."""
+    no recovery index), a capacity and field degree c*bits+1 that fit the
+    envelope header (u16 t, u8 m), and room for the capacity in the
+    shingle universe GF(2^(c*bits+1))*."""
     if t_edit < 1:
         raise ValueError("capacity must be >= 1")
     if not 1 <= c < n:
         raise ValueError("need 1 <= c < |w|")
     t_set = (2 * c - 1) * t_edit
+    if t_set > 0xFFFF or c * bits + 1 > 0xFF:
+        raise ValueError("capacity or shingle length out of envelope range")
     if 2 * t_set + 1 >= 1 << (c * bits + 1):
         raise ValueError("capacity too large for the shingle universe")
     return t_set

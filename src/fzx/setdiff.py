@@ -7,6 +7,10 @@ set size; the original Juels-Sudan scheme hides a random low-degree
 polynomial among chaff points and is kept as a reference (its entropy loss
 grows with the chaff count).
 
+Improved JS recovery is rational reconstruction on the partial Euclid that
+BCH decoding also runs (codec._partial_euclid); Reed-Solomon decoding
+(Gao's algorithm) serves original JS only.
+
 Every deterministic recovery re-verifies its output by re-sketching;
 a mismatch raises DecodeFailure instead of returning a wrong set.
 """
@@ -21,19 +25,12 @@ from dataclasses import dataclass
 from .codec import (
     BchCode,
     DecodeFailure,
+    _partial_euclid,
     rs_decode,
     support_from_syndrome,
     syndrome_from_support,
 )
-from .gf2m import (
-    GF2m,
-    poly_add,
-    poly_deg,
-    poly_divmod,
-    poly_eval,
-    poly_mul,
-    poly_roots,
-)
+from .gf2m import GF2m, poly_deg, poly_eval, poly_norm, poly_roots
 
 
 @dataclass(frozen=True)
@@ -160,12 +157,18 @@ def pinsketch_rec(w_prime: ElementSet, sk: PinSketchData) -> ElementSet:
     return result
 
 
-def char_poly(field: GF2m, elems) -> list[int]:
-    """Monic polynomial with the given distinct elements as roots."""
-    p = [1]
+def _top_coeffs(field: GF2m, elems, t: int) -> list[int]:
+    """[1, e_1, ..., e_t]: the reversed characteristic polynomial
+    prod (1 + x*u) of the elements, mod u^(t+1).  e_j is the coefficient
+    of z^(s-j) in prod (z + x); s*t multiplications."""
+    c = [1] + [0] * t
+    mul = field.mul
+    k = 0
     for x in elems:
-        p = poly_mul(field, p, [x, 1])
-    return p
+        k = min(k + 1, t)
+        for j in range(k, 0, -1):
+            c[j] ^= mul(x, c[j - 1])
+    return c
 
 
 def ijs_ss(w: ElementSet, t: int) -> IjsSketchData:
@@ -178,61 +181,61 @@ def ijs_ss(w: ElementSet, t: int) -> IjsSketchData:
     if t % 2:
         warnings.warn("improved JS capacity must be even; rounding t down")
         t -= 1
-    p = char_poly(w.field, w.elems)
-    coeffs = tuple(p[s - j] for j in range(1, t + 1))
-    return IjsSketchData(w.field, s, t, coeffs)
+    return IjsSketchData(w.field, s, t, tuple(_top_coeffs(w.field, w.elems, t)[1:]))
 
 
-def _p_high(sk: IjsSketchData) -> list[int]:
-    p = [0] * (sk.s + 1)
-    p[sk.s] = 1
-    for j, a in enumerate(sk.top_coeffs):
-        p[sk.s - 1 - j] = a
-    return p
+def _distinct_roots(field: GF2m, f: list[int]) -> set[int]:
+    if len(f) == 1:
+        return set()
+    roots = poly_roots(field, f)
+    if roots is None:
+        raise DecodeFailure("polynomial does not split into distinct roots")
+    return roots
 
 
 def ijs_rec(w_prime: ElementSet, sk: IjsSketchData) -> ElementSet:
     """Recover the sketched set from a same-size w' within distance t.
 
-    The sketch fixes p_high, the top of the characteristic polynomial;
-    the unknown bottom p_low (degree <= s-t-1) agrees with p_high on every
-    element of w, so it is Reed-Solomon decodable from w' with at most t/2
-    wrong points.  The set is the root set of p_high - p_low; elements of
-    w' already known to agree are divided out before root finding."""
+    With u = 1/z, the reversed characteristic polynomial prod (1 + x*u)
+    of w over that of w' is R~/E~, the reversed polynomials of w minus w'
+    and w' minus w, both of degree e <= t/2.  The sketch fixes the numerator
+    mod u^(t+1), so the power series of the quotient is known to that
+    order, and the partial Euclid on (u^(t+1), series) reconstructs the
+    fraction (Pade approximation): its remainder is R~ and its Bezout
+    coefficient E~, up to one common scalar.  The elements of w' that are
+    roots of E leave, the roots of R join.  With t = s the sketch is the
+    whole characteristic polynomial, and the set is its roots."""
     field = sk.field
     if w_prime.field != field:
         raise ValueError("field mismatch between set and sketch")
     s, t = sk.s, sk.t
     if len(w_prime) != s:
         raise ValueError(f"improved JS needs |w'| = {s}")
-    p_high = _p_high(sk)
-    points = [(x, poly_eval(field, p_high, x)) for x in w_prime.elems]
+    series = [1, *sk.top_coeffs]
     if t == s:
-        p_low: list[int] = []
+        result = _distinct_roots(field, series[::-1])
     else:
-        p_low = rs_decode(field, points, s - t - 1, t // 2)
-
-    agreeing = [x for x, y in points if poly_eval(field, p_low, x) == y]
-    quotient = poly_add(p_high, p_low)
-    for x in agreeing:
-        quotient, rem = poly_divmod(field, quotient, [x, 1])
-        if rem:
-            raise DecodeFailure("agreeing point is not a root")
-    if poly_deg(quotient) > 0:
-        extra = poly_roots(field, quotient)
-        if extra is None:
-            raise DecodeFailure("characteristic polynomial does not split")
-    else:
-        extra = set()
-    result = set(agreeing) | extra
-    if len(result) != s or 0 in result or not all(
-        x <= field.order for x in result
-    ):
+        # series := P~/C~ mod u^(t+1); C~(0) = 1, so no inverse is needed
+        c = _top_coeffs(field, w_prime.elems, t)
+        mul = field.mul
+        for k in range(1, t + 1):
+            for j in range(1, k + 1):
+                series[k] ^= mul(c[j], series[k - j])
+        u_t1 = [0] * (t + 1) + [1]
+        r, v = _partial_euclid(field, u_t1, poly_norm(series), t // 2 + 1)
+        if not (r[0] and v[0]) or len(r) != len(v):
+            raise DecodeFailure("no difference of equal sizes within t/2")
+        e_poly = v[::-1]  # E(z) = z^e v(1/z), its roots are w' minus w
+        result = {x for x in w_prime.elems if poly_eval(field, e_poly, x)}
+        if len(result) != s - poly_deg(v):
+            raise DecodeFailure("difference locator does not split over w'")
+        result |= _distinct_roots(field, r[::-1])
+    if len(result) != s or 0 in result:
         raise DecodeFailure("root set is not a valid size-s set")
-    out = ElementSet(field, tuple(sorted(result)))
-    if ijs_ss(out, t) != sk:
+    elems = tuple(sorted(result))
+    if _top_coeffs(field, elems, t)[1:] != list(sk.top_coeffs):
         raise DecodeFailure("recovered set fails sketch re-check")
-    return out
+    return ElementSet(field, elems)
 
 
 def origjs_ss(

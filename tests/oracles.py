@@ -3,9 +3,12 @@
 Each oracle is built independently of the fast path it checks: explicit
 parity rows and coset-leader enumeration for linear codes, one
 `syndrome_from_support` call per position for the BCH parity rows, a
-column-by-column Gauss-Jordan elimination for their reduced form, and
-evaluation at every field element for polynomial roots.  All of them
-are exponential or linear in 2^m, so they stay in the small regime.
+column-by-column Gauss-Jordan elimination for their reduced form,
+evaluation at every field element for polynomial roots, the product of
+s linear factors for a characteristic polynomial, and Reed-Solomon
+decoding over all s points for improved Juels-Sudan recovery.  The
+enumerating ones are exponential or linear in 2^m, so they stay in the
+small regime.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from fzx.codec import BchCode, DecodeFailure, syndrome_from_support
-from fzx.gf2m import GF2m, poly_eval
+from fzx.codec import BchCode, DecodeFailure, rs_decode, syndrome_from_support
+from fzx.gf2m import GF2m, poly_add, poly_deg, poly_divmod, poly_eval, poly_mul, poly_roots
+from fzx.setdiff import ElementSet, IjsSketchData
 
 
 @dataclass(frozen=True)
@@ -138,3 +142,62 @@ def brute_roots(field: GF2m, f: list[int]) -> set[int]:
     if not f:
         raise ValueError("zero polynomial")
     return {x for x in range(1 << field.m) if poly_eval(field, f, x) == 0}
+
+
+def char_poly(field: GF2m, elems) -> list[int]:
+    """Monic polynomial with the given distinct elements as roots."""
+    p = [1]
+    for x in elems:
+        p = poly_mul(field, p, [x, 1])
+    return p
+
+
+def char_poly_top(field: GF2m, elems, t: int) -> tuple[int, ...]:
+    """Coefficients of degree s-1 down to s-t of the characteristic
+    polynomial of s elements: what an improved-JS sketch stores."""
+    p = char_poly(field, sorted(elems))
+    return tuple(p[len(p) - 1 - j] for j in range(1, t + 1))
+
+
+def ijs_rec_rs(w_prime: ElementSet, sk: IjsSketchData) -> ElementSet:
+    """Improved-JS recovery by Reed-Solomon decoding.
+
+    The sketch fixes p_high, the top of the characteristic polynomial;
+    the unknown bottom p_low (degree <= s-t-1) agrees with p_high on every
+    element of w, so it is Reed-Solomon decodable from w' with at most t/2
+    wrong points.  The set is the root set of p_high - p_low; elements of
+    w' already known to agree are divided out before root finding, and
+    the result is re-checked against the full characteristic polynomial.
+    """
+    field = sk.field
+    if w_prime.field != field:
+        raise ValueError("field mismatch between set and sketch")
+    s, t = sk.s, sk.t
+    if len(w_prime) != s:
+        raise ValueError(f"improved JS needs |w'| = {s}")
+    p_high = [0] * (s - t) + list(reversed(sk.top_coeffs)) + [1]
+    points = [(x, poly_eval(field, p_high, x)) for x in w_prime.elems]
+    if t == s:
+        p_low: list[int] = []
+    else:
+        p_low = rs_decode(field, points, s - t - 1, t // 2)
+
+    agreeing = [x for x, y in points if poly_eval(field, p_low, x) == y]
+    quotient = poly_add(p_high, p_low)
+    for x in agreeing:
+        quotient, rem = poly_divmod(field, quotient, [x, 1])
+        if rem:
+            raise DecodeFailure("agreeing point is not a root")
+    if poly_deg(quotient) > 0:
+        extra = poly_roots(field, quotient)
+        if extra is None:
+            raise DecodeFailure("characteristic polynomial does not split")
+    else:
+        extra = set()
+    result = set(agreeing) | extra
+    if len(result) != s or 0 in result:
+        raise DecodeFailure("root set is not a valid size-s set")
+    out = ElementSet(field, tuple(sorted(result)))
+    if char_poly_top(field, out.elems, t) != sk.top_coeffs:
+        raise DecodeFailure("recovered set fails sketch re-check")
+    return out

@@ -379,6 +379,17 @@ def test_edit_params_rejects_what_sketch_rejects(tmp_path, capsys, t, c):
     assert "bad parameters" in capsys.readouterr().err
 
 
+def test_edit_shape_beyond_envelope_header_exits_4(tmp_path, capsys):
+    # (2*17 - 1) * 2000 = 66000 does not fit the u16 capacity of the header
+    wi = _write(tmp_path, "w.txt", "01101001100101101001")
+    sk = tmp_path / "e.bin"
+    flags = ["--scheme", "edit", "--t", "2000", "--c", "17"]
+    assert main(["params", *flags, "--n", "20"]) == 4
+    assert main(["sketch", *flags, "-i", wi, "-o", str(sk)]) == 4
+    assert "out of envelope range" in capsys.readouterr().err
+    assert not sk.exists()
+
+
 def test_exit_4_on_unknown_scheme(tmp_path, capsys):
     ai = _write_set(tmp_path, "a.set", [1, 2, 3])
     rc = main(["sketch", "--scheme", "nope", "--m", "4", "--t", "2",

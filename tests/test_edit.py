@@ -270,6 +270,24 @@ def test_edit_ss_needs_a_shingle_shorter_than_the_word():
         edit_ss(w, 2, 20)
 
 
+def test_edit_ss_rejects_shapes_the_envelope_header_cannot_hold(monkeypatch):
+    # u16 capacity: (2*17 - 1) * 2000 = 66000; u8 degree: 32*8 + 1 = 257
+    import fzx.edit
+
+    def no_sketch(*args):
+        raise AssertionError("sketch computed for a shape the envelope rejects")
+
+    monkeypatch.setattr(fzx.edit, "pinsketch_ss", no_sketch)
+    with pytest.raises(ValueError, match="envelope range"):
+        edit_capacity(20, 17, 2000, 1)
+    with pytest.raises(ValueError, match="envelope range"):
+        edit_ss("01101001100101101001", 17, 2000)
+    with pytest.raises(ValueError, match="envelope range"):
+        edit_ss(bytes(40), 32, 1)
+    assert edit_capacity(20, 17, 1985, 1) == 65505  # the largest that fits
+    assert edit_capacity(40, 31, 1, 8) == 61
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(w=st.text("01", min_size=2, max_size=20), data=st.data())
 def test_every_accepted_edit_sketch_reads_back(w, data):

@@ -5,16 +5,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fzx.codec import DecodeFailure, rs_decode
 from fzx.entropy import JointDistribution, avg_min_entropy
-from fzx.gf2m import GF2m, poly_eval
+from fzx.envelope import deserialize, serialize_ijs
+from fzx.gf2m import GF2m, field_of, poly_eval
 from fzx.setdiff import (
     ElementSet,
     IjsSketchData,
     OrigJsSketchData,
     PinSketchData,
-    char_poly,
     ijs_rec,
     ijs_ss,
     origjs_rec,
@@ -23,6 +25,7 @@ from fzx.setdiff import (
     pinsketch_ss,
     setdiff_entropy_loss,
 )
+from oracles import char_poly, char_poly_top, ijs_rec_rs
 
 
 def _sets_equal(a: ElementSet, b) -> bool:
@@ -278,6 +281,82 @@ def test_ijs_storage_matches_loss():
     f = GF2m(10)
     sk = ijs_ss(ElementSet.of(f, list(range(1, 21))), 4)
     assert sk.bit_length == 40 == setdiff_entropy_loss("ijs", m=10, t=4)
+
+
+# ---------------------------------------------------------------------------
+# Improved JS properties, against the Reed-Solomon reference decoder
+
+
+def _outcome(rec, w_prime, sk):
+    try:
+        return rec(w_prime, sk).elems
+    except DecodeFailure:
+        return "DecodeFailure"
+
+
+def _swapped(data, f, base, lo, hi):
+    """base with d of its elements swapped for outsiders, lo <= d <= hi
+    (both capped at what the universe allows)."""
+    cap = min(len(base), f.order - len(base))
+    d = data.draw(st.integers(min(lo, cap), min(hi, cap)), label="swaps")
+    if d == 0:
+        return set(base), 0
+    outs = data.draw(st.sets(st.sampled_from(sorted(base)), min_size=d, max_size=d), label="outs")
+    ins = data.draw(st.sets(st.integers(1, f.order).filter(lambda x: x not in base),
+                            min_size=d, max_size=d), label="ins")
+    return base - outs | ins, d
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(m=st.sampled_from([4, 8, 16]), data=st.data())
+def test_ijs_sketch_is_the_top_of_the_characteristic_polynomial(m, data):
+    f = field_of(m)
+    w = data.draw(st.sets(st.integers(1, f.order), max_size=20), label="w")
+    t = data.draw(st.integers(0, len(w) // 2), label="t/2") * 2
+    assert ijs_ss(ElementSet.of(f, w), t).top_coeffs == char_poly_top(f, w, t)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(m=st.sampled_from([4, 5, 8, 16]), beyond=st.booleans(), data=st.data())
+def test_ijs_rec_agrees_with_reed_solomon_reference(m, beyond, data):
+    # the same set, or DecodeFailure on both sides, within and beyond t/2
+    f = field_of(m)
+    s = data.draw(st.integers(0, min(20, f.order // 2)), label="s")
+    t = data.draw(st.integers(0, s // 2), label="t/2") * 2
+    base = data.draw(st.sets(st.integers(1, f.order), min_size=s, max_size=s), label="w")
+    lo, hi = (t // 2 + 1, t // 2 + 3) if beyond else (0, t // 2)
+    w_prime, d = _swapped(data, f, base, lo, hi)
+    sk = ijs_ss(ElementSet.of(f, base), t)
+    got = _outcome(ijs_rec, ElementSet.of(f, w_prime), sk)
+    assert got == _outcome(ijs_rec_rs, ElementSet.of(f, w_prime), sk)
+    if d <= t // 2:
+        assert got == tuple(sorted(base))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(m=st.sampled_from([4, 8, 16]), hostile=st.booleans(), data=st.data())
+def test_ijs_odd_t_from_the_wire_recovers_within_half(m, hostile, data):
+    # ijs_ss never writes an odd t, but a foreign envelope may carry one
+    f = field_of(m)
+    s = data.draw(st.integers(1, min(20, f.order // 2)), label="s")
+    t = data.draw(st.integers(0, (s - 1) // 2), label="t//2") * 2 + 1
+    base = data.draw(st.sets(st.integers(1, f.order), min_size=s, max_size=s), label="w")
+    if hostile:
+        coeffs = tuple(data.draw(st.lists(st.integers(0, f.order), min_size=t, max_size=t)))
+    else:
+        coeffs = char_poly_top(f, base, t)
+    env = deserialize(serialize_ijs(IjsSketchData(f, s, t, coeffs)))
+    sk = env.sketch
+    assert (sk.t, sk.top_coeffs) == (t, coeffs)
+    w_prime, d = _swapped(data, f, base, 0, t // 2 + 2)
+    try:
+        got = ijs_rec(ElementSet.of(f, w_prime), sk)
+    except (DecodeFailure, ValueError):
+        assert hostile or d > t // 2
+        return
+    assert len(got) == s and char_poly_top(f, got.elems, t) == coeffs
+    if not hostile and d <= t // 2:
+        assert set(got.elems) == base
 
 
 # ---------------------------------------------------------------------------
