@@ -50,24 +50,13 @@ def bytes_to_bits(data: bytes, n_bits: int) -> int:
 
 
 def word_to_bytes(word: int, n_bits: int) -> bytes:
-    """Serialize an n-bit word (bit i = position i) MSB-first per byte."""
+    """Serialize an n-bit word (bit i = position i) MSB-first per byte, so
+    word bit i is wire bit i: the word's bit string reversed, left-aligned."""
     if word >> n_bits:
         raise ValueError("word wider than stated bit length")
-    out = bytearray((n_bits + 7) // 8)
-    for i in range(n_bits):
-        if (word >> i) & 1:
-            out[i // 8] |= 0x80 >> (i % 8)
-    return bytes(out)
+    return bits_to_bytes(int(format(word, f"0{n_bits}b")[::-1], 2), n_bits)
 
 
 def word_from_bytes(data: bytes, n_bits: int) -> int:
-    if len(data) != (n_bits + 7) // 8:
-        raise ValueError("wrong byte length for word")
-    word = 0
-    for i in range(n_bits):
-        if (data[i // 8] >> (7 - i % 8)) & 1:
-            word |= 1 << i
-    for i in range(n_bits, 8 * len(data)):
-        if (data[i // 8] >> (7 - i % 8)) & 1:
-            raise ValueError("nonzero padding bits")
-    return word
+    """Inverse of word_to_bytes; rejects nonzero padding bits."""
+    return int(format(bytes_to_bits(data, n_bits), f"0{n_bits}b")[::-1], 2)

@@ -101,15 +101,11 @@ def _read_word_text(path: str) -> str:
 
 def _word_int(text: str) -> int:
     # first character is wire bit 0 (the high bit of the first byte)
-    value = 0
-    for j, ch in enumerate(text):
-        if ch == "1":
-            value |= 1 << j
-    return value
+    return int(text[::-1], 2)
 
 
 def _word_text(word: int, n: int) -> str:
-    return "".join("1" if (word >> j) & 1 else "0" for j in range(n))
+    return format(word, f"0{n}b")[::-1]
 
 
 def _read_set(path: str, field) -> ElementSet:

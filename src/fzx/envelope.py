@@ -4,56 +4,34 @@ Wire layout, big-endian throughout:
 
     magic "FZX1" | scheme u8 | m u8 | t u16 | aux | payload
 
-aux is scheme-specific: ijs carries u16 s; origjs u16 s, u16 r; edit
-u32 n, u16 c, u16 t_edit.  Payloads are bit-packed, left-aligned, and
-zero-padded to a byte; the pad bits must be zero.  An edit payload ends
-with the recovery indices, each minus one, in (n-c).bit_length() bits;
-an index above the n-c+1 shingles of the string is rejected.
+`_WIRE` holds one record per scheme id: its CLI name, the byte widths of
+its aux fields (none for the Hamming schemes and PinSketch; ijs u16 s;
+origjs u16 s, u16 r; edit u32 n, u16 c, u16 t_edit) and its parser, which
+makes the sketching side's own shape check before it reads the payload.
+Every serializer is one `_frame` call.  Payloads are bit-packed,
+left-aligned, and zero-padded to a byte; the pad bits must be zero.  An
+edit payload ends with the recovery indices, each minus one, in
+(n-c).bit_length() bits; an index above the n-c+1 shingles is rejected.
 """
 
+import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from .bitpack import bits_to_bytes, bytes_to_bits, pack_fields, unpack_fields, word_from_bytes, word_to_bytes
 from .codec import BchCode
-from .edit import EditSketch, RecoveryInfo
+from .edit import EditSketch, RecoveryInfo, edit_capacity
 from .gf2m import field_of
-from .hamming import (
-    CodeOffsetSketch,
-    HammingParams,
-    PermutedSketch,
-    SyndromeSketch,
-    bch_params,
-)
-from .setdiff import (
-    ElementSet,
-    IjsSketchData,
-    OrigJsSketchData,
-    PinSketchData,
-    pinsketch_rec,
-)
+from .hamming import CodeOffsetSketch, HammingParams, PermutedSketch, SyndromeSketch, bch_params
+from .setdiff import ElementSet, IjsSketchData, OrigJsSketchData, PinSketchData, pinsketch_rec
 
 __all__ = [
-    "MAGIC",
-    "SCHEME_HAMMING_SYN",
-    "SCHEME_HAMMING_OFFSET",
-    "SCHEME_PINSKETCH",
-    "SCHEME_IJS",
-    "SCHEME_EDIT",
-    "SCHEME_HAMMING_PERM",
-    "SCHEME_ORIGJS",
-    "SCHEME_NAMES",
-    "MalformedEnvelope",
-    "Envelope",
-    "ReconcileReport",
-    "serialize_hamming_syn",
-    "serialize_hamming_offset",
-    "serialize_hamming_perm",
-    "serialize_pinsketch",
-    "serialize_ijs",
-    "serialize_origjs",
-    "serialize_edit",
-    "deserialize",
-    "reconcile_respond",
+    "MAGIC", "SCHEME_NAMES", "SCHEME_HAMMING_SYN", "SCHEME_HAMMING_OFFSET", "SCHEME_PINSKETCH",
+    "SCHEME_IJS", "SCHEME_EDIT", "SCHEME_HAMMING_PERM", "SCHEME_ORIGJS",
+    "MalformedEnvelope", "Envelope", "ReconcileReport",
+    "serialize_hamming_syn", "serialize_hamming_offset", "serialize_hamming_perm",
+    "serialize_pinsketch", "serialize_ijs", "serialize_origjs", "serialize_edit",
+    "deserialize", "reconcile_respond",
 ]
 
 MAGIC = b"FZX1"
@@ -65,17 +43,6 @@ SCHEME_IJS = 0x04
 SCHEME_EDIT = 0x05
 SCHEME_HAMMING_PERM = 0x06
 SCHEME_ORIGJS = 0x07
-
-# wire id -> CLI name, for every scheme with a wire format
-SCHEME_NAMES = {
-    SCHEME_HAMMING_SYN: "hamming-syn",
-    SCHEME_HAMMING_OFFSET: "hamming-offset",
-    SCHEME_HAMMING_PERM: "hamming-perm",
-    SCHEME_PINSKETCH: "pinsketch",
-    SCHEME_IJS: "ijs",
-    SCHEME_ORIGJS: "origjs",
-    SCHEME_EDIT: "edit",
-}
 
 
 class MalformedEnvelope(ValueError):
@@ -99,16 +66,23 @@ class Envelope:
     t_edit: int | None = None
 
 
-def _header(scheme: int, m: int, t: int) -> bytes:
+# ---------------------------------------------------------------------------
+# Writing
+
+
+def _frame(scheme: int, m: int, t: int, aux: tuple[int, ...], *segments: bytes) -> bytes:
+    """The envelope: header, aux fields at the widths of the scheme's
+    record, then the payload segments as given."""
     if not 1 <= m <= 0xFF:
         raise ValueError("m out of envelope range")
     if not 0 <= t <= 0xFFFF:
         raise ValueError("t out of envelope range")
-    return MAGIC + bytes([scheme, m]) + t.to_bytes(2, "big")
-
-
-# ---------------------------------------------------------------------------
-# Serializers
+    parts = [MAGIC, bytes((scheme, m)), t.to_bytes(2, "big")]
+    for value, width in zip(aux, _WIRE[scheme].aux, strict=True):
+        if not 0 <= value < 1 << 8 * width:
+            raise ValueError(f"aux field {value} out of envelope range")
+        parts.append(value.to_bytes(width, "big"))
+    return b"".join(parts + list(segments))
 
 
 def _byte_width(m: int) -> int:
@@ -116,195 +90,188 @@ def _byte_width(m: int) -> int:
     return 8 * ((m + 7) // 8)
 
 
+def _edit_shape(m: int, n: int, c: int, t_edit: int, t: int) -> None:
+    """ValueError unless an edit sketch of an n-character string over
+    GF(2^m) with shingle length c has the capacity t that `edit_ss` gives
+    it, (2c-1) * t_edit, for a 1- or 8-bit alphabet."""
+    if c < 1 or (m - 1) % c or (m - 1) // c not in (1, 8):
+        raise ValueError("m does not match a supported alphabet")
+    if edit_capacity(n, c, t_edit, (m - 1) // c) != t:
+        raise ValueError("t must equal (2c-1) * t_edit")
+
+
 def serialize_hamming_syn(params: HammingParams, sk: SyndromeSketch) -> bytes:
-    code = params.code
     if sk.n_bits != params.syndrome_bits:
         raise ValueError("sketch width does not match parameters")
-    return _header(SCHEME_HAMMING_SYN, code.field.m, code.t) + bits_to_bytes(
-        sk.syn_bits, sk.n_bits
-    )
+    syn = bits_to_bytes(sk.syn_bits, sk.n_bits)
+    return _frame(SCHEME_HAMMING_SYN, params.code.field.m, params.t, (), syn)
 
 
 def serialize_hamming_offset(params: HammingParams, sk: CodeOffsetSketch) -> bytes:
-    code = params.code
     if sk.n_bits != params.n:
         raise ValueError("sketch width does not match parameters")
-    return _header(SCHEME_HAMMING_OFFSET, code.field.m, code.t) + word_to_bytes(
-        sk.shift, sk.n_bits
-    )
+    shift = word_to_bytes(sk.shift, sk.n_bits)
+    return _frame(SCHEME_HAMMING_OFFSET, params.code.field.m, params.t, (), shift)
 
 
 def serialize_hamming_perm(params: HammingParams, sk: PermutedSketch) -> bytes:
-    code = params.code
     if len(sk.perm) != params.n or sk.syn.n_bits != params.syndrome_bits:
         raise ValueError("sketch shape does not match parameters")
-    body = b"".join(i.to_bytes(4, "big") for i in sk.perm)
-    return (
-        _header(SCHEME_HAMMING_PERM, code.field.m, code.t)
-        + body
-        + bits_to_bytes(sk.syn.syn_bits, sk.syn.n_bits)
-    )
+    perm = struct.pack(f">{params.n}I", *sk.perm)
+    syn = bits_to_bytes(sk.syn.syn_bits, sk.syn.n_bits)
+    return _frame(SCHEME_HAMMING_PERM, params.code.field.m, params.t, (), perm, syn)
 
 
 def serialize_pinsketch(sk: PinSketchData) -> bytes:
-    value, nb = pack_fields(sk.odd_sums, sk.field.m)
-    return _header(SCHEME_PINSKETCH, sk.field.m, sk.t) + bits_to_bytes(value, nb)
+    BchCode(sk.field, 2 * sk.t + 1)  # the capacity check deserialize makes
+    sums = bits_to_bytes(*pack_fields(sk.odd_sums, sk.field.m))
+    return _frame(SCHEME_PINSKETCH, sk.field.m, sk.t, (), sums)
 
 
 def serialize_ijs(sk: IjsSketchData) -> bytes:
-    if sk.s > 0xFFFF:
-        raise ValueError("set size too large for envelope")
-    value, nb = pack_fields(sk.top_coeffs, sk.field.m)
-    return (
-        _header(SCHEME_IJS, sk.field.m, sk.t)
-        + sk.s.to_bytes(2, "big")
-        + bits_to_bytes(value, nb)
-    )
+    coeffs = bits_to_bytes(*pack_fields(sk.top_coeffs, sk.field.m))
+    return _frame(SCHEME_IJS, sk.field.m, sk.t, (sk.s,), coeffs)
 
 
 def serialize_origjs(sk: OrigJsSketchData) -> bytes:
-    if sk.s > 0xFFFF or sk.r > 0xFFFF:
-        raise ValueError("set size too large for envelope")
-    flat = [v for pair in sk.pairs for v in pair]
-    value, nb = pack_fields(flat, sk.field.m)
-    return (
-        _header(SCHEME_ORIGJS, sk.field.m, sk.t)
-        + sk.s.to_bytes(2, "big")
-        + sk.r.to_bytes(2, "big")
-        + bits_to_bytes(value, nb)
-    )
+    pairs = bits_to_bytes(*pack_fields([v for pair in sk.pairs for v in pair], sk.field.m))
+    return _frame(SCHEME_ORIGJS, sk.field.m, sk.t, (sk.s, sk.r), pairs)
 
 
 def serialize_edit(sk: EditSketch, c: int, t_edit: int) -> bytes:
-    field = sk.s1.field
-    n = sk.s2.n
-    if c < 1 or t_edit < 1 or sk.s1.t != (2 * c - 1) * t_edit:
-        raise ValueError("sketch capacity does not match c and t_edit")
-    if (field.m - 1) % c or (field.m - 1) // c not in (1, 8):
-        raise ValueError("sketch universe does not match a supported alphabet")
-    if n > 0xFFFFFFFF or c > 0xFFFF:
-        raise ValueError("string length too large for envelope")
+    m, n = sk.s1.field.m, sk.s2.n
+    _edit_shape(m, n, c, t_edit, sk.s1.t)
     # 1-based indices of at most n-c+1 shingles travel 0-based
-    width = (n - c).bit_length()
-    if any((i - 1) >> width for i in sk.s2.indices):
-        raise ValueError("recovery index does not fit the pinned field width")
-    value, nb = pack_fields([i - 1 for i in sk.s2.indices], width)
-    BchCode(field, 2 * sk.s1.t + 1)  # the capacity check deserialize makes
-    return (
-        _header(SCHEME_EDIT, field.m, sk.s1.t)
-        + n.to_bytes(4, "big")
-        + c.to_bytes(2, "big")
-        + t_edit.to_bytes(2, "big")
-        + bits_to_bytes(*pack_fields(sk.s1.odd_sums, _byte_width(field.m)))
-        + bits_to_bytes(value, nb)
-    )
+    indices = bits_to_bytes(*pack_fields([i - 1 for i in sk.s2.indices], (n - c).bit_length()))
+    syn = bits_to_bytes(*pack_fields(sk.s1.odd_sums, _byte_width(m)))
+    return _frame(SCHEME_EDIT, m, sk.s1.t, (n, c, t_edit), syn, indices)
 
 
 # ---------------------------------------------------------------------------
-# Deserialization
+# Reading
 
 
-def _take(data: bytes, pos: int, n: int) -> tuple[bytes, int]:
-    if pos + n > len(data):
-        raise MalformedEnvelope("truncated", f"need {n} bytes at offset {pos}")
-    return data[pos : pos + n], pos + n
+class _Reader:
+    """An envelope read front to back; a shortfall or a bad payload
+    raises MalformedEnvelope."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise MalformedEnvelope("truncated", f"need {n} bytes at offset {self.pos}")
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def rest(self, n_bits: int, decode=None) -> int:
+        """All remaining bytes as one n_bits-bit string, through
+        `bytes_to_bits` or the given decoder."""
+        tail = self.data[self.pos :]
+        n_bytes = (n_bits + 7) // 8
+        if len(tail) != n_bytes:
+            msg = f"payload is {len(tail)} bytes, header implies {n_bytes}"
+            raise MalformedEnvelope("length-mismatch", msg)
+        try:
+            return (decode or bytes_to_bits)(tail, n_bits)
+        except ValueError as exc:
+            raise MalformedEnvelope("padding", str(exc)) from exc
+
+    def fields(self, count: int, width: int) -> list[int]:
+        """All remaining bytes as count fields of width bits each."""
+        return unpack_fields(self.rest(count * width), count * width, width)
 
 
-def _exact_payload(data: bytes, pos: int, n_bits: int) -> int:
-    n_bytes = (n_bits + 7) // 8
-    if len(data) - pos != n_bytes:
-        raise MalformedEnvelope(
-            "length-mismatch",
-            f"payload is {len(data) - pos} bytes, header implies {n_bytes}",
-        )
+def _hamming_syn(scheme, m, t, rd):
+    p = bch_params(m, t)
+    return Envelope(scheme, m, t, SyndromeSketch(rd.rest(t * m), t * m), params=p)
+
+
+def _hamming_offset(scheme, m, t, rd):
+    p = bch_params(m, t)
+    shift = rd.rest(p.n, word_from_bytes)
+    return Envelope(scheme, m, t, CodeOffsetSketch(shift, p.n), params=p)
+
+
+def _hamming_perm(scheme, m, t, rd):
+    p = bch_params(m, t)
+    perm = struct.unpack(f">{p.n}I", rd.take(4 * p.n))
+    sk = PermutedSketch(perm, SyndromeSketch(rd.rest(t * m), t * m))
+    return Envelope(scheme, m, t, sk, params=p)
+
+
+def _pinsketch(scheme, m, t, rd):
+    field = field_of(m)
+    BchCode(field, 2 * t + 1)  # the capacity check of pinsketch_ss
+    return Envelope(scheme, m, t, PinSketchData(field, t, tuple(rd.fields(t, m))))
+
+
+def _ijs(scheme, m, t, rd, s):
+    field = field_of(m)
+    return Envelope(scheme, m, t, IjsSketchData(field, s, t, tuple(rd.fields(t, m))))
+
+
+def _origjs(scheme, m, t, rd, s, r):
+    field = field_of(m)
+    flat = rd.fields(2 * r, m)
+    pairs = tuple(zip(flat[0::2], flat[1::2]))
+    return Envelope(scheme, m, t, OrigJsSketchData(field, s, r, t, pairs))
+
+
+def _edit(scheme, m, t, rd, n, c, t_edit):
     try:
-        return bytes_to_bits(data[pos:], n_bits)
+        _edit_shape(m, n, c, t_edit, t)
     except ValueError as exc:
-        raise MalformedEnvelope("padding", str(exc)) from exc
+        raise MalformedEnvelope("bad-header", str(exc)) from exc
+    field = field_of(m)
+    width = _byte_width(m)
+    sums = unpack_fields(int.from_bytes(rd.take(t * width // 8), "big"), t * width, width)
+    s1 = PinSketchData(field, t, tuple(sums))
+    indices = tuple(i + 1 for i in rd.fields(-(-n // c), (n - c).bit_length()))
+    if max(indices) > n - c + 1:
+        raise MalformedEnvelope("bad-index", f"recovery index above {n - c + 1} shingles")
+    return Envelope(scheme, m, t, EditSketch(s1, RecoveryInfo(n, indices)), c=c, t_edit=t_edit)
+
+
+@dataclass(frozen=True)
+class _Wire:
+    """One scheme on the wire.  parse(scheme, m, t, reader, *aux) reads
+    the payload and returns the Envelope."""
+
+    name: str  # the CLI's --scheme value
+    aux: tuple[int, ...]  # byte widths of the aux fields
+    parse: Callable
+
+
+_WIRE = {
+    SCHEME_HAMMING_SYN: _Wire("hamming-syn", (), _hamming_syn),
+    SCHEME_HAMMING_OFFSET: _Wire("hamming-offset", (), _hamming_offset),
+    SCHEME_HAMMING_PERM: _Wire("hamming-perm", (), _hamming_perm),
+    SCHEME_PINSKETCH: _Wire("pinsketch", (), _pinsketch),
+    SCHEME_IJS: _Wire("ijs", (2,), _ijs),
+    SCHEME_ORIGJS: _Wire("origjs", (2, 2), _origjs),
+    SCHEME_EDIT: _Wire("edit", (4, 2, 2), _edit),
+}
+
+# wire id -> CLI name, for every scheme with a wire format
+SCHEME_NAMES = {scheme: wire.name for scheme, wire in _WIRE.items()}
 
 
 def deserialize(data: bytes) -> Envelope:
-    head, pos = _take(data, 0, 8)
+    rd = _Reader(data)
+    head = rd.take(8)
     if head[:4] != MAGIC:
         raise MalformedEnvelope("bad-magic", f"expected {MAGIC!r}")
-    scheme, m = head[4], head[5]
-    t = int.from_bytes(head[6:8], "big")
-    if scheme not in SCHEME_NAMES:
+    scheme, m, t = head[4], head[5], int.from_bytes(head[6:8], "big")
+    wire = _WIRE.get(scheme)
+    if wire is None:
         raise MalformedEnvelope("bad-scheme", f"unknown scheme 0x{scheme:02x}")
     if m < 1:
         raise MalformedEnvelope("bad-header", "m must be >= 1")
+    aux = [int.from_bytes(rd.take(width), "big") for width in wire.aux]
     try:
-        if scheme == SCHEME_HAMMING_SYN:
-            params = bch_params(m, t)
-            value = _exact_payload(data, pos, t * m)
-            return Envelope(scheme, m, t, SyndromeSketch(value, t * m), params=params)
-        if scheme == SCHEME_HAMMING_OFFSET:
-            params = bch_params(m, t)
-            n_bytes = (params.n + 7) // 8
-            if len(data) - pos != n_bytes:
-                raise MalformedEnvelope(
-                    "length-mismatch",
-                    f"payload is {len(data) - pos} bytes, header implies {n_bytes}",
-                )
-            shift = word_from_bytes(data[pos:], params.n)
-            return Envelope(scheme, m, t, CodeOffsetSketch(shift, params.n), params=params)
-        if scheme == SCHEME_HAMMING_PERM:
-            params = bch_params(m, t)
-            body, pos = _take(data, pos, 4 * params.n)
-            perm = tuple(
-                int.from_bytes(body[4 * i : 4 * i + 4], "big") for i in range(params.n)
-            )
-            value = _exact_payload(data, pos, t * m)
-            sk = PermutedSketch(perm, SyndromeSketch(value, t * m))
-            return Envelope(scheme, m, t, sk, params=params)
-        if scheme == SCHEME_PINSKETCH:
-            field = field_of(m)
-            value = _exact_payload(data, pos, t * m)
-            sums = unpack_fields(value, t * m, m)
-            return Envelope(scheme, m, t, PinSketchData(field, t, tuple(sums)))
-        if scheme == SCHEME_IJS:
-            aux, pos = _take(data, pos, 2)
-            s = int.from_bytes(aux, "big")
-            field = field_of(m)
-            value = _exact_payload(data, pos, t * m)
-            coeffs = unpack_fields(value, t * m, m)
-            return Envelope(scheme, m, t, IjsSketchData(field, s, t, tuple(coeffs)))
-        if scheme == SCHEME_ORIGJS:
-            aux, pos = _take(data, pos, 4)
-            s = int.from_bytes(aux[:2], "big")
-            r = int.from_bytes(aux[2:], "big")
-            field = field_of(m)
-            value = _exact_payload(data, pos, 2 * r * m)
-            flat = unpack_fields(value, 2 * r * m, m)
-            pairs = tuple(zip(flat[0::2], flat[1::2]))
-            return Envelope(scheme, m, t, OrigJsSketchData(field, s, r, t, pairs))
-        # edit
-        aux, pos = _take(data, pos, 8)
-        n = int.from_bytes(aux[:4], "big")
-        c = int.from_bytes(aux[4:6], "big")
-        t_edit = int.from_bytes(aux[6:8], "big")
-        if c < 1 or t_edit < 1 or t != (2 * c - 1) * t_edit:
-            raise MalformedEnvelope("bad-header", "t must equal (2c-1) * t_edit")
-        if (m - 1) % c or (m - 1) // c not in (1, 8):
-            raise MalformedEnvelope("bad-header", "m does not match a supported alphabet")
-        if n <= c:
-            # n == c has a zero-width index field; nothing to sketch
-            raise MalformedEnvelope("bad-header", "string no longer than shingle length")
-        field = field_of(m)
-        BchCode(field, 2 * t + 1)  # capacity within the shingle universe
-        syn_width = _byte_width(m)
-        body, pos = _take(data, pos, t * syn_width // 8)
-        sums = unpack_fields(int.from_bytes(body, "big"), t * syn_width, syn_width)
-        for s in sums:
-            field.check(s)
-        k = -(-n // c)
-        width = (n - c).bit_length()
-        value = _exact_payload(data, pos, k * width)
-        indices = tuple(i + 1 for i in unpack_fields(value, k * width, width))
-        if max(indices) > n - c + 1:
-            raise MalformedEnvelope("bad-index", f"recovery index above {n - c + 1} shingles")
-        sk = EditSketch(PinSketchData(field, t, tuple(sums)), RecoveryInfo(n, indices))
-        return Envelope(scheme, m, t, sk, c=c, t_edit=t_edit)
+        return wire.parse(scheme, m, t, rd, *aux)
     except MalformedEnvelope:
         raise
     except ValueError as exc:

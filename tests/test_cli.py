@@ -326,6 +326,15 @@ def test_exit_3_on_truncated_envelope(tmp_path):
     assert main(["recover", "-i", ai, "--sketch", str(bad)]) == 3
 
 
+def test_exit_3_on_pinsketch_beyond_code_capacity(tmp_path, capsys):
+    # m=4, t=8: designed distance 17 exceeds the 15 positions of the code
+    sk = tmp_path / "cap.bin"
+    sk.write_bytes(b"FZX1\x03\x04\x00\x08" + bytes(4))
+    ai = _write_set(tmp_path, "a.set", [1, 2, 3])
+    assert main(["recover", "-i", ai, "--sketch", str(sk)]) == 3
+    assert "malformed input: inconsistent" in capsys.readouterr().err
+
+
 def test_exit_3_on_bad_word_chars(tmp_path):
     wi = _write(tmp_path, "w.txt", "01x01" + "0" * 10)
     sk = tmp_path / "sk.bin"

@@ -3,10 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fzx.bitpack import word_from_bytes, word_to_bytes
 from fzx.codec import DecodeFailure
 from fzx.edit import edit_rec, edit_ss
 from fzx.envelope import (
+    SCHEME_EDIT,
+    SCHEME_HAMMING_OFFSET,
+    SCHEME_HAMMING_PERM,
+    SCHEME_HAMMING_SYN,
+    SCHEME_IJS,
+    SCHEME_NAMES,
+    SCHEME_ORIGJS,
     SCHEME_PINSKETCH,
     Envelope,
     MalformedEnvelope,
@@ -23,7 +33,7 @@ from fzx.envelope import (
 )
 from fzx.gf2m import GF2m
 from fzx.hamming import bch_params, ss_code_offset, ss_permuted, ss_syndrome
-from fzx.setdiff import ElementSet, ijs_ss, origjs_ss, pinsketch_ss
+from fzx.setdiff import ElementSet, PinSketchData, ijs_ss, origjs_ss, pinsketch_ss
 
 # Golden vectors: small sketches with hand-checkable packing.  The inputs
 # are pinned (word 0b111 over the m=4 t=2 BCH code; sets over GF(8)/GF(16);
@@ -61,6 +71,17 @@ def _golden_sketches():
     }
 
 
+_RESERIALIZE = {
+    SCHEME_HAMMING_SYN: lambda env: serialize_hamming_syn(env.params, env.sketch),
+    SCHEME_HAMMING_OFFSET: lambda env: serialize_hamming_offset(env.params, env.sketch),
+    SCHEME_HAMMING_PERM: lambda env: serialize_hamming_perm(env.params, env.sketch),
+    SCHEME_PINSKETCH: lambda env: serialize_pinsketch(env.sketch),
+    SCHEME_IJS: lambda env: serialize_ijs(env.sketch),
+    SCHEME_ORIGJS: lambda env: serialize_origjs(env.sketch),
+    SCHEME_EDIT: lambda env: serialize_edit(env.sketch, env.c, env.t_edit),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_vectors_byte_exact(name):
     assert _golden_sketches()[name].hex() == GOLDEN[name]
@@ -72,22 +93,9 @@ def test_golden_vectors_reparse_identically(name):
     env = deserialize(data)
     resparsed = deserialize(data)
     assert env == resparsed
+    assert SCHEME_NAMES[env.scheme] == name
     # serializing the parsed sketch reproduces the very same bytes
-    if name == "hamming-syn":
-        again = serialize_hamming_syn(env.params, env.sketch)
-    elif name == "hamming-offset":
-        again = serialize_hamming_offset(env.params, env.sketch)
-    elif name == "hamming-perm":
-        again = serialize_hamming_perm(env.params, env.sketch)
-    elif name == "pinsketch":
-        again = serialize_pinsketch(env.sketch)
-    elif name == "ijs":
-        again = serialize_ijs(env.sketch)
-    elif name == "origjs":
-        again = serialize_origjs(env.sketch)
-    else:
-        again = serialize_edit(env.sketch, env.c, env.t_edit)
-    assert again == data
+    assert _RESERIALIZE[env.scheme](env) == data
 
 
 def test_pinsketch_payload_size():
@@ -134,17 +142,116 @@ def _mutants(data: bytes):
         yield bytes(flipped)
 
 
+def _parses_back_or_is_rejected(data: bytes) -> None:
+    """deserialize raises only MalformedEnvelope, and what it accepts
+    serializes back to the very same bytes."""
+    try:
+        env = deserialize(data)
+    except MalformedEnvelope:
+        return
+    except Exception as exc:
+        pytest.fail(f"{data.hex()}: {exc!r}")
+    assert _RESERIALIZE[env.scheme](env) == data, data.hex()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_every_bit_flip_and_truncation_parses_or_is_rejected(name):
     # a flipped header byte may name another degree, so this also builds
     # fields of new degrees from hostile input
     for data in _mutants(bytes.fromhex(GOLDEN[name])):
-        try:
-            deserialize(data)
-        except MalformedEnvelope:
-            pass
-        except Exception as exc:
-            pytest.fail(f"{data.hex()}: {exc!r}")
+        _parses_back_or_is_rejected(data)
+
+
+_AUX_WIDTHS = {SCHEME_IJS: (2,), SCHEME_ORIGJS: (2, 2), SCHEME_EDIT: (4, 2, 2)}
+
+
+def _payload_bits(scheme, m, t, aux):
+    """Payload width the header implies, after any permutation bytes."""
+    if scheme == SCHEME_HAMMING_OFFSET:
+        return (1 << m) - 1
+    if scheme == SCHEME_ORIGJS:
+        return 2 * aux[1] * m
+    if scheme == SCHEME_EDIT:
+        n, c, _ = aux
+        indices = -(-n // c) * (n - c).bit_length() if n > c >= 1 else 0
+        return 8 * -(-m // 8) * t + indices
+    return t * m
+
+
+@st.composite
+def _wire_inputs(draw):
+    """Envelopes of every scheme id with m <= 17, t <= 12, aux values near
+    those a sketch would carry, and payloads up to 4 KiB: half of them as
+    long as the header implies and zero-padded, half arbitrary bytes."""
+    scheme = draw(st.sampled_from(sorted(SCHEME_NAMES)), label="scheme")
+    m = draw(st.integers(1, 17), label="m")
+    t = draw(st.integers(0, 12), label="t")
+    aux = ()
+    if scheme == SCHEME_IJS:
+        aux = (draw(st.integers(0, 24)),)
+    elif scheme == SCHEME_ORIGJS:
+        aux = (draw(st.integers(0, 24)), draw(st.integers(0, 48)))
+    elif scheme == SCHEME_EDIT:
+        c, t_edit = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+        aux = (draw(st.integers(1, 80)), c, t_edit)
+        if draw(st.booleans()):  # a shape edit_ss can produce, with t_edit = 1
+            c = draw(st.integers(1, 6))
+            bits = draw(st.sampled_from([1, 8] if c <= 2 else [1]))
+            m, t = c * bits + 1, 2 * c - 1
+            aux = (draw(st.integers(c + 1, 80)), c, 1)
+    head = b"FZX1" + bytes([scheme, m]) + t.to_bytes(2, "big")
+    head += b"".join(v.to_bytes(w, "big") for v, w in zip(aux, _AUX_WIDTHS.get(scheme, ())))
+    n_bits = _payload_bits(scheme, m, t, aux)
+    n_bytes = (n_bits + 7) // 8
+    if scheme == SCHEME_HAMMING_PERM and m <= 9:
+        perm = draw(st.permutations(range((1 << m) - 1)))
+        head += b"".join(i.to_bytes(4, "big") for i in perm)
+    if n_bytes <= 4096 and draw(st.booleans()):
+        value = draw(st.integers(0, (1 << n_bits) - 1))
+        if scheme == SCHEME_ORIGJS and aux[1] < 1 << m:  # sorted distinct abscissas
+            r = aux[1]
+            xs = sorted(draw(st.sets(st.integers(1, (1 << m) - 1), min_size=r, max_size=r)))
+            ys = [value >> m * j & ((1 << m) - 1) for j in range(r)]
+            value = 0
+            for x, y in zip(xs, ys):
+                value = value << 2 * m | x << m | y
+        return head + (value << (8 * n_bytes - n_bits)).to_bytes(n_bytes, "big")
+    return head + draw(st.binary(max_size=draw(st.sampled_from([16, 4096]))))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(data=_wire_inputs())
+def test_wire_input_parses_back_or_is_rejected(data):
+    _parses_back_or_is_rejected(data)
+
+
+@pytest.mark.parametrize("hexdata", [
+    "465a58310302000270",  # m=2, t=2: distance 5 > 3 positions
+    "465a583103040008" + "00" * 4,  # m=4, t=8: distance 17 > 15 positions
+])
+def test_reject_pinsketch_beyond_code_capacity(hexdata):
+    # pinsketch_ss refuses such a t, so no honest sketch has it
+    with pytest.raises(MalformedEnvelope) as err:
+        deserialize(bytes.fromhex(hexdata))
+    assert err.value.code == "inconsistent"
+    with pytest.raises(ValueError):
+        serialize_pinsketch(PinSketchData(GF2m(2), 2, (1, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 255])
+def test_word_bytes_put_word_bit_i_at_wire_bit_i(n):
+    rng = random.Random(n)
+    for word in (0, (1 << n) - 1, 1, 1 << (n - 1), rng.getrandbits(n), rng.getrandbits(n)):
+        data = word_to_bytes(word, n)
+        wire = int.from_bytes(data, "big")
+        assert len(data) == (n + 7) // 8
+        assert all((word >> i & 1) == (wire >> (8 * len(data) - 1 - i) & 1) for i in range(n))
+        assert word_from_bytes(data, n) == word
+    with pytest.raises(ValueError):
+        word_to_bytes(1 << n, n)
+    if n % 8:
+        with pytest.raises(ValueError):
+            word_from_bytes(b"\x00" * (n // 8) + b"\x01", n)
 
 
 def test_reject_nonzero_padding():
