@@ -40,6 +40,7 @@ from .entropy import (
 )
 from .envelope import (
     SCHEME_NAMES,
+    SCHEME_PINSKETCH,
     MalformedEnvelope,
     deserialize,
     reconcile_respond,
@@ -345,6 +346,8 @@ def _cmd_rep(args) -> int:
 
 def _cmd_reconcile(args) -> int:
     env = deserialize(_read_bytes(args.sketch))
+    if env.scheme != SCHEME_PINSKETCH:  # before the local set is read in its field
+        raise ValueError("reconciliation needs a PinSketch envelope")
     local = _read_set(args.local, env.sketch.field)
     report = reconcile_respond(local, env)
     out = []

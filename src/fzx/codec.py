@@ -19,6 +19,7 @@ from .gf2m import (
     poly_deg,
     poly_divmod,
     poly_eval,
+    poly_eval_many,
     poly_monic,
     poly_mul,
     poly_norm,
@@ -179,12 +180,13 @@ def rs_decode(
         g0 = [mul(x, c) ^ d for c, d in zip(g0 + [0], [0] + g0)]
     # g1 = sum y_i / g0'(x_i) * g0 / (z - x_i).  In characteristic 2 the
     # derivative g0' keeps only the odd coefficients of g0, so g0'(x) is a
-    # polynomial in x^2 with about n/2 terms.
-    odd = g0[1::2]
+    # polynomial in x^2 with about n/2 terms, evaluated at every x_i^2 in
+    # one lane-packed pass.
+    d0 = poly_eval_many(field, g0[1::2], [field.sqr(x) for x in xs])
     g1 = [0] * n
-    for x, y in points:
+    for (x, y), d in zip(points, d0):
         if y:
-            w = mul(y, field.inv(poly_eval(field, odd, field.sqr(x))))
+            w = mul(y, field.inv(d))
             c = 0
             for k in range(n, 0, -1):  # g0 / (z - x) by synthetic division
                 c = mul(c, x) ^ g0[k]
@@ -195,7 +197,8 @@ def rs_decode(
         raise DecodeFailure("Bezout coefficient does not divide the remainder")
     if poly_deg(fpoly) > deg_bound:
         raise DecodeFailure("quotient exceeds degree bound")
-    agree = sum(1 for x, y in points if poly_eval(field, fpoly, x) == y)
+    on_f = poly_eval_many(field, fpoly, xs)
+    agree = sum(1 for (_, y), v in zip(points, on_f) if v == y)
     if agree < n - max_wrong:
         raise DecodeFailure("no polynomial meets the agreement bound")
     return fpoly

@@ -7,6 +7,8 @@ the reduction modulus; it does not wrap elements in objects.
 
 Polynomials over the field are lists of ints, lowest-degree coefficient
 first, with no trailing zero coefficients (the zero polynomial is []).
+`poly_eval` evaluates one at one point; `poly_eval_many` evaluates one at
+a whole list of points in a single Horner pass over lane-packed ints.
 """
 
 from __future__ import annotations
@@ -538,6 +540,61 @@ def poly_eval(field: GF2m, f: list[int], x: int) -> int:
     for c in reversed(f):
         acc = mul(acc, x) ^ c
     return acc
+
+
+# array typecode of each unsigned item width in bytes: 1, 2, 4 and 8
+_LANE_TYPES = {array(c).itemsize: c for c in "BHIQ"}
+
+
+def poly_eval_many(field: GF2m, f: list[int], xs) -> list[int]:
+    """[poly_eval(field, f, x) for x in xs], by one Horner pass over all
+    the points at once (bit-slicing, Biham 1997).
+
+    Every x sits in its own lane of w >= 2m bits of one packed int, and so
+    does the accumulator.  A lane-wise multiply by x is the XOR of m
+    shifted copies of the accumulator, copy k masked to the lanes whose x
+    has bit k set; the m masks are built once, each in three big-int
+    operations on the packed xs.  The product bits at x^m and above then
+    fold back through the modulus tail, h * x^m = h * (modulus - x^m),
+    until every lane is below x^m again; each fold lowers the top degree,
+    so a sparse tail takes two folds.  A lane is a power of two bytes, so
+    lanes of up to 8 bytes pack and unpack through an `array`.
+    """
+    xs = list(xs)
+    n = len(xs)
+    if len(f) < 2 or not n:
+        return [f[0] if f else 0] * n
+    m = field.m
+    lane = 1 << max(0, (2 * m - 1).bit_length() - 3)
+    w = 8 * lane
+    order = sys.byteorder  # lanes are independent: any consistent order works
+    code = _LANE_TYPES.get(lane)
+    if code:
+        data = array(code, xs).tobytes()
+    else:
+        data = b"".join([x.to_bytes(lane, order) for x in xs])
+    packed = int.from_bytes(data, order)
+    ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)  # bit 0 of every lane
+    low = ones * field.order  # bits 0..m-1 of every lane
+    high = ones * ((1 << w) - 1) ^ low  # bits m..w-1 of every lane
+    masks = [(k, mk) for k in range(m) if (mk := (packed >> k & ones) * field.order)]
+    tail = field.modulus ^ (1 << m)
+    taps = [j for j in range(tail.bit_length()) if tail >> j & 1]
+    acc = f[-1] * ones
+    for c in reversed(f[:-1]):
+        prod = 0
+        for k, mk in masks:
+            prod ^= (acc & mk) << k
+        while prod & high:
+            hi = prod >> m & low
+            prod &= low
+            for j in taps:
+                prod ^= hi << j
+        acc = prod ^ c * ones
+    data = acc.to_bytes(lane * n, order)
+    if code:
+        return array(code, data).tolist()
+    return [int.from_bytes(data[i : i + lane], order) for i in range(0, lane * n, lane)]
 
 
 def poly_divmod(

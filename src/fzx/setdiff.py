@@ -9,7 +9,10 @@ grows with the chaff count).
 
 Improved JS recovery is rational reconstruction on the partial Euclid that
 BCH decoding also runs (codec._partial_euclid); Reed-Solomon decoding
-(Gao's algorithm) serves original JS only.
+(Gao's algorithm) serves original JS only.  Wherever one polynomial is
+evaluated at many points (the hidden polynomial at all r abscissas, the
+difference locator at w') it takes one lane-packed pass,
+gf2m.poly_eval_many.
 
 Every deterministic recovery re-verifies its output by re-sketching;
 a mismatch raises DecodeFailure instead of returning a wrong set.
@@ -30,7 +33,7 @@ from .codec import (
     support_from_syndrome,
     syndrome_from_support,
 )
-from .gf2m import GF2m, poly_deg, poly_eval, poly_norm, poly_roots
+from .gf2m import GF2m, poly_deg, poly_eval_many, poly_norm, poly_roots
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,8 @@ def ijs_rec(w_prime: ElementSet, sk: IjsSketchData) -> ElementSet:
         if not (r[0] and v[0]) or len(r) != len(v):
             raise DecodeFailure("no difference of equal sizes within t/2")
         e_poly = v[::-1]  # E(z) = z^e v(1/z), its roots are w' minus w
-        result = {x for x in w_prime.elems if poly_eval(field, e_poly, x)}
+        off_e = poly_eval_many(field, e_poly, w_prime.elems)
+        result = {x for x, v in zip(w_prime.elems, off_e) if v}
         if len(result) != s - poly_deg(v):
             raise DecodeFailure("difference locator does not split over w'")
         result |= _distinct_roots(field, r[::-1])
@@ -242,7 +246,14 @@ def origjs_ss(
     w: ElementSet, r: int, t: int, rng: random.Random
 ) -> OrigJsSketchData:
     """Hide a random polynomial p of degree <= s-t-1 in r pairs: one pair
-    (x, p(x)) per element of w, plus r-s chaff pairs off the polynomial."""
+    (x, p(x)) per element of w, plus r-s chaff pairs off the polynomial.
+
+    p is evaluated at all r abscissas in one lane-packed pass
+    (`poly_eval_many`).  Sparse chaff draws each x and then its y, so every
+    y is drawn before p(x) is known; if some y lands on p(x), the draws
+    replay from the state saved before the chaff with the values of p
+    learnt so far, and a y equal to its p(x) is redrawn.  The random stream
+    and the pairs are those of evaluating p at each x before drawing y."""
     field = w.field
     s = len(w)
     if not 0 <= t <= s:
@@ -251,33 +262,43 @@ def origjs_ss(
         raise ValueError("need |w| < r <= universe size")
     k = s - t - 1
     p = [rng.randrange(0, field.order + 1) for _ in range(k + 1)]
-    pairs = [(x, poly_eval(field, p, x)) for x in w.elems]
+    px: dict[int, int] = {}  # p(x) at every abscissa evaluated so far
 
-    taken = set(w.elems)
+    def learn(xs):
+        xs = [x for x in xs if x not in px]
+        px.update(zip(xs, poly_eval_many(field, p, xs)))
+
+    def draw_y(x: int) -> int:
+        """Uniform y != p(x) by rejection, unchecked while p(x) is unknown."""
+        y = rng.randrange(0, field.order + 1)
+        while y == px.get(x):
+            y = rng.randrange(0, field.order + 1)
+        return y
+
     missing = r - s
     if 3 * missing < field.order - s:
         # sparse chaff: rejection sampling beats materializing the universe
-        while missing:
-            x = rng.randrange(1, field.order + 1)
-            if x not in taken:
-                taken.add(x)
-                pairs.append((x, _off_poly(field, p, x, rng)))
-                missing -= 1
+        state = rng.getstate()
+        while True:
+            taken = set(w.elems)
+            chaff = []
+            while len(chaff) < missing:
+                x = rng.randrange(1, field.order + 1)
+                if x not in taken:
+                    taken.add(x)
+                    chaff.append((x, draw_y(x)))
+            learn([*w.elems, *(x for x, _ in chaff)])
+            if all(y != px[x] for x, y in chaff):
+                break
+            rng.setstate(state)
     else:
+        taken = set(w.elems)
         pool = [x for x in range(1, field.order + 1) if x not in taken]
-        for x in rng.sample(pool, missing):
-            pairs.append((x, _off_poly(field, p, x, rng)))
-    pairs.sort()
+        xs = rng.sample(pool, missing)
+        learn([*w.elems, *xs])
+        chaff = [(x, draw_y(x)) for x in xs]
+    pairs = sorted([(x, px[x]) for x in w.elems] + chaff)
     return OrigJsSketchData(field, s, r, t, tuple(pairs))
-
-
-def _off_poly(field: GF2m, p: list[int], x: int, rng: random.Random) -> int:
-    """Uniform y != p(x), by rejection."""
-    px = poly_eval(field, p, x)
-    while True:
-        y = rng.randrange(0, field.order + 1)
-        if y != px:
-            return y
 
 
 def origjs_rec(w_prime: ElementSet, sk: OrigJsSketchData) -> ElementSet:
@@ -298,7 +319,8 @@ def origjs_rec(w_prime: ElementSet, sk: OrigJsSketchData) -> ElementSet:
         p: list[int] = []
     else:
         p = rs_decode(field, sel, s - t - 1, (n_sel - s + t) // 2)
-    result = tuple(x for x, y in sk.pairs if poly_eval(field, p, x) == y)
+    on_p = poly_eval_many(field, p, [x for x, _ in sk.pairs])
+    result = tuple(x for (x, y), v in zip(sk.pairs, on_p) if v == y)
     if len(result) != s:
         raise DecodeFailure("polynomial does not select a size-s set")
     return ElementSet(field, result)

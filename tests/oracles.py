@@ -5,20 +5,22 @@ parity rows and coset-leader enumeration for linear codes, one
 `syndrome_from_support` call per position for the BCH parity rows, a
 column-by-column Gauss-Jordan elimination for their reduced form,
 evaluation at every field element for polynomial roots, the product of
-s linear factors for a characteristic polynomial, and Reed-Solomon
-decoding over all s points for improved Juels-Sudan recovery.  The
+s linear factors for a characteristic polynomial, Reed-Solomon decoding
+over all s points for improved Juels-Sudan recovery, and one scalar
+Horner evaluation per pair for the original Juels-Sudan sketch.  The
 enumerating ones are exponential or linear in 2^m, so they stay in the
 small regime.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from fzx.codec import BchCode, DecodeFailure, rs_decode, syndrome_from_support
 from fzx.gf2m import GF2m, poly_add, poly_deg, poly_divmod, poly_eval, poly_mul, poly_roots
-from fzx.setdiff import ElementSet, IjsSketchData
+from fzx.setdiff import ElementSet, IjsSketchData, OrigJsSketchData
 
 
 @dataclass(frozen=True)
@@ -201,3 +203,45 @@ def ijs_rec_rs(w_prime: ElementSet, sk: IjsSketchData) -> ElementSet:
     if char_poly_top(field, out.elems, t) != sk.top_coeffs:
         raise DecodeFailure("recovered set fails sketch re-check")
     return out
+
+
+def origjs_ss(
+    w: ElementSet, r: int, t: int, rng: random.Random
+) -> OrigJsSketchData:
+    """Hide a random polynomial p of degree <= s-t-1 in r pairs: one pair
+    (x, p(x)) per element of w, plus r-s chaff pairs off the polynomial."""
+    field = w.field
+    s = len(w)
+    if not 0 <= t <= s:
+        raise ValueError("need 0 <= t <= |w|")
+    if not s < r <= field.order:
+        raise ValueError("need |w| < r <= universe size")
+    k = s - t - 1
+    p = [rng.randrange(0, field.order + 1) for _ in range(k + 1)]
+    pairs = [(x, poly_eval(field, p, x)) for x in w.elems]
+
+    taken = set(w.elems)
+    missing = r - s
+    if 3 * missing < field.order - s:
+        # sparse chaff: rejection sampling beats materializing the universe
+        while missing:
+            x = rng.randrange(1, field.order + 1)
+            if x not in taken:
+                taken.add(x)
+                pairs.append((x, _off_poly(field, p, x, rng)))
+                missing -= 1
+    else:
+        pool = [x for x in range(1, field.order + 1) if x not in taken]
+        for x in rng.sample(pool, missing):
+            pairs.append((x, _off_poly(field, p, x, rng)))
+    pairs.sort()
+    return OrigJsSketchData(field, s, r, t, tuple(pairs))
+
+
+def _off_poly(field: GF2m, p: list[int], x: int, rng: random.Random) -> int:
+    """Uniform y != p(x), by rejection."""
+    px = poly_eval(field, p, x)
+    while True:
+        y = rng.randrange(0, field.order + 1)
+        if y != px:
+            return y

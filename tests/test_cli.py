@@ -257,6 +257,19 @@ def test_reconcile_in_sync(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "in sync"
 
 
+def test_reconcile_rejects_a_non_pinsketch_envelope(tmp_path, capsys):
+    # the scheme is checked before the local set is read in the sketch's field
+    word = tmp_path / "w.txt"
+    word.write_text("101100101010110\n")
+    sk = tmp_path / "syn.bin"
+    assert main(["sketch", "--scheme", "hamming-syn", "--m", "4", "--t", "2",
+                 "-i", str(word), "-o", str(sk)]) == 0
+    local = _write_set(tmp_path, "s.txt", [1, 2, 3])
+    capsys.readouterr()
+    assert main(["reconcile", "--local", local, "--sketch", str(sk)]) == 4
+    assert "reconciliation needs a PinSketch envelope" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # params
 

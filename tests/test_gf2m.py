@@ -25,6 +25,7 @@ from fzx.gf2m import (
     poly_deg,
     poly_divmod,
     poly_eval,
+    poly_eval_many,
     poly_mul,
     poly_roots,
 )
@@ -319,6 +320,50 @@ def test_poly_eval_examples():
     # e1 = 1^2^4 = 7, e2 = 1*2 ^ 1*4 ^ 2*4 = 2^4^3 = 5, e3 = 1*2*4 = 3
     assert poly == [3, 5, 7, 1]
     assert poly_eval(f8, [], 3) == 0
+
+
+@pytest.mark.parametrize(
+    "m, modulus",
+    [(m, None) for m in (1, 4, 8, 9, 13, 16, 17, 24, 32, 33, 64)] + [(16, 0x1FFED)],
+)
+def test_poly_eval_many_matches_horner(m, modulus):
+    field = field_of(m) if modulus is None else GF2m(m, modulus)
+    rng = random.Random(9000 + m)
+    top = field.order
+    for deg in (-1, 0, 1, 2, 5, 11, 40):
+        f = [rng.randrange(top + 1) for _ in range(deg + 1)]
+        if f:
+            f[-1] = rng.randrange(1, top + 1)
+        for n in (0, 1, 2, 3, 17, 64, 300):
+            xs = [rng.randrange(top + 1) for _ in range(n)]
+            xs[:2] = [0, top][:n]  # both ends of the field
+            assert poly_eval_many(field, f, xs) == [poly_eval(field, f, x) for x in xs]
+
+
+def test_poly_eval_many_edge_cases():
+    f16 = field_of(16)
+    assert poly_eval_many(f16, [], [0, 1, 0xFFFF]) == [0, 0, 0]
+    assert poly_eval_many(f16, [7], [0, 1, 0xFFFF]) == [7, 7, 7]
+    assert poly_eval_many(f16, [3, 1], []) == []
+    assert poly_eval_many(f16, [], []) == []
+    # z at every point is the point itself, 0 and 0xFFFF included
+    xs = list(range(0, 0x10000, 257))
+    assert poly_eval_many(f16, [0, 1], xs) == xs
+    f = [5, 1, 1]
+    assert poly_eval_many(f16, f, iter(xs)) == [poly_eval(f16, f, x) for x in xs]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    m=st.sampled_from([2, 3, 5, 8, 12, 14, 16, 20, 31, 40]),
+    data=st.data(),
+)
+def test_poly_eval_many_property(m, data):
+    field = field_of(m)
+    elem = st.integers(0, field.order)
+    f = data.draw(st.lists(elem, max_size=20))
+    xs = data.draw(st.lists(elem, max_size=80))
+    assert poly_eval_many(field, f, xs) == [poly_eval(field, f, x) for x in xs]
 
 
 def test_poly_divmod_examples():

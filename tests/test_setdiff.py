@@ -25,6 +25,7 @@ from fzx.setdiff import (
     pinsketch_ss,
     setdiff_entropy_loss,
 )
+import oracles
 from oracles import char_poly, char_poly_top, ijs_rec_rs
 
 
@@ -385,6 +386,50 @@ def test_origjs_construction_postconditions():
         for x, y in sk.pairs:
             if x not in w:
                 assert poly_eval(f, p, x) != y
+
+
+class _ReplayCountingRandom(random.Random):
+    """Counts `setstate` calls: each is one replay of the chaff draws."""
+
+    replays = 0
+
+    def setstate(self, state):
+        self.replays += 1
+        super().setstate(state)
+
+
+# (s, r) per degree m, both chaff branches each: sparse chaff draws x by
+# rejection, dense chaff samples the pool of free abscissas
+_ORIGJS_SHAPES = {
+    4: ((3, 6), (3, 15), (4, 10)),
+    5: ((4, 12), (4, 20)),
+    6: ((6, 24), (6, 40)),
+    8: ((10, 60), (10, 200)),
+    16: ((16, 64), (4, 21850)),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_ORIGJS_SHAPES))
+def test_origjs_ss_matches_scalar_oracle(m):
+    # same sketch and same random stream as evaluating p at each x before
+    # drawing its y; chaff y landing on p(x) forces the replay path
+    f = field_of(m)
+    seeds_with_replay, branches = 0, set()
+    for s, r in _ORIGJS_SHAPES[m]:
+        sparse = 3 * (r - s) < f.order - s
+        branches.add(sparse)
+        for seed in range(300 if m < 16 else (40 if sparse else 2)):
+            pick = random.Random(seed)
+            w = ElementSet.of(f, pick.sample(range(1, f.order + 1), s))
+            t = pick.randrange(0, s + 1)
+            ours, theirs = _ReplayCountingRandom(seed), random.Random(seed)
+            assert origjs_ss(w, r, t, ours) == oracles.origjs_ss(w, r, t, theirs)
+            assert ours.getstate() == theirs.getstate()
+            assert ours.replays == 0 or sparse
+            seeds_with_replay += ours.replays > 0
+    assert branches == {True, False}
+    if m < 16:
+        assert seeds_with_replay >= 20
 
 
 def test_origjs_seed_determinism():
