@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .bitpack import pack_fields
-from .codec import BchCode, DecodeFailure
+from .codec import DecodeFailure
 from .edit import (
     approx_edit_entropy_loss,
     edit_capacity,
@@ -69,6 +69,7 @@ from .setdiff import (
     ijs_ss,
     origjs_rec,
     origjs_ss,
+    pinsketch_code,
     pinsketch_rec,
     pinsketch_ss,
     setdiff_entropy_loss,
@@ -376,7 +377,7 @@ def _cmd_params(args) -> int:
         field = field_of(args.m)  # rejects the degrees sketch rejects
         t = args.t - args.t % 2 if scheme == "ijs" else args.t  # as ijs_ss rounds
         if scheme == "pinsketch":
-            BchCode(field, 2 * t + 1)  # the capacity checks of pinsketch_ss
+            pinsketch_code(field, t)
         loss = setdiff_entropy_loss(scheme, m=args.m, t=t)
         lines += [f"sketch_bits: {t * args.m}", f"loss_bits: {loss}"]
     elif scheme == "origjs":

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bitpack import bits_to_bytes, bytes_to_bits, pack_fields, unpack_fields, word_from_bytes, word_to_bytes
-from .codec import BchCode
 from .edit import EditSketch, RecoveryInfo, edit_capacity
 from .gf2m import field_of
 from .hamming import CodeOffsetSketch, HammingParams, PermutedSketch, SyndromeSketch, bch_params
-from .setdiff import ElementSet, IjsSketchData, OrigJsSketchData, PinSketchData, pinsketch_rec
+from .setdiff import ElementSet, IjsSketchData, OrigJsSketchData, PinSketchData, pinsketch_code, pinsketch_rec
 
 __all__ = [
     "MAGIC", "SCHEME_NAMES", "SCHEME_HAMMING_SYN", "SCHEME_HAMMING_OFFSET", "SCHEME_PINSKETCH",
@@ -123,7 +122,7 @@ def serialize_hamming_perm(params: HammingParams, sk: PermutedSketch) -> bytes:
 
 
 def serialize_pinsketch(sk: PinSketchData) -> bytes:
-    BchCode(sk.field, 2 * sk.t + 1)  # the capacity check deserialize makes
+    pinsketch_code(sk.field, sk.t)  # the capacity check deserialize makes
     sums = bits_to_bytes(*pack_fields(sk.odd_sums, sk.field.m))
     return _frame(SCHEME_PINSKETCH, sk.field.m, sk.t, (), sums)
 
@@ -203,7 +202,7 @@ def _hamming_perm(scheme, m, t, rd):
 
 def _pinsketch(scheme, m, t, rd):
     field = field_of(m)
-    BchCode(field, 2 * t + 1)  # the capacity check of pinsketch_ss
+    pinsketch_code(field, t)
     return Envelope(scheme, m, t, PinSketchData(field, t, tuple(rd.fields(t, m))))
 
 

@@ -7,9 +7,11 @@ sketch (store w XOR c for a random codeword c), and the permuted variant
 any fixed error pattern to a uniformly random pattern of the same weight.
 
 The code is the binary BCH code of length 2^m - 1 from `bch_params`: bit
-i of a word is the field element i+1, the syndrome map packs the odd
-power sums s_1, s_3, ..., s_{2t-1} of a word's support, and decoding
-solves the key equation on that syndrome.
+i of a word is the field element i+1, and the syndrome map packs the odd
+power sums s_1, s_3, ..., s_{2t-1} of a word's support.  That map is held
+once, as its t*m parity rows (`_parity_rows`, n-bit masks): a syndrome is
+t*m parities of w AND row, codeword sampling eliminates the same rows, and
+decoding solves the key equation on the syndrome.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .bitpack import unpack_fields
 from .codec import BchCode, support_from_syndrome
 from .gf2m import PRIMITIVE_POLYS, field_of
 
@@ -59,8 +62,8 @@ class HammingParams:
 
 @dataclass(frozen=True)
 class SyndromeSketch:
-    """Packed (n-k)-bit syndrome; for BCH the odd power sums s_1 first,
-    each an m-bit big-endian field."""
+    """Packed t*m-bit syndrome: the odd power sums s_1 first, each an
+    m-bit big-endian field."""
 
     syn_bits: int
     n_bits: int
@@ -94,7 +97,12 @@ class PermutedSketch:
             raise ValueError("perm is not a permutation of 0..n-1")
 
 
-@lru_cache(maxsize=None)
+# Codes whose parameters, parity rows and reduced rows stay cached; each
+# further (m, t), say from a stream of envelopes, evicts the oldest.
+_CACHED_CODES = 8
+
+
+@lru_cache(maxsize=_CACHED_CODES)
 def bch_params(m: int, t: int) -> HammingParams:
     """Hamming-sketch parameters over the length-(2^m - 1) BCH code with
     designed distance 2t + 1, over the shared `field_of(m)`.  Only degrees
@@ -111,50 +119,49 @@ def _check_word(p: HammingParams, w: int) -> int:
     return w
 
 
-@lru_cache(maxsize=None)
-def _bch_byte_table(code: BchCode) -> list[list[int]]:
-    """table[i][b]: packed syndrome of byte value b at word bits 8i..8i+7.
+@lru_cache(maxsize=_CACHED_CODES)
+def _parity_rows(code: BchCode) -> tuple[int, ...]:
+    """H: the t*m parity rows as n-bit masks, row j for bit j of the packed
+    syndrome, so bit i of row m*(t-1-j) + b is bit b of (i+1)^(2j+1).
 
-    Lets a dense word's syndrome fold in n/8 XORs instead of one field
-    multiplication chain per set bit.
+    Built bit-sliced: plane b of the elements x = i+1 is one periodic
+    n-bit int, a product of two plane sets is m^2 ANDs, and plane k >= m
+    of a product folds into the low planes through alpha^k mod f.
     """
     f = code.field
-    m, t, n = f.m, code.t, code.n
-    mul, sqr = f.mul, f.sqr
-    per_bit = []
-    for i in range(n):
-        x = i + 1
-        x2 = sqr(x)
-        y = x
-        packed = 0
-        for j in range(t):
-            packed |= y << (m * (t - 1 - j))
-            y = mul(y, x2)
-        per_bit.append(packed)
-    tables = []
-    for base in range(0, n, 8):
-        width = min(8, n - base)
-        sub = [0] * 256
-        for b in range(1, 1 << width):
-            low = b & -b
-            sub[b] = sub[b ^ low] ^ per_bit[base + low.bit_length() - 1]
-        tables.append(sub)
-    return tables
+    m = f.m
+    fold = [f.pow(2, k) for k in range(2 * m - 1)]  # alpha^k mod f
+
+    def reduce(planes: list[int]) -> list[int]:
+        for k in range(m, 2 * m - 1):
+            for c in range(m):
+                if fold[k] >> c & 1:
+                    planes[c] ^= planes[k]
+        return planes[:m]
+
+    x = []
+    for b in range(m):
+        plane, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+        while width >> m == 0:
+            plane, width = plane | plane << width, 2 * width
+        x.append(plane >> 1)  # the pattern's bit v is element v, at position v-1
+    x2 = reduce([0 if k & 1 else x[k >> 1] for k in range(2 * m - 1)])
+    rows, y = list(x), x
+    for _ in range(code.t - 1):  # y: x^3, x^5, ..., each in front of the last
+        prod = [0] * (2 * m - 1)
+        for a, ya in enumerate(y):
+            for b, xb in enumerate(x2):
+                prod[a + b] ^= ya & xb
+        y = reduce(prod)
+        rows[:0] = y
+    return tuple(rows)
 
 
 def _bch_word_syndrome(code: BchCode, w: int) -> int:
-    table = _bch_byte_table(code)
-    acc = 0
-    for pos, byte in enumerate(w.to_bytes((code.n + 7) // 8, "little")):
-        if byte:
-            acc ^= table[pos][byte]
-    return acc
-
-
-def _packed_to_sums(code: BchCode, packed: int) -> list[int]:
-    m, mask = code.field.m, code.field.order
-    t = code.t
-    return [(packed >> (m * (t - 1 - j))) & mask for j in range(t)]
+    syn = 0
+    for row in reversed(_parity_rows(code)):
+        syn = syn << 1 | (w & row).bit_count() & 1
+    return syn
 
 
 def ss_syndrome(p: HammingParams, w: int) -> SyndromeSketch:
@@ -174,31 +181,21 @@ def rec_syndrome(p: HammingParams, w_prime: int, s: SyndromeSketch) -> int:
     code = p.code
     diff = _bch_word_syndrome(code, w_prime) ^ s.syn_bits
     e = 0
-    for x in support_from_syndrome(code, _packed_to_sums(code, diff)):
+    for x in support_from_syndrome(code, unpack_fields(diff, s.n_bits, code.field.m)):
         e |= 1 << (x - 1)
     return w_prime ^ e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CODES)
 def _reduced_parity(code: BchCode) -> tuple[tuple[int, int], ...]:
     """A basis of the parity rows in reduced row echelon form, as (pivot
     bit, mask) pairs; dependent rows are dropped, so its length is n - k.
 
-    Row j is bit j of the packed syndrome, read off position i's entry
-    table[i >> 3][1 << (i & 7)] of the byte table.  Precomputed once per
-    code so uniform-codeword sampling is a handful of mask operations per
-    draw rather than a fresh elimination.
+    Precomputed once per code so uniform-codeword sampling is a handful
+    of mask operations per draw rather than a fresh elimination.
     """
-    table = _bch_byte_table(code)
-    rows = [0] * (code.t * code.field.m)
-    for i in range(code.n):
-        packed = table[i >> 3][1 << (i & 7)]
-        while packed:
-            b = packed & -packed
-            rows[b.bit_length() - 1] |= 1 << i
-            packed ^= b
     reduced: list[tuple[int, int]] = []
-    for mask in rows:
+    for mask in _parity_rows(code):
         for pb, pm in reduced:
             if (mask >> pb) & 1:
                 mask ^= pm

@@ -134,13 +134,16 @@ class OrigJsSketchData:
             prev_x = x
 
 
-def _bch_for(field: GF2m, t: int) -> BchCode:
+def pinsketch_code(field: GF2m, t: int) -> BchCode:
+    """The BCH code behind a PinSketch of capacity t over `field`, or
+    ValueError when 1 <= t and 2t + 1 <= 2^m - 1 do not both hold: the
+    one capacity check of sketching, the wire format and `fzx params`."""
     return BchCode(field, 2 * t + 1)
 
 
 def pinsketch_ss(w: ElementSet, t: int) -> PinSketchData:
     """Sketch a set as the t odd power sums of its elements; t*m bits."""
-    code = _bch_for(w.field, t)
+    code = pinsketch_code(w.field, t)
     return PinSketchData(w.field, t, tuple(syndrome_from_support(code, w.elems)))
 
 
@@ -150,7 +153,7 @@ def pinsketch_rec(w_prime: ElementSet, sk: PinSketchData) -> ElementSet:
     difference v, return w' (triangle) v.  Set sizes may differ."""
     if w_prime.field != sk.field:
         raise ValueError("field mismatch between set and sketch")
-    code = _bch_for(sk.field, sk.t)
+    code = pinsketch_code(sk.field, sk.t)
     own = syndrome_from_support(code, w_prime.elems)
     diff = [a ^ b for a, b in zip(own, sk.odd_sums)]
     v = support_from_syndrome(code, diff)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -14,6 +15,8 @@ from fzx.hamming import (
     HammingParams,
     PermutedSketch,
     SyndromeSketch,
+    _CACHED_CODES,
+    _parity_rows,
     _reduced_parity,
     bch_params,
     hamming_entropy_loss,
@@ -71,19 +74,49 @@ def test_ss_syndrome_examples():
 
 
 def test_bch_syndrome_matches_support_path():
-    # the byte-folded dense syndrome must agree with the element-wise sums
+    # the parity-row syndrome of a dense word must agree with the
+    # element-wise power sums; (4, 3) has dependent parity rows
     from fzx.codec import syndrome_from_support
 
-    p = bch_params(10, 5)
     rng = random.Random(4)
-    for _ in range(50):
+    for m, t in [(4, 2), (4, 3), (8, 8), (10, 5), (13, 5), (16, 5)]:
+        p = bch_params(m, t)
+        for _ in range(50 if m <= 10 else 4):
+            w = rng.getrandbits(p.n)
+            support = [i + 1 for i in range(p.n) if (w >> i) & 1]
+            packed = 0
+            for s in syndrome_from_support(p.code, support):
+                packed = (packed << m) | s
+            assert ss_syndrome(p, w).syn_bits == packed, (m, t)
+
+
+def test_first_syndrome_at_m16_builds_no_large_table():
+    # the m=16 t=5 syndrome map is t*m rows of 2^16 - 1 bits, 640 KiB
+    p = bch_params(16, 5)
+    w = random.Random(16).getrandbits(p.n)
+    _parity_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        ss_syndrome(p, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+
+
+def test_code_caches_stay_bounded():
+    from fzx.envelope import deserialize, serialize_hamming_syn
+
+    rng = random.Random(13)
+    for t in range(1, 11):
+        p = bch_params(13, t)
         w = rng.getrandbits(p.n)
-        support = [i + 1 for i in range(p.n) if (w >> i) & 1]
-        sums = syndrome_from_support(p.code, support)
-        packed = 0
-        for s in sums:
-            packed = (packed << 10) | s
-        assert ss_syndrome(p, w).syn_bits == packed
+        env = deserialize(serialize_hamming_syn(p, ss_syndrome(p, w)))
+        assert rec_syndrome(env.params, w ^ 1 << t, env.sketch) == w
+    for cache in (bch_params, _parity_rows, _reduced_parity):
+        info = cache.cache_info()
+        assert info.maxsize == _CACHED_CODES
+        assert info.currsize <= info.maxsize
 
 
 def test_rec_syndrome_small_exhaustive():
@@ -279,8 +312,10 @@ def test_bch_k_from_cyclotomic_cosets_matches_parity_rank():
             if 2 * t + 1 > (1 << m) - 1:
                 continue
             p = bch_params(m, t)
+            rows = bch_parity_rows(p.code)
+            assert list(_parity_rows(p.code)) == rows, (m, t)
             assert p.n - p.k == len(_reduced_parity(p.code)), (m, t)
-            assert sorted(_reduced_parity(p.code)) == rref(bch_parity_rows(p.code), p.n)
+            assert sorted(_reduced_parity(p.code)) == rref(rows, p.n)
     # m=4 t=3: cosets {1,2,4,8}, {3,6,12,9}, {5,10} give n-k = 10 < t*m = 12
     assert bch_params(4, 3).k == 5
     assert small_params().k == 4
