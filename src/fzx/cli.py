@@ -14,7 +14,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -31,12 +30,11 @@ from .edit import (
 )
 from .entropy import (
     MalformedPayload,
-    PreparedSketcher,
     UHashParams,
-    compose_gen,
-    compose_rep,
+    extract,
     max_extractable_bits,
     parse_helper,
+    reproduce,
 )
 from .envelope import (
     SCHEME_NAMES,
@@ -162,6 +160,13 @@ def _read_word(path: str, m: int, t: int) -> int:
     return _word_int(text)
 
 
+def _sized(env, es: ElementSet) -> ElementSet:
+    """w' for a Juels-Sudan envelope, whose s fixes the size of the set."""
+    if len(es) != env.sketch.s:
+        raise InputError(f"expected {env.sketch.s} elements, got {len(es)}")
+    return es
+
+
 def _set_residual(env, es: ElementSet) -> float:
     s = len(es.elems)
     # of the set schemes only origjs sketches carry r
@@ -251,13 +256,13 @@ _SCHEMES = {
         _SETS,
         ("m", "t"),
         lambda a, es, rng: serialize_ijs(ijs_ss(es, a.t)),
-        lambda env, es: ijs_rec(es, env.sketch),
+        lambda env, es: ijs_rec(_sized(env, es), env.sketch),
     ),
     "origjs": _Scheme(
         _SETS,
         ("m", "t", "r"),
         lambda a, es, rng: serialize_origjs(origjs_ss(es, a.r, a.t, rng)),
-        lambda env, es: origjs_rec(es, env.sketch),
+        lambda env, es: origjs_rec(_sized(env, es), env.sketch),
     ),
     "edit": _Scheme(
         _STRINGS,
@@ -284,31 +289,28 @@ def _sketch(args, rng):
 
 def _open(args, env_bytes: bytes, what: str):
     """Parse an envelope, cross-check --scheme, read the input file and
-    recover from it: (scheme, env, w', w)."""
+    recover from it: (scheme, env, w)."""
     env = deserialize(env_bytes)
     name = SCHEME_NAMES[env.scheme]
     if args.scheme is not None and args.scheme != name:
         raise ValueError(f"{what} holds {name}, not {args.scheme}")
     scheme = _SCHEMES[name]
     w_prime = scheme.kind.read(args.input, env.m, env.t)
-    return scheme, env, w_prime, scheme.recover(env, w_prime)
+    return scheme, env, scheme.recover(env, w_prime)
 
 
-def _hash_params(args, kind, env, w):
-    """The hash input encoder and parameters for a key over w.  The key
-    length is --out-bits, or follows from --eps and the residual entropy
-    of w given the sketch in env; gen and rep read the same envelope, so
-    they agree."""
-    encode = partial(kind.encode, env)
+def _key_bits(args, kind, env, w) -> int:
+    """The key length: --out-bits, or what --eps leaves of the residual
+    entropy of w given the sketch in env; gen and rep read the same
+    envelope, so they agree."""
     if args.out_bits is not None:
-        l = args.out_bits
-    elif args.eps is None:
+        return args.out_bits
+    if args.eps is None:
         raise ValueError("need --out-bits or --eps")
-    else:
-        l = max_extractable_bits(kind.residual(env, w), args.eps)
-        if l < 1:
-            raise ValueError("no extractable bits at this eps; residual entropy too low")
-    return encode, UHashParams(encode(w)[1], l)
+    l = max_extractable_bits(kind.residual(env, w), args.eps)
+    if l < 1:
+        raise ValueError("no extractable bits at this eps; residual entropy too low")
+    return l
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,7 @@ def _cmd_sketch(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    scheme, env, _, w = _open(args, _read_bytes(args.sketch), "sketch")
+    scheme, env, w = _open(args, _read_bytes(args.sketch), "sketch")
     _write_out(args.output, scheme.kind.show(env, w))
     return 0
 
@@ -330,18 +332,19 @@ def _cmd_recover(args) -> int:
 def _cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     scheme, w, data = _sketch(args, rng)
-    encode, u = _hash_params(args, scheme.kind, deserialize(data), w)
-    key = compose_gen(PreparedSketcher(sketch_bytes=data), w, encode, u, rng)
+    env = deserialize(data)
+    value, n_bits = scheme.kind.encode(env, w)
+    key = extract(data, value, UHashParams(n_bits, _key_bits(args, scheme.kind, env, w)), rng)
     Path(args.output).write_bytes(key.p)
     print(key.r.hex())
     return 0
 
 
 def _cmd_rep(args) -> int:
-    p = _read_bytes(args.sketch)
-    scheme, env, w_prime, w = _open(args, parse_helper(p)[0], "helper")
-    encode, u = _hash_params(args, scheme.kind, env, w)
-    print(compose_rep(PreparedSketcher(recovered=w), w_prime, p, encode, u).hex())
+    sketch, seed = parse_helper(_read_bytes(args.sketch))
+    scheme, env, w = _open(args, sketch, "helper")
+    l_bits = _key_bits(args, scheme.kind, env, w)
+    print(reproduce(seed, *scheme.kind.encode(env, w), l_bits).hex())
     return 0
 
 

@@ -122,7 +122,10 @@ def support_from_syndrome(
         prod = poly_mul(f, [0] + full, sigma)
         assert poly_add(prod[: code.delta], omega[: code.delta]) == []
 
-    roots = poly_roots(f, sigma, rng)
+    try:
+        roots = poly_roots(f, sigma, rng)
+    except RuntimeError as exc:  # the rng never split the locator
+        raise DecodeFailure(f"locator roots not found: {exc}") from exc
     if roots is None or len(roots) != poly_deg(sigma):
         raise DecodeFailure("locator does not split into distinct roots")
     support = {f.inv(r) for r in roots}

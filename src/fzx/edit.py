@@ -11,18 +11,10 @@ sorted shingle sits at each position of the disjoint c-partition of w
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from .bitpack import pack_fields
 from .codec import DecodeFailure
-from .entropy import (
-    ExtractedKey,
-    PreparedSketcher,
-    UHashParams,
-    compose_gen,
-    compose_rep,
-    parse_helper,
-)
+from .entropy import ExtractedKey, UHashParams, extract, parse_helper, reproduce
 from .gf2m import GF2m, field_of
 from .setdiff import ElementSet, PinSketchData, pinsketch_rec, pinsketch_ss
 
@@ -239,28 +231,21 @@ def edit_gen(w, c: int, t_edit: int, l_bits: int, rng: random.Random) -> Extract
     """Extract an l_bits key; the helper carries the full edit sketch."""
     from .envelope import serialize_edit
 
-    bits = _alphabet_bits(w)
-    sk = edit_ss(w, c, t_edit)
-    u = UHashParams(_shingle_field(c, bits).m * len(shingle(w, c)), l_bits)
-    env = serialize_edit(sk, c, t_edit)
-    encode = partial(shingle_encoding, c=c)
-    return compose_gen(PreparedSketcher(sketch_bytes=env), w, encode, u, rng)
+    env = serialize_edit(edit_ss(w, c, t_edit), c, t_edit)
+    value, n_bits = shingle_encoding(w, c)
+    return extract(env, value, UHashParams(n_bits, l_bits), rng)
 
 
 def edit_rep(w_prime, p: bytes, l_bits: int) -> bytes:
     """Reproduce the key from w' and the helper string."""
     from .envelope import SCHEME_EDIT, MalformedEnvelope, deserialize
 
-    bits = _alphabet_bits(w_prime)
-    env_bytes, _ = parse_helper(p)
+    env_bytes, seed = parse_helper(p)
     env = deserialize(env_bytes)
     if env.scheme != SCHEME_EDIT:
         raise MalformedEnvelope("bad-scheme", "helper does not hold an edit sketch")
-    c = env.c
     w = edit_rec(w_prime, env.sketch)
-    u = UHashParams(_shingle_field(c, bits).m * len(shingle(w, c)), l_bits)
-    encode = partial(shingle_encoding, c=c)
-    return compose_rep(PreparedSketcher(recovered=w), w_prime, p, encode, u)
+    return reproduce(seed, *shingle_encoding(w, env.c), l_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -190,19 +190,42 @@ def parse_helper(p: bytes) -> tuple[bytes, bytes]:
     return p[2 : 2 + sketch_len], p[2 + sketch_len :]
 
 
-class PreparedSketcher:
-    """The `sketcher` of compose_gen/compose_rep for a caller that already
-    holds the sketch bytes (Gen) or the recovered value (Rep)."""
+def _seed(seed: bytes, n_bits: int) -> int:
+    """The hash seed x read off a helper, checked against the width n_bits
+    of the value it hashes."""
+    if len(seed) != (n_bits + 7) // 8:
+        raise MalformedPayload("hash seed length does not match parameters")
+    x = int.from_bytes(seed, "big")
+    if x >> n_bits:
+        raise MalformedPayload("hash seed wider than n_bits")
+    return x
 
-    def __init__(self, sketch_bytes: bytes = b"", recovered=None):
-        self._sketch = sketch_bytes
-        self._recovered = recovered
 
-    def sketch(self, w, rng):
-        return self._sketch
+def extract(sketch: bytes, value: int, u: UHashParams, rng: random.Random) -> ExtractedKey:
+    """Gen once the sketch s = SS(w) is made: draw the hash seed x, and
+    return R = H_x(value) with the helper P = (s, x).  `value` is the
+    injective u.n_bits-wide encoding of w."""
+    if len(sketch) > 0xFFFF:
+        raise ValueError("sketch too long for helper framing")
+    x = rng.getrandbits(u.n_bits)
+    p = len(sketch).to_bytes(2, "big") + sketch + _x_bytes(x, u.n_bits)
+    return ExtractedKey(r=_key_bytes(uhash(u, x, value), u.l_bits), p=p)
 
-    def recover(self, w_prime, sketch):
-        return self._recovered
+
+def reproduce(seed: bytes, value: int, n_bits: int, l_bits: int) -> bytes:
+    """Rep once w = Rec(w', s) is recovered: R = H_x(value), with x the
+    seed bytes of the helper and value the n_bits-wide encoding of w.  The
+    seed is checked before the hash parameters are, so a helper whose
+    recovered value has the wrong width is malformed, not a bad parameter."""
+    x = _seed(seed, n_bits)
+    return _key_bytes(uhash(UHashParams(n_bits, l_bits), x, value), l_bits)
+
+
+def _encoded(encode, w, u: UHashParams) -> int:
+    val, nb = encode(w)
+    if nb != u.n_bits:
+        raise ValueError("encoded length does not match hash parameters")
+    return val
 
 
 def compose_gen(sketcher, w, encode, u: UHashParams, rng: random.Random) -> ExtractedKey:
@@ -212,28 +235,13 @@ def compose_gen(sketcher, w, encode, u: UHashParams, rng: random.Random) -> Extr
     `encode` maps a metric-space element to (value, n_bits) and must be
     injective with n_bits = u.n_bits.
     """
-    sketch = sketcher.sketch(w, rng)
-    if len(sketch) > 0xFFFF:
-        raise ValueError("sketch too long for helper framing")
-    val, nb = encode(w)
-    if nb != u.n_bits:
-        raise ValueError("encoded length does not match hash parameters")
-    x = rng.getrandbits(u.n_bits)
-    r = uhash(u, x, val)
-    p = len(sketch).to_bytes(2, "big") + sketch + _x_bytes(x, u.n_bits)
-    return ExtractedKey(r=_key_bytes(r, u.l_bits), p=p)
+    return extract(sketcher.sketch(w, rng), _encoded(encode, w, u), u, rng)
 
 
 def compose_rep(sketcher, w_prime, p: bytes, encode, u: UHashParams) -> bytes:
     """Fuzzy-extractor reproduction: w = Rec(w', s), R = H_x(encode(w))."""
-    sketch, x_bytes = parse_helper(p)
-    if len(x_bytes) != (u.n_bits + 7) // 8:
-        raise MalformedPayload("hash seed length does not match parameters")
-    x = int.from_bytes(x_bytes, "big")
-    if x >> u.n_bits:
-        raise MalformedPayload("hash seed wider than n_bits")
+    sketch, seed = parse_helper(p)
+    _seed(seed, u.n_bits)  # a bad seed fails before recovery runs
     w = sketcher.recover(w_prime, sketch)
-    val, nb = encode(w)
-    if nb != u.n_bits:
-        raise ValueError("encoded length does not match hash parameters")
-    return _key_bytes(uhash(u, x, val), u.l_bits)
+    return reproduce(seed, _encoded(encode, w, u), u.n_bits, u.l_bits)
+

@@ -75,30 +75,6 @@ def _gf2_poly_deg(p: int) -> int:
     return p.bit_length() - 1
 
 
-def _gf2_mulmod(a: int, b: int, mod: int, m: int) -> int:
-    """Carry-less multiply of a and b reduced mod `mod`, all GF(2) polys."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> m) & 1:
-            a ^= mod
-    return r
-
-
-def _gf2_powmod_x(e: int, mod: int, m: int) -> int:
-    """x^e mod `mod` over GF(2)."""
-    r, base = 1, 2
-    while e:
-        if e & 1:
-            r = _gf2_mulmod(r, base, mod, m)
-        base = _gf2_mulmod(base, base, mod, m)
-        e >>= 1
-    return r
-
-
 def _factor(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:
@@ -110,22 +86,6 @@ def _factor(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _x_order_is_full(mod: int, m: int) -> bool:
-    """True iff x has multiplicative order exactly 2^m - 1 mod `mod`.
-
-    A degree-m modulus with that property is primitive (full order rules
-    out any nontrivial factorization, since the order mod a product is the
-    lcm of the factor orders and (2^a - 1)(2^b - 1) < 2^(a+b) - 1).
-    """
-    n = (1 << m) - 1
-    if _gf2_powmod_x(n, mod, m) != 1:
-        return False
-    for p in _factor(n):
-        if _gf2_powmod_x(n // p, mod, m) == 1:
-            return False
-    return True
 
 
 def _gf2_mod(a: int, g: int) -> int:
@@ -358,11 +318,12 @@ class GF2m:
 
     With no modulus argument the pinned primitive polynomial for the degree
     is used (1 <= m <= 32).  A caller-supplied modulus is accepted up to
-    degree 512: it is certified primitive by exhaustive order check for
-    m <= 16, and certified irreducible by Rabin's test above that, which
-    reads every power it needs off one squaring chain x, x^2, x^4, ...,
-    x^(2^m) mod the modulus.  `field_of(m)` hands out one shared instance
-    per degree.
+    degree 512.  For m <= 16 it is certified primitive by the order of x,
+    found with the field's own arithmetic (the log/antilog walk for
+    m <= 13, `pow` for 14..16).  Above 16 it is certified irreducible by
+    Rabin's test, which reads every power it needs off one squaring chain
+    x, x^2, x^4, ..., x^(2^m) mod the modulus.  `field_of(m)` hands out one
+    shared instance per degree.
 
     `mul(a, b)` and `sqr(a)` are picked once, at construction, by degree:
     log/antilog lookup for m <= 13, byte slices of the shared carry-less
@@ -373,7 +334,8 @@ class GF2m:
     __slots__ = ("m", "modulus", "order", "mul", "sqr", "_log", "_exp")
 
     def __init__(self, m: int, modulus: int | None = None):
-        if modulus is None:
+        custom = modulus is not None
+        if not custom:
             if m not in PRIMITIVE_POLYS:
                 raise ValueError(f"no pinned primitive polynomial for m={m}")
             modulus = PRIMITIVE_POLYS[m]
@@ -382,10 +344,7 @@ class GF2m:
                 raise ValueError(f"m={m} out of range for custom modulus")
             if _gf2_poly_deg(modulus) != m:
                 raise ValueError("modulus degree does not match m")
-            if m <= 16:
-                if not _x_order_is_full(modulus, m):
-                    raise ValueError(f"modulus 0x{modulus:x} not primitive")
-            elif not _is_irreducible(modulus, m):
+            if m > _BYTES_MAX_M and not _is_irreducible(modulus, m):
                 raise ValueError(f"modulus 0x{modulus:x} not irreducible")
         self.m = m
         self.modulus = modulus
@@ -397,6 +356,15 @@ class GF2m:
             self.mul, self.sqr = _log_ops(self._exp, self._log)
         elif m <= _BYTES_MAX_M:
             self.mul, self.sqr = _byte_ops(m, modulus)
+            # a caller's modulus is primitive iff x has order exactly
+            # 2^m - 1 (the order mod a product of factors of degrees a, b
+            # is at most (2^a - 1)(2^b - 1) < 2^(a+b) - 1); _build_tables
+            # checks the same as it walks the powers of x
+            n = self.order
+            if custom and (
+                self.pow(2, n) != 1 or any(self.pow(2, n // p) == 1 for p in _factor(n))
+            ):
+                raise ValueError(f"modulus 0x{modulus:x} not primitive")
         else:
             self.mul, self.sqr = _window_ops(m, modulus)
 
@@ -430,7 +398,9 @@ class GF2m:
             v <<= 1
             if v >> m:
                 v ^= mod
-        if v != 1:
+        # x is primitive iff its powers return to 1 after exactly 2^m - 1
+        # steps and not before (an early return rewrites log[1])
+        if v != 1 or log[1]:
             raise ValueError(f"modulus 0x{self.modulus:x} not primitive")
         self._exp = exp
         self._log = log
@@ -636,11 +606,6 @@ def poly_gcd(field: GF2m, f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-def _poly_mulmod(field: GF2m, f, g, mod):
-    _, r = poly_divmod(field, poly_mul(field, f, g), mod)
-    return r
-
-
 def _poly_sqrmod(field: GF2m, f, mod):
     """f^2 mod `mod`; in char 2, (sum a_i z^i)^2 = sum a_i^2 z^(2i)."""
     if not f:
@@ -664,7 +629,8 @@ def poly_roots(
     (cz)^(2^(m-1)) with fresh random c per attempt.  Since (cz)^(2^i) =
     c^(2^i) * (z^(2^i) mod f) mod f, the Frobenius powers of z are composed
     once up front and each attempt costs only scalar combinations.  An
-    attempt budget of 64 per split guards against a broken RNG.
+    attempt budget of 64 per split guards against a broken RNG; past it
+    RuntimeError is raised, which the decoders report as DecodeFailure.
     """
     if not f:
         raise ValueError("zero polynomial")

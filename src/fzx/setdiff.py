@@ -193,7 +193,10 @@ def ijs_ss(w: ElementSet, t: int) -> IjsSketchData:
 def _distinct_roots(field: GF2m, f: list[int]) -> set[int]:
     if len(f) == 1:
         return set()
-    roots = poly_roots(field, f)
+    try:
+        roots = poly_roots(field, f)
+    except RuntimeError as exc:  # the rng never split f
+        raise DecodeFailure(f"roots not found: {exc}") from exc
     if roots is None:
         raise DecodeFailure("polynomial does not split into distinct roots")
     return roots

@@ -438,6 +438,49 @@ def test_exit_4_on_rep_without_length(tmp_path, capsys):
     assert main(["rep", "-i", wi, "--sketch", str(helper)]) == 4
 
 
+@pytest.mark.parametrize("scheme, extra", [("ijs", []), ("origjs", ["--r", "40"])])
+def test_exit_3_on_a_set_of_another_size_than_the_sketch(tmp_path, capsys, scheme, extra):
+    # Juels-Sudan envelopes fix |w| = s; another size is a malformed input
+    ai = _write_set(tmp_path, "a.set", range(1, 13))
+    bi = _write_set(tmp_path, "b.set", range(1, 14))
+    sk, helper = tmp_path / "sk.bin", tmp_path / "h.bin"
+    assert main(["sketch", "--scheme", scheme, "--m", "10", "--t", "4", *extra,
+                 "-i", ai, "-o", str(sk)]) == 0
+    assert main(["recover", "-i", bi, "--sketch", str(sk)]) == 3
+    assert main(["gen", "--scheme", scheme, "--m", "10", "--t", "4", *extra,
+                 "--out-bits", "32", "-i", ai, "-o", str(helper)]) == 0
+    assert main(["rep", "-i", bi, "--sketch", str(helper), "--out-bits", "32"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("scheme, flags, w, wp", [
+    ("hamming-syn", ["--m", "4", "--t", "2"], "101100101010110", "101100101000110"),
+    ("pinsketch", ["--m", "10", "--t", "2"], "3a\n7f\n101\n", "3a\n7f\n102\n"),
+    ("edit", ["--t", "1"], "0110100110010110", "011010011001011"),
+], ids=["hamming-syn", "pinsketch", "edit"])
+def test_rep_parses_the_helper_once(tmp_path, capsys, monkeypatch, scheme, flags, w, wp):
+    import fzx.cli
+    import fzx.entropy
+
+    wi, wpi = _write(tmp_path, "w.txt", w), _write(tmp_path, "wp.txt", wp)
+    helper = tmp_path / "h.bin"
+    assert main(["gen", "--scheme", scheme, *flags, "--out-bits", "8",
+                 "-i", wi, "-o", str(helper)]) == 0
+    key = capsys.readouterr().out
+    calls = []
+    parse = fzx.entropy.parse_helper
+
+    def counted(p):
+        calls.append(p)
+        return parse(p)
+
+    for module in (fzx.cli, fzx.entropy):
+        monkeypatch.setattr(module, "parse_helper", counted)
+    assert main(["rep", "-i", wpi, "--sketch", str(helper), "--out-bits", "8"]) == 0
+    assert capsys.readouterr().out == key
+    assert calls == [helper.read_bytes()]
+
+
 def test_scheme_table_covers_every_wire_scheme():
     assert list(_SCHEMES) == list(SCHEME_NAMES.values())
 

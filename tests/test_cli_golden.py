@@ -136,3 +136,29 @@ def test_ijs_odd_t_eps_key_length_agrees(tmp_path, capsys):
     assert main(["rep", "-i", str(wpi), "--sketch", str(helper), "--eps", "0.001"]) == 0
     assert capsys.readouterr().out.strip() == key
     assert len(key) == 2 * 14  # floor(123.65 - 2 log2(1000) + 2) = 105 bits
+
+
+@pytest.mark.parametrize("scheme, n_bytes", [("pinsketch", None), ("ijs", None), ("origjs", 14)])
+def test_golden_helper_bit_flips_exit_0_2_or_3(tmp_path, capsys, scheme, n_bytes):
+    """Every one-bit flip of a golden --out-bits 32 helper (for origjs, of
+    its length field, header and aux) makes rep decode, fail to decode or
+    call the helper malformed: never exit 4, which is for bad parameters,
+    and never raise.  A seed flip still gives a different key with exit 0,
+    which only a helper tag can catch."""
+    w, wp = _inputs(scheme)
+    wi, wpi = tmp_path / "w.txt", tmp_path / "wp.txt"
+    wi.write_text(w)
+    wpi.write_text(wp)
+    helper, flipped = tmp_path / "h.bin", tmp_path / "flipped.bin"
+    assert main(["gen", "--scheme", scheme, *FLAGS[scheme], "--seed", "7", "--out-bits", "32",
+                 "-i", str(wi), "-o", str(helper)]) == 0
+    data = helper.read_bytes()
+    codes = {}
+    for bit in range(8 * len(data[:n_bytes])):
+        tampered = bytearray(data)
+        tampered[bit // 8] ^= 0x80 >> (bit % 8)
+        flipped.write_bytes(tampered)
+        rc = main(["rep", "-i", str(wpi), "--sketch", str(flipped), "--out-bits", "32"])
+        codes.setdefault(rc, bit)
+    capsys.readouterr()
+    assert set(codes) <= {0, 2, 3}, codes

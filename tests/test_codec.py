@@ -18,7 +18,7 @@ from fzx.codec import (
     support_from_syndrome,
     syndrome_from_support,
 )
-from fzx.gf2m import GF2m, poly_eval, poly_norm
+from fzx.gf2m import GF2m, field_of, poly_eval, poly_norm
 from fzx.hamming import bch_params, random_codeword
 from oracles import (
     SmallLinearCode,
@@ -351,3 +351,20 @@ def test_bch_code_validation():
     with pytest.raises(ValueError):
         BchCode(f, 9)
     BchCode(f, 7)
+
+class StuckRandom(random.Random):
+    """An rng whose every draw of a splitting constant is 1."""
+
+    def randrange(self, *args, **kwargs):
+        return 1
+
+
+def test_root_finding_that_never_splits_is_a_decode_failure():
+    # the locator (z+3)(z+5) over GF(2^8) is never split by c = 1, so
+    # poly_roots runs out of attempts; that must not escape as RuntimeError
+    f = field_of(8)
+    code = BchCode(f, 5)
+    sums = syndrome_from_support(code, {f.inv(3), f.inv(5)})
+    assert support_from_syndrome(code, sums, random.Random(1)) == {f.inv(3), f.inv(5)}
+    with pytest.raises(DecodeFailure):
+        support_from_syndrome(code, sums, StuckRandom())

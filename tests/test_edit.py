@@ -396,3 +396,24 @@ def test_edit_rep_rejects_corrupted_helper():
     for bad in (key.p[:1], key.p[:-1], b"\x00" + key.p, key.p + b"\x01"):
         with pytest.raises((MalformedPayload, MalformedEnvelope, DecodeFailure)):
             edit_rep(w, bad, 16)
+
+
+def test_edit_rep_parses_the_helper_once(monkeypatch):
+    import fzx.edit
+    import fzx.entropy
+    from fzx.edit import edit_gen, edit_rep
+
+    rng = random.Random(523)
+    w = _random_word(rng, 64)
+    key = edit_gen(w, 4, 2, 16, rng)
+    calls = []
+    parse = fzx.entropy.parse_helper
+
+    def counted(p):
+        calls.append(p)
+        return parse(p)
+
+    for module in (fzx.edit, fzx.entropy):
+        monkeypatch.setattr(module, "parse_helper", counted)
+    assert edit_rep(w, key.p, 16) == key.r
+    assert calls == [key.p]

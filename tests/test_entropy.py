@@ -15,10 +15,12 @@ from fzx.entropy import (
     avg_min_entropy,
     compose_gen,
     compose_rep,
+    extract,
     extractor_distance,
     max_extractable_bits,
     min_entropy,
     parse_helper,
+    reproduce,
     statistical_distance,
     uhash,
 )
@@ -240,6 +242,31 @@ def test_compose_rep_rejects_corrupt_helper():
         compose_rep(sketcher, 0b1010101, key.p[:-1], seven_bit_encode, u)
     with pytest.raises(MalformedPayload):
         parse_helper(b"\x00\xff")
+
+
+def test_extract_and_reproduce_match_compose():
+    sketcher = SmallHammingSketcher()
+    rng = random.Random(78)
+    for _ in range(200):
+        w = rng.getrandbits(7)
+        u = UHashParams(7, rng.randrange(1, 8))
+        seed = rng.getrandbits(32)
+        key = compose_gen(sketcher, w, seven_bit_encode, u, random.Random(seed))
+        assert extract(sketcher.sketch(w, None), w, u, random.Random(seed)) == key
+        w_prime = w ^ (1 << rng.randrange(7))
+        r = compose_rep(sketcher, w_prime, key.p, seven_bit_encode, u)
+        assert reproduce(parse_helper(key.p)[1], w, 7, u.l_bits) == r == key.r
+
+
+def test_reproduce_checks_the_seed_before_the_hash_parameters():
+    # a recovered value wider than the hash field takes: the seed, sized at
+    # Gen, no longer fits it, which is a malformed helper, not a parameter
+    with pytest.raises(MalformedPayload):
+        reproduce(b"\x01" * 32, 1, 300, 32)
+    with pytest.raises(MalformedPayload):
+        reproduce(b"\x80", 1, 7, 4)  # seed wider than n_bits
+    with pytest.raises(ValueError):
+        reproduce(b"\x01", 1, 7, 8)  # key longer than the hashed value
 
 
 def test_extracted_key_shape():

@@ -179,6 +179,14 @@ def test_custom_modulus_validation():
         GF2m(4, 0b10110)  # x * (...) reducible
     with pytest.raises(ValueError):
         GF2m(5, 0b10011)  # degree mismatch
+    # m = 14..16 multiply by byte slices and certify through `pow`
+    for m in (14, 15, 16):
+        assert GF2m(m, PRIMITIVE_POLYS[m]) == GF2m(m)
+    assert _is_irreducible(0x1002B, 16)
+    with pytest.raises(ValueError):
+        GF2m(16, 0x1002B)  # irreducible, but x has order below 2^16 - 1
+    with pytest.raises(ValueError):
+        GF2m(15, PRIMITIVE_POLYS[15] ^ 1)  # divisible by x
     # degree > 16 path checks irreducibility only
     GF2m(17, PRIMITIVE_POLYS[17])
     with pytest.raises(ValueError):

@@ -180,6 +180,25 @@ def test_ijs_frozen_example():
     assert _sets_equal(got, {1, 2, 4})
 
 
+def test_ijs_root_finding_that_never_splits_is_a_decode_failure(monkeypatch):
+    import fzx.setdiff
+    from fzx.gf2m import poly_roots
+
+    class StuckRandom(random.Random):
+        def randrange(self, *args, **kwargs):
+            return 1
+
+    f = field_of(8)
+    w = ElementSet.of(f, [3, 5])
+    sk = ijs_ss(w, 2)  # t = s: recovery takes the roots of (z+3)(z+5)
+    assert ijs_rec(w, sk) == w
+    monkeypatch.setattr(
+        fzx.setdiff, "poly_roots", lambda field, g: poly_roots(field, g, StuckRandom())
+    )
+    with pytest.raises(DecodeFailure):
+        ijs_rec(w, sk)
+
+
 def test_ijs_determinism_and_size_checks():
     f = GF2m(4)
     w = ElementSet.of(f, [1, 5, 9, 12])
