@@ -3,7 +3,11 @@
 Field elements are plain Python ints in [0, 2^m): the integer's binary
 expansion gives the coefficients of the residue polynomial, bit i holding
 the coefficient of x^i.  A GF2m instance carries the extension degree and
-the reduction modulus; it does not wrap elements in objects.
+the reduction modulus; it does not wrap elements in objects.  Fields up to
+m = 16 multiply, invert and raise to powers by log/antilog lookup in
+tables built once per (m, modulus) and shared; wider fields multiply by a
+4-bit window.  Every modulus a field is built on by default is pinned:
+primitive ones up to m = 32, the smallest irreducible ones up to m = 512.
 
 Polynomials over the field are lists of ints, lowest-degree coefficient
 first, with no trailing zero coefficients (the zero polynomial is []).
@@ -56,15 +60,67 @@ PRIMITIVE_POLYS = {
     32: 0x1000000AF,
 }
 
-# Degree above which log/antilog tables are not built.  Their size and
-# build time double with each degree: at m = 16 they take about 15 ms and
-# 5.5 MiB per process, so fields of degree 14..16 multiply by byte
-# slices of the shared carry-less product table instead (`_clmul_bytes`),
-# and fields above 16 fold four bits of one operand at a time.
-_TABLE_MAX_M = 13
+# Tail k of the smallest irreducible x^m + k over GF(2) for each hash-field
+# degree m = 33..512, twelve degrees per row.  Found by exhaustive search in
+# increasing k and certified by Rabin's test; `tests/oracles.py` repeats the
+# search.
+IRREDUCIBLE_TAILS = (
+    0x4B, 0x1B, 0x5, 0x35, 0x3F, 0x63, 0x11, 0x39, 0x9, 0x27, 0x59, 0x21,
+    0x1B, 0x3, 0x21, 0x2D, 0x71, 0x1D, 0x4B, 0x9, 0x47, 0x7D, 0x47, 0x95,
+    0x11, 0x63, 0x7B, 0x3, 0x27, 0x69, 0x3, 0x1B, 0x1B, 0x9, 0x27, 0xA3,
+    0x65, 0x2B, 0x2B, 0x5F, 0x1D, 0x47, 0x4B, 0x35, 0x65, 0x5F, 0x1D, 0xAF,
+    0x11, 0xD7, 0x95, 0x21, 0x107, 0x65, 0xA3, 0x3F, 0x69, 0x2D, 0xED, 0x65,
+    0x5, 0x63, 0x77, 0x6F, 0x41, 0x99, 0x4B, 0x65, 0xC3, 0x69, 0xBD, 0x1B,
+    0x11, 0x63, 0xAF, 0x53, 0x35, 0x53, 0x95, 0x39, 0x2D, 0x2D, 0xAF, 0x17,
+    0x27, 0x65, 0x101, 0x1B, 0x123, 0x47, 0x5, 0x7D, 0xAF, 0x95, 0x3, 0x87,
+    0x21, 0x9, 0xF3, 0x77, 0x6F, 0xA3, 0x59, 0x2D, 0x13D, 0x16D, 0xAF, 0x53,
+    0x1AB, 0xF3, 0x2D, 0x95, 0x63, 0x2D, 0x3F, 0xA9, 0x2FB, 0x35, 0x9, 0x4D,
+    0x3, 0xE1, 0xB1, 0x69, 0x65, 0x137, 0x7B, 0x2D, 0x4D, 0xE7, 0xC9, 0x1EF,
+    0x25B, 0x63, 0x41, 0x5F, 0x161, 0x4D, 0x3F, 0x3, 0x125, 0x7D, 0x41, 0xBD,
+    0x2D, 0x185, 0x17, 0x9, 0xC3, 0xF3, 0x191, 0x15D, 0x10B, 0x19D, 0xE1, 0x65,
+    0x65, 0x1C1, 0xBB, 0x87, 0x1F7, 0x1D, 0xB7, 0x9, 0x1EF, 0x69, 0xED, 0x2D,
+    0x4D, 0xD1, 0x183, 0x35, 0x225, 0xAF, 0x243, 0x1CD, 0x2D, 0x81, 0x26B, 0x99,
+    0x65, 0x2B, 0x69, 0x8B, 0x71, 0xF5, 0xF5, 0x81, 0x137, 0x35, 0x35, 0x1B5,
+    0x16D, 0xF5, 0x7B, 0x107, 0x267, 0xBD, 0x95, 0xF5, 0xBD, 0x1CB, 0x1CD, 0x21,
+    0x93, 0x27, 0x3F, 0x129, 0x179, 0x173, 0x123, 0x167, 0x53, 0x1A7, 0x215, 0x13D,
+    0x93, 0x6F, 0x95, 0x7D, 0x3F, 0x87, 0x2D, 0x425, 0xBD, 0x251, 0x1FB, 0x69,
+    0xD1, 0x311, 0x27F, 0x245, 0x2D, 0x4D, 0x149, 0x387, 0xC3, 0x35, 0x11F, 0x1E3,
+    0x87, 0xED, 0x13B, 0x4B, 0xB7, 0x21, 0x21, 0x225, 0x213, 0x4D, 0x167, 0x161,
+    0xAF, 0x1FB, 0x65, 0x1D5, 0xF5, 0x2D, 0x7B, 0x8B, 0x25B, 0xF9, 0x35, 0x8D,
+    0x21, 0x13B, 0xAF, 0x21, 0x167, 0x3F, 0x3, 0x3F, 0xC5, 0x8B, 0x115, 0x387,
+    0x173, 0x123, 0xA9, 0x291, 0x8B, 0x167, 0x7B, 0x16B, 0x95, 0x161, 0x12F, 0x1B,
+    0xA5, 0x2F7, 0x7B, 0x17, 0x157, 0x40B, 0xED, 0x10B, 0x13D, 0x6F, 0xF5, 0x47,
+    0x5, 0x27, 0x333, 0x93, 0xE7, 0x1B, 0xAF, 0x2CB, 0x11F, 0x15D, 0x3DB, 0x87,
+    0x115, 0xE7, 0xF5, 0x191, 0x65, 0x65, 0x149, 0xBD, 0x291, 0x32B, 0x63, 0xE7,
+    0x1F1, 0x16B, 0x167, 0x2D, 0x93, 0x19B, 0x129, 0x201, 0x261, 0x161, 0xBB, 0x8D,
+    0x5EB, 0x2D, 0x10D, 0x16D, 0x185, 0x161, 0x17, 0x1A1, 0x10B, 0x251, 0x32B, 0x563,
+    0x27, 0x223, 0x223, 0x1DF, 0x41, 0x395, 0x183, 0x99, 0xCF, 0x13B, 0x47, 0x19B,
+    0x81, 0x185, 0x1F7, 0x7D, 0x1E3, 0xC5, 0x257, 0x2D, 0xBB, 0x3F, 0x321, 0x7B,
+    0x355, 0x10D, 0x1A7, 0x2D, 0xA9, 0x419, 0x16D, 0xA5, 0xD7, 0x13B, 0x215, 0x225,
+    0x13B, 0x77, 0x27F, 0x81, 0x35, 0xBB, 0x21F, 0x1AD, 0x7B, 0x273, 0x167, 0x15B,
+    0x23D, 0x13D, 0x2B, 0xEB, 0x36F, 0xE7, 0x46B, 0x71, 0x47, 0x19D, 0x10D, 0x1B,
+    0x81, 0xA5, 0x18F, 0x2BF, 0xD1, 0x6A3, 0x19D, 0xBD, 0x27F, 0x1D5, 0x335, 0x71,
+    0x7F1, 0x143, 0x2F1, 0xCF, 0x26D, 0x21F, 0xDB, 0x223, 0xC3, 0x261, 0x595, 0x257,
+    0x10D, 0x3C9, 0x843, 0x55F, 0x7D, 0x13D, 0x3, 0x3F, 0x149, 0x2B9, 0x311, 0x9F,
+    0x179, 0x53, 0x1FD, 0xDD, 0x297, 0x261, 0xDB, 0x5D7, 0x1AD, 0xF9, 0x215, 0x1B,
+    0x261, 0x2A1, 0x7B, 0x53, 0x24F, 0x53F, 0xB1, 0x197, 0x6A3, 0x77, 0x2CD, 0x167,
+    0x35, 0x131, 0x9, 0x5F, 0x31D, 0x317, 0xF5, 0x9F, 0x189, 0x53, 0x401, 0x125,
+)
 
-# Largest degree multiplied by byte slices: both operands fit in two bytes.
-_BYTES_MAX_M = 16
+# Largest degree with log/antilog tables.  Their size and build time double
+# with each degree: at m = 16 they hold 3 * 2^16 entries, and the walk that
+# builds them takes 10-20 ms on a 2-vCPU Xeon.  Above 16 fields fold four
+# bits of one operand at a time.
+_TABLE_MAX_M = 16
+
+# Largest degree whose tables are lists.  Lists index about twice as fast
+# as arrays up to here; above it `array('H')` keeps the m = 16 tables at
+# 0.38 MiB, not the 5.5 MiB of lists, at the same lookup speed.
+_LIST_MAX_M = 13
+
+# (m, modulus) pairs whose tables stay cached, so a field built again on one
+# of them reuses its tables; callers with many custom moduli stay bounded
+_CACHED_TABLES = 8
 
 # Largest degree accepted for caller-supplied moduli.  Big enough for the
 # universal-hash fields over production key lengths.
@@ -149,80 +205,44 @@ def _is_irreducible(mod: int, m: int) -> bool:
     return all(_gf2_gcd(chain[m // p] ^ x, mod) == 1 for p in _factor(m))
 
 
-# A search candidate with a factor of degree <= this never reaches Rabin's test
-_SCREEN_DEG = 8
-
-
-@lru_cache(maxsize=1)
-def _screen_factors() -> tuple[int, ...]:
-    """Every irreducible polynomial of degree 1.._SCREEN_DEG except x,
-    ascending; built on the first modulus search, not at import."""
-    found: list[int] = []
-    for g in range(3, 1 << (_SCREEN_DEG + 1), 2):
-        d = g.bit_length() - 1
-        if all(_gf2_mod(g, h) for h in found if 2 * (h.bit_length() - 1) <= d):
-            found.append(g)
-    return tuple(found)
-
-
-_IRREDUCIBLE_CACHE: dict[int, int] = {}
-
-
 def irreducible_modulus(m: int) -> int:
     """Smallest irreducible degree-m polynomial over GF(2), as an int.
 
     Used for universal-hash fields whose degree falls outside the pinned
-    primitive table.  Deterministic, so hash outputs replay exactly.
-
-    Candidates x^m + k run over odd k in increasing order, so x never
-    divides one.  A candidate is dropped when an irreducible g of degree
-    <= 8 divides it, i.e. when x^m mod g equals k mod g (x^m mod g is
-    worked out once per g: x has order dividing 2^deg(g) - 1 mod g).  The
-    survivors go to Rabin's test on a squaring chain (`_is_irreducible`),
-    so the first one accepted is exactly the smallest irreducible.
+    primitive table; above it the modulus is read off `IRREDUCIBLE_TAILS`.
+    Deterministic, so hash outputs replay exactly.
     """
     if m in PRIMITIVE_POLYS:
         return PRIMITIVE_POLYS[m]
     if not 1 <= m <= _MAX_CUSTOM_M:
         raise ValueError(f"degree {m} out of range")
-    got = _IRREDUCIBLE_CACHE.get(m)
-    if got is not None:
-        return got
-    screen = [
-        (g, _gf2_mod(1 << (m % ((1 << (g.bit_length() - 1)) - 1)), g))
-        for g in _screen_factors()
-    ]
-    for k in range(1, 1 << m, 2):
-        if any(_gf2_mod(k, g) == xm for g, xm in screen):
-            continue
-        cand = (1 << m) | k
-        if _is_irreducible(cand, m):
-            _IRREDUCIBLE_CACHE[m] = cand
-            return cand
-    raise ValueError(f"no irreducible polynomial of degree {m} found")
+    return (1 << m) | IRREDUCIBLE_TAILS[m - 33]
 
 
-@lru_cache(maxsize=1)
-def _clmul_bytes() -> array:
-    """T[x << 8 | y] = carry-less product of bytes x and y (65,536 entries).
+@lru_cache(maxsize=_CACHED_TABLES)
+def _tables(m: int, modulus: int):
+    """(exp, log) of GF(2^m) mod `modulus`: exp[i] = x^i for 0 <= i <
+    2(2^m - 1), so a sum of two logs needs no reduction, and log[x^i] = i.
 
-    Row x is built as one int of 256 16-bit lanes, lane y holding x*y: it
-    is the row of x with its lowest set bit 2^k cleared, XOR the lane
-    vector (0, 1, ..., 255) shifted up by k.  No lane product exceeds 15
-    bits, so the shift never carries into the next lane.  Built on the
-    first field of degree 14..16, not at import.
+    One walk over the powers of x fills both, so it also certifies the
+    modulus: x is primitive iff its powers return to 1 after exactly
+    2^m - 1 steps and not before (an early return rewrites log[1]).
+    Lists up to `_LIST_MAX_M`, `array('H')` above it.
     """
-    lanes = 0
-    for y in range(256):
-        lanes |= y << (16 * y)
-    rows = [0] * 256
-    for x in range(1, 256):
-        rows[x] = rows[x & (x - 1)] ^ lanes << ((x & -x).bit_length() - 1)
-    table = array("H")
-    table.frombytes(b"".join(r.to_bytes(512, "little") for r in rows))
-    if sys.byteorder == "big":
-        table.byteswap()
-    return table
+    order = (1 << m) - 1
+    zero = [0] if m <= _LIST_MAX_M else array("H", [0])
+    exp, log = zero * order, zero * (order + 1)
+    v = 1
+    for i in range(order):
+        exp[i] = v
+        log[v] = i
+        v <<= 1
+        if v >> m:
+            v ^= modulus
+    if v != 1 or log[1]:
+        raise ValueError(f"modulus 0x{modulus:x} not primitive")
+    exp += exp
+    return exp, log
 
 
 def _reduction_table(m: int, modulus: int, bits: int) -> list[int]:
@@ -236,8 +256,8 @@ def _reduction_table(m: int, modulus: int, bits: int) -> list[int]:
     return red
 
 
-def _log_ops(exp: list[int], log: list[int]):
-    """mul and sqr by log/antilog lookup."""
+def _log_ops(exp, log):
+    """mul and sqr by lookup in the tables of `_tables`."""
 
     def mul(a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -246,34 +266,6 @@ def _log_ops(exp: list[int], log: list[int]):
 
     def sqr(a: int) -> int:
         return exp[2 * log[a]] if a else 0
-
-    return mul, sqr
-
-
-def _byte_ops(m: int, modulus: int):
-    """mul and sqr for m <= 16: four byte-by-byte lookups in the shared
-    product table, then two byte folds of the bits at x^m and above.
-
-    The product has at most 2m - 1 <= 31 bits.  The first fold clears the
-    bits at x^(m+8) and above, h * x^(m+8) = (h * x^m mod f) * x^8, and the
-    second the byte left at x^m..x^(m+7).  T's diagonal T[x * 257] is the
-    bit spread of x, which is its square before reduction.
-    """
-    T = _clmul_bytes()
-    red = _reduction_table(m, modulus, 8)
-    top, low, mask = m + 8, (1 << (m + 8)) - 1, (1 << m) - 1
-
-    def mul(a: int, b: int) -> int:
-        a0, a1 = (a & 255) << 8, a >> 8 << 8
-        b0, b1 = b & 255, b >> 8
-        p = T[a0 | b0] ^ (T[a0 | b1] ^ T[a1 | b0]) << 8 ^ T[a1 | b1] << 16
-        p = p & low ^ red[p >> top] << 8
-        return p & mask ^ red[p >> m]
-
-    def sqr(a: int) -> int:
-        p = T[(a & 255) * 257] ^ T[(a >> 8) * 257] << 16
-        p = p & low ^ red[p >> top] << 8
-        return p & mask ^ red[p >> m]
 
     return mul, sqr
 
@@ -318,24 +310,22 @@ class GF2m:
 
     With no modulus argument the pinned primitive polynomial for the degree
     is used (1 <= m <= 32).  A caller-supplied modulus is accepted up to
-    degree 512.  For m <= 16 it is certified primitive by the order of x,
-    found with the field's own arithmetic (the log/antilog walk for
-    m <= 13, `pow` for 14..16).  Above 16 it is certified irreducible by
-    Rabin's test, which reads every power it needs off one squaring chain
-    x, x^2, x^4, ..., x^(2^m) mod the modulus.  `field_of(m)` hands out one
-    shared instance per degree.
+    degree 512.  For m <= 16 it is certified primitive by the walk that
+    builds the field's log/antilog tables.  Above 16 it is certified
+    irreducible by Rabin's test, which reads every power it needs off one
+    squaring chain x, x^2, x^4, ..., x^(2^m) mod the modulus.
+    `field_of(m)` hands out one shared instance per degree, and fields of
+    one (m, modulus) share their tables.
 
     `mul(a, b)` and `sqr(a)` are picked once, at construction, by degree:
-    log/antilog lookup for m <= 13, byte slices of the shared carry-less
-    product table for m in 14..16, and a 4-bit window above 16.  Operands
+    log/antilog lookup for m <= 16 and a 4-bit window above 16.  Operands
     must be field elements; they are not checked.
     """
 
     __slots__ = ("m", "modulus", "order", "mul", "sqr", "_log", "_exp")
 
     def __init__(self, m: int, modulus: int | None = None):
-        custom = modulus is not None
-        if not custom:
+        if modulus is None:
             if m not in PRIMITIVE_POLYS:
                 raise ValueError(f"no pinned primitive polynomial for m={m}")
             modulus = PRIMITIVE_POLYS[m]
@@ -344,28 +334,16 @@ class GF2m:
                 raise ValueError(f"m={m} out of range for custom modulus")
             if _gf2_poly_deg(modulus) != m:
                 raise ValueError("modulus degree does not match m")
-            if m > _BYTES_MAX_M and not _is_irreducible(modulus, m):
+            if m > _TABLE_MAX_M and not _is_irreducible(modulus, m):
                 raise ValueError(f"modulus 0x{modulus:x} not irreducible")
         self.m = m
         self.modulus = modulus
         self.order = (1 << m) - 1
-        self._log = None
-        self._exp = None
         if m <= _TABLE_MAX_M:
-            self._build_tables()
+            self._exp, self._log = _tables(m, modulus)
             self.mul, self.sqr = _log_ops(self._exp, self._log)
-        elif m <= _BYTES_MAX_M:
-            self.mul, self.sqr = _byte_ops(m, modulus)
-            # a caller's modulus is primitive iff x has order exactly
-            # 2^m - 1 (the order mod a product of factors of degrees a, b
-            # is at most (2^a - 1)(2^b - 1) < 2^(a+b) - 1); _build_tables
-            # checks the same as it walks the powers of x
-            n = self.order
-            if custom and (
-                self.pow(2, n) != 1 or any(self.pow(2, n // p) == 1 for p in _factor(n))
-            ):
-                raise ValueError(f"modulus 0x{modulus:x} not primitive")
         else:
+            self._exp = self._log = None
             self.mul, self.sqr = _window_ops(m, modulus)
 
     def __repr__(self):
@@ -384,26 +362,6 @@ class GF2m:
     def __reduce__(self):
         # mul and sqr are closures, so a field pickles as its constructor call
         return GF2m, (self.m, self.modulus)
-
-    def _build_tables(self):
-        order = self.order
-        exp = [1] * (2 * order)
-        log = [0] * (order + 1)
-        m, mod = self.m, self.modulus
-        v = 1
-        for i in range(order):
-            exp[i] = v
-            exp[i + order] = v
-            log[v] = i
-            v <<= 1
-            if v >> m:
-                v ^= mod
-        # x is primitive iff its powers return to 1 after exactly 2^m - 1
-        # steps and not before (an early return rewrites log[1])
-        if v != 1 or log[1]:
-            raise ValueError(f"modulus 0x{self.modulus:x} not primitive")
-        self._exp = exp
-        self._log = log
 
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a <= self.order:
@@ -619,6 +577,12 @@ def _poly_sqrmod(field: GF2m, f, mod):
     return r
 
 
+# Splitting constants for callers that pass no rng: roots come back as a
+# set, so which constants split f changes no output.  One instance, since
+# seeding one from os.urandom costs about as much as a small decode step.
+_ROOT_RNG = random.Random()
+
+
 def poly_roots(
     field: GF2m, f: list[int], rng: random.Random | None = None
 ) -> set[int] | None:
@@ -635,7 +599,7 @@ def poly_roots(
     if not f:
         raise ValueError("zero polynomial")
     if rng is None:
-        rng = random.Random()
+        rng = _ROOT_RNG
     f = poly_monic(field, f)
     if poly_deg(f) == 0:
         return set()

@@ -7,7 +7,9 @@ column-by-column Gauss-Jordan elimination for their reduced form,
 evaluation at every field element for polynomial roots, the product of
 s linear factors for a characteristic polynomial, Reed-Solomon decoding
 over all s points for improved Juels-Sudan recovery, and one scalar
-Horner evaluation per pair for the original Juels-Sudan sketch.  The
+Horner evaluation per pair for the original Juels-Sudan sketch, a
+shift-and-add carry-less multiply for field arithmetic, and a screened
+search in increasing order for the pinned hash-field moduli.  The
 enumerating ones are exponential or linear in 2^m, so they stay in the
 small regime.
 """
@@ -16,10 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import combinations
 
 from fzx.codec import BchCode, DecodeFailure, rs_decode, syndrome_from_support
-from fzx.gf2m import GF2m, poly_add, poly_deg, poly_divmod, poly_eval, poly_mul, poly_roots
+from fzx.gf2m import GF2m, _gf2_mod, _is_irreducible, poly_add, poly_deg, poly_divmod, poly_eval, poly_mul, poly_roots
 from fzx.setdiff import ElementSet, IjsSketchData, OrigJsSketchData
 
 
@@ -245,3 +248,69 @@ def _off_poly(field: GF2m, p: list[int], x: int, rng: random.Random) -> int:
         y = rng.randrange(0, field.order + 1)
         if y != px:
             return y
+
+
+def clmul_mod(a: int, b: int, modulus: int) -> int:
+    """a * b mod `modulus` over GF(2), one shift-and-add step per bit of b,
+    reducing a whenever it reaches the modulus degree."""
+    m = modulus.bit_length() - 1
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= modulus
+    return r
+
+
+def pow_mod(a: int, e: int, modulus: int) -> int:
+    """a^e mod `modulus` by square and multiply on `clmul_mod`."""
+    r = 1
+    while e:
+        if e & 1:
+            r = clmul_mod(r, a, modulus)
+        a = clmul_mod(a, a, modulus)
+        e >>= 1
+    return r
+
+
+# A search candidate with a factor of degree <= this never reaches Rabin's test
+_SCREEN_DEG = 8
+
+
+@lru_cache(maxsize=1)
+def _screen_factors() -> tuple[int, ...]:
+    """Every irreducible polynomial of degree 1.._SCREEN_DEG except x,
+    ascending."""
+    found: list[int] = []
+    for g in range(3, 1 << (_SCREEN_DEG + 1), 2):
+        d = g.bit_length() - 1
+        if all(_gf2_mod(g, h) for h in found if 2 * (h.bit_length() - 1) <= d):
+            found.append(g)
+    return tuple(found)
+
+
+def smallest_irreducible(m: int) -> int:
+    """Smallest irreducible x^m + k over GF(2) for m > 8, by search in
+    increasing k.
+
+    Candidates run over odd k, so x never divides one.  A candidate is
+    dropped when an irreducible g of degree <= 8 divides it, i.e. when
+    x^m mod g equals k mod g (x^m mod g is worked out once per g: x has
+    order dividing 2^deg(g) - 1 mod g).  The survivors go to Rabin's test
+    (`_is_irreducible`), so the first one accepted is exactly the
+    smallest irreducible.
+    """
+    screen = [
+        (g, _gf2_mod(1 << (m % ((1 << (g.bit_length() - 1)) - 1)), g))
+        for g in _screen_factors()
+    ]
+    for k in range(1, 1 << m, 2):
+        if any(_gf2_mod(k, g) == xm for g, xm in screen):
+            continue
+        cand = (1 << m) | k
+        if _is_irreducible(cand, m):
+            return cand
+    raise ValueError(f"no irreducible polynomial of degree {m} found")

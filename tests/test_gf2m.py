@@ -14,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fzx import gf2m
 from fzx.gf2m import (
     GF2m,
+    IRREDUCIBLE_TAILS,
     PRIMITIVE_POLYS,
+    _CACHED_TABLES,
     _is_irreducible,
-    _screen_factors,
+    _tables,
     field_of,
     irreducible_modulus,
     poly_add,
@@ -29,7 +32,7 @@ from fzx.gf2m import (
     poly_mul,
     poly_roots,
 )
-from oracles import brute_roots
+from oracles import _screen_factors, brute_roots, clmul_mod, pow_mod, smallest_irreducible
 
 
 def oracle_mul(a, b, modulus, m):
@@ -57,23 +60,58 @@ def test_mul_matches_oracle_exhaustively(m):
 
 
 # A dense primitive modulus per degree next to the sparse pinned one, so the
-# byte folds also reduce through a tail with most of its bits set.
+# table walk also reduces through a tail with most of its bits set.
 DENSE_PRIMITIVE = {14: 0x7FE7, 15: 0xFFFD, 16: 0x1FFED}
 
 
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("m", [14, 15, 16])
 def test_byte_sliced_mul_matches_oracle(m, dense):
+    """Degrees 14..16, whose elements span two bytes, on the table path:
+    mul, sqr, inv and pow against the shift-and-add oracle."""
     f = GF2m(m, DENSE_PRIMITIVE[m]) if dense else GF2m(m)
+    assert f._log is not None
     rng = random.Random(m)
     edges = [0, 1, f.order, 1 << (m - 1)]
     pairs = [(a, b) for a in edges for b in edges]
     pairs += [(a, rng.randrange(1 << m)) for a in edges for _ in range(10)]
     pairs += [(rng.randrange(1 << m), rng.randrange(1 << m)) for _ in range(200)]
+    exponents = (0, 1, 2, f.order - 1, f.order, f.order + 1, rng.getrandbits(40))
     for a, b in pairs:
-        assert f.mul(a, b) == oracle_mul(a, b, f.modulus, m)
+        assert f.mul(a, b) == clmul_mod(a, b, f.modulus)
         assert f.mul(b, a) == f.mul(a, b)
-        assert f.sqr(a) == f.mul(a, a)
+        assert f.sqr(a) == clmul_mod(a, a, f.modulus)
+        if a:
+            assert clmul_mod(a, f.inv(a), f.modulus) == 1
+        e = exponents[b % len(exponents)]
+        assert f.pow(a, e) == (pow_mod(a, e, f.modulus) if a else int(e == 0))
+
+
+def test_table_cache_stays_at_its_bound():
+    built = []
+    for mod in range(0x101, 0x200, 2):
+        try:
+            built.append(GF2m(8, mod))
+        except ValueError:
+            continue  # not primitive
+    assert len(built) == 16  # phi(255) / 8 primitive polynomials of degree 8
+    info = _tables.cache_info()
+    assert info.maxsize == _CACHED_TABLES and info.currsize == _CACHED_TABLES
+    # an evicted table lives on in the fields built on it
+    assert built[0].mul(built[0].inv(7), 7) == 1
+
+
+def test_cold_m16_field_retains_under_one_mib_and_shares_it():
+    # a fresh process, so no earlier test has built or evicted the table
+    code = (
+        "import tracemalloc; from fzx.gf2m import GF2m, field_of; "
+        "tracemalloc.start(); f = GF2m(16); "
+        "held = tracemalloc.get_traced_memory()[0]; "
+        "assert held < 1 << 20, held; "
+        "assert f._exp is field_of(16)._exp and f._log is field_of(16)._log; "
+        "assert GF2m(16, 0x1FFED)._exp is not f._exp"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 _M16 = st.integers(0, (1 << 16) - 1)
@@ -179,9 +217,10 @@ def test_custom_modulus_validation():
         GF2m(4, 0b10110)  # x * (...) reducible
     with pytest.raises(ValueError):
         GF2m(5, 0b10011)  # degree mismatch
-    # m = 14..16 multiply by byte slices and certify through `pow`
+    # m = 14..16 certify through the table walk, as every m <= 16 does
     for m in (14, 15, 16):
         assert GF2m(m, PRIMITIVE_POLYS[m]) == GF2m(m)
+        GF2m(m, DENSE_PRIMITIVE[m])
     assert _is_irreducible(0x1002B, 16)
     with pytest.raises(ValueError):
         GF2m(16, 0x1002B)  # irreducible, but x has order below 2^16 - 1
@@ -200,7 +239,9 @@ def test_irreducible_modulus_deterministic_and_valid():
         assert mod.bit_length() - 1 == m
         assert irreducible_modulus(m) == mod
         GF2m(m, mod)
-
+    for m in (0, 513):
+        with pytest.raises(ValueError):
+            irreducible_modulus(m)
 
 
 @pytest.mark.parametrize(
@@ -208,6 +249,20 @@ def test_irreducible_modulus_deterministic_and_valid():
 )
 def test_irreducible_modulus_known_answers(m, tail):
     assert irreducible_modulus(m) == (1 << m) | tail
+
+
+def test_pinned_hash_moduli_are_irreducible():
+    assert len(IRREDUCIBLE_TAILS) == 480 and max(IRREDUCIBLE_TAILS) == 0x843
+    for m, tail in enumerate(IRREDUCIBLE_TAILS, start=33):
+        assert _is_irreducible((1 << m) | tail, m), m
+
+
+@pytest.mark.parametrize(
+    "degrees", [range(33, 257), (300, 384, 449, 512)], ids=["33-256", "above"]
+)
+def test_pinned_hash_moduli_match_the_search(degrees):
+    for m in degrees:
+        assert irreducible_modulus(m) == smallest_irreducible(m), m
 
 
 def _ref_is_irreducible(f, m):
@@ -309,11 +364,11 @@ def test_field_pickles_to_an_equal_field(m):
 def test_import_does_no_modulus_work():
     code = (
         "import fzx.cli, fzx.gf2m as g; "
-        "assert g._screen_factors.cache_info().currsize == 0; "
-        "assert g._clmul_bytes.cache_info().currsize == 0; "
-        "assert not g._IRREDUCIBLE_CACHE"
+        "assert g._tables.cache_info().currsize == 0; "
+        "assert g.field_of.cache_info().currsize == 0"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
 
 def test_poly_eval_examples():
     f8 = GF2m(3)
@@ -446,6 +501,15 @@ def test_poly_roots_rejects_unsplit_and_repeated():
     sq = poly_mul(f, [3, 1], [3, 1])
     assert poly_roots(f, sq) is None
     assert brute_roots(f, sq) == {3}
+
+
+def test_poly_roots_without_rng_draws_from_one_shared_source(monkeypatch):
+    f = GF2m(8)
+    poly = [1]
+    for r in (3, 9, 200):
+        poly = poly_mul(f, poly, [r, 1])
+    monkeypatch.setattr(gf2m.random, "Random", None)  # no new source per call
+    assert poly_roots(f, poly) == {3, 9, 200}
 
 
 def test_brute_roots_guard_and_scan_semantics():
