@@ -5,7 +5,11 @@ indexing its nonzero positions: position i (0-based bit i) corresponds to
 the nonzero element i+1 of GF(2^m).  Syndromes are the odd power sums
 s_j = sum_{x in supp} x^j for j = 1, 3, ..., 2t-1; the even entries are
 recovered from the Frobenius identity s_{2j} = s_j^2, so they are never
-stored.  All decoding work is polynomial in t and m, never in 2^m.
+stored.  Decoding solves the key equation with Berlekamp's binary
+algorithm, in t steps, and finds the locator's roots with
+`gf2m.poly_roots`: one evaluation at every element for fields of at most
+256 elements, trace splitting above.  All decoding work is polynomial in t
+and m; only that whole-field pass, capped at 256 points, depends on 2^m.
 """
 
 from __future__ import annotations
@@ -18,13 +22,10 @@ from .gf2m import (
     poly_add,
     poly_deg,
     poly_divmod,
-    poly_eval,
     poly_eval_many,
-    poly_monic,
     poly_mul,
     poly_norm,
     poly_roots,
-    poly_scale,
 )
 
 
@@ -91,10 +92,12 @@ def support_from_syndrome(
     """Recover the support set (size <= t) whose odd power sums equal the
     input, or raise DecodeFailure.
 
-    Solves the key equation S(z)*sigma(z) = omega(z) mod z^delta by a
-    partial extended Euclidean run on (z^(delta-1), S(z)/z), takes the
-    error locator from the Bezout coefficient, finds its roots, inverts
-    them into positions, and re-verifies the syndrome unconditionally.
+    Solves the key equation with Berlekamp's binary form of the shift-register
+    synthesis (Berlekamp 1968; Massey 1969): the error locator sigma is the
+    shortest LFSR generating s_1, ..., s_{delta-1}.  Since s_{2j} = s_j^2,
+    every second discrepancy is zero, so only the t odd steps run.  Then it
+    finds sigma's roots, inverts them into positions, and re-verifies the
+    syndrome unconditionally.  `rng` is passed to `poly_roots`.
     """
     f = code.field
     t = code.t
@@ -104,34 +107,61 @@ def support_from_syndrome(
         return set()
 
     full = expand_syndrome(code, odd_sums)
-    s_over_z = poly_norm(list(full))  # S(z)/z: coefficient of z^i is s_{i+1}
+    sigma, length = _berlekamp(f, full)
+    if length > t:
+        raise DecodeFailure("locator longer than t")
+    if poly_deg(sigma) != length:
+        raise DecodeFailure("locator degree differs from its LFSR length")
 
-    z_delta = [0] * (code.delta - 1) + [1]  # z^(delta-1)
-    r_cur, v_cur = _partial_euclid(f, z_delta, s_over_z, (code.delta - 1) // 2)
-
-    c = poly_eval(f, v_cur, 0)
-    if c == 0:
-        raise DecodeFailure("locator has zero constant term")
-    c_inv = f.inv(c)
-    sigma = poly_scale(f, v_cur, c_inv)
-
-    if __debug__:
-        # key equation: S(z)*sigma(z) = omega(z) mod z^delta with
-        # omega = z*R_cur/c of degree < (delta+1)/2
-        omega = poly_scale(f, [0] + r_cur, c_inv)
-        prod = poly_mul(f, [0] + full, sigma)
-        assert poly_add(prod[: code.delta], omega[: code.delta]) == []
+    # key equation: sigma generates s_{L+1}, ..., s_{delta-1}
+    assert not any(_discrepancy(f, sigma, full, n) for n in range(length, len(full)))
 
     try:
         roots = poly_roots(f, sigma, rng)
     except RuntimeError as exc:  # the rng never split the locator
         raise DecodeFailure(f"locator roots not found: {exc}") from exc
-    if roots is None or len(roots) != poly_deg(sigma):
+    if roots is None:
         raise DecodeFailure("locator does not split into distinct roots")
     support = {f.inv(r) for r in roots}
     if syndrome_from_support(code, support) != odd_sums:
         raise DecodeFailure("recovered support fails syndrome re-check")
     return support
+
+
+def _discrepancy(field: GF2m, sigma: list[int], full: list[int], n: int) -> int:
+    """s_{n+1} + sum_i sigma_i s_{n+1-i}: zero iff the LFSR sigma produces
+    the (n+1)-th syndrome entry (full[n]) from the ones before it."""
+    mul = field.mul
+    d = full[n]
+    for i in range(1, min(len(sigma), n + 1)):
+        d ^= mul(sigma[i], full[n - i])
+    return d
+
+
+def _berlekamp(field: GF2m, full: list[int]) -> tuple[list[int], int]:
+    """Shortest LFSR (sigma, L), sigma(0) = 1, generating the syndrome
+    s_1, ..., s_{2t} held in `full`, by Berlekamp-Massey run only at the
+    odd entries s_1, s_3, ..., s_{2t-1}: with s_{2j} = s_j^2 the
+    discrepancy at every even entry is zero, so the step there would only
+    lengthen the shift of the correction polynomial by one."""
+    mul = field.mul
+    sigma, prev = [1], [1]  # current LFSR and the one before its last lengthening
+    length, gap, d_prev = 0, 1, 1  # prev enters shifted by z^gap, scaled 1/d_prev
+    for n in range(0, len(full), 2):
+        d = _discrepancy(field, sigma, full, n)
+        if d == 0:
+            gap += 2
+            continue
+        scale = mul(d, field.inv(d_prev))
+        new = sigma + [0] * (gap + len(prev) - len(sigma))
+        for i, c in enumerate(prev):
+            new[gap + i] ^= mul(scale, c)
+        if 2 * length <= n:
+            prev, d_prev, length, gap = sigma, d, n + 1 - length, 2
+        else:
+            gap += 2
+        sigma = poly_norm(new)
+    return sigma, length
 
 
 def _partial_euclid(

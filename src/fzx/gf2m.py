@@ -13,6 +13,8 @@ Polynomials over the field are lists of ints, lowest-degree coefficient
 first, with no trailing zero coefficients (the zero polynomial is []).
 `poly_eval` evaluates one at one point; `poly_eval_many` evaluates one at
 a whole list of points in a single Horner pass over lane-packed ints.
+`poly_roots` runs that pass over the whole field when it has at most 256
+elements, and splits by the trace map above.
 """
 
 from __future__ import annotations
@@ -118,8 +120,10 @@ _TABLE_MAX_M = 16
 # 0.38 MiB, not the 5.5 MiB of lists, at the same lookup speed.
 _LIST_MAX_M = 13
 
-# (m, modulus) pairs whose tables stay cached, so a field built again on one
-# of them reuses its tables; callers with many custom moduli stay bounded
+# (m, modulus) pairs on caller-supplied moduli whose tables stay cached, so a
+# field built again on one of them reuses its tables; callers with many
+# custom moduli stay bounded.  Tables on the pinned moduli are kept apart
+# (`_pinned_tables`), so no custom build evicts them.
 _CACHED_TABLES = 8
 
 # Largest degree accepted for caller-supplied moduli.  Big enough for the
@@ -245,6 +249,13 @@ def _tables(m: int, modulus: int):
     return exp, log
 
 
+@lru_cache(maxsize=None)
+def _pinned_tables(m: int):
+    """`_tables` on the pinned modulus of degree m, kept for the process
+    like `field_of`'s fields: at most one per degree up to 16."""
+    return _tables.__wrapped__(m, PRIMITIVE_POLYS[m])
+
+
 def _reduction_table(m: int, modulus: int, bits: int) -> list[int]:
     """red[h] = h * x^m mod `modulus` for every h of `bits` bits."""
     red, v = [0], modulus ^ (1 << m)
@@ -340,7 +351,8 @@ class GF2m:
         self.modulus = modulus
         self.order = (1 << m) - 1
         if m <= _TABLE_MAX_M:
-            self._exp, self._log = _tables(m, modulus)
+            pinned = modulus == PRIMITIVE_POLYS[m]
+            self._exp, self._log = _pinned_tables(m) if pinned else _tables(m, modulus)
             self.mul, self.sqr = _log_ops(self._exp, self._log)
         else:
             self._exp = self._log = None
@@ -589,6 +601,31 @@ def poly_roots(
     """Distinct roots of f in the field, or None if f is not squarefree
     and fully split (i.e. not a product of deg(f) distinct linear factors).
 
+    A field of at most 256 elements is searched whole: f is evaluated at
+    every element in one `poly_eval_many` pass (Chien 1964), and f splits
+    iff deg(f) of the values are zero.  Larger fields split f by the trace
+    map, with splitting constants drawn from `rng` (`_split_roots`).
+    """
+    if not f:
+        raise ValueError("zero polynomial")
+    f = poly_monic(field, f)
+    if poly_deg(f) == 0:
+        return set()
+    if poly_deg(f) == 1:
+        # monic z + a has root a
+        return {f[0]}
+    if field.m <= 8:
+        xs = range(field.order + 1)
+        roots = {x for x, v in zip(xs, poly_eval_many(field, f, xs)) if not v}
+        return roots if len(roots) == poly_deg(f) else None
+    return _split_roots(field, f, rng)
+
+
+def _split_roots(
+    field: GF2m, f: list[int], rng: random.Random | None
+) -> set[int] | None:
+    """poly_roots of a monic f of degree >= 2, by trace splitting.
+
     Splitting uses the char-2 trace map Tr(cz) = cz + (cz)^2 + ... +
     (cz)^(2^(m-1)) with fresh random c per attempt.  Since (cz)^(2^i) =
     c^(2^i) * (z^(2^i) mod f) mod f, the Frobenius powers of z are composed
@@ -596,17 +633,8 @@ def poly_roots(
     attempt budget of 64 per split guards against a broken RNG; past it
     RuntimeError is raised, which the decoders report as DecodeFailure.
     """
-    if not f:
-        raise ValueError("zero polynomial")
     if rng is None:
         rng = _ROOT_RNG
-    f = poly_monic(field, f)
-    if poly_deg(f) == 0:
-        return set()
-    if poly_deg(f) == 1:
-        # monic z + a has root a
-        return {f[0]}
-
     # z^(2^i) mod f for i = 0..m; f splits into distinct linear factors
     # iff the top of the chain is z again
     frob = [[0, 1]]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .bitpack import unpack_fields
 from .codec import BchCode, support_from_syndrome
@@ -240,12 +241,13 @@ def rec_code_offset(p: HammingParams, w_prime: int, sk: CodeOffsetSketch) -> int
 
 
 def permute_word(w: int, perm) -> int:
-    """Apply a permutation: bit i of the result is bit perm[i] of w."""
-    out = 0
-    for i, src in enumerate(perm):
-        if (w >> src) & 1:
-            out |= 1 << i
-    return out
+    """Apply a permutation: bit i of the result is bit perm[i] of w.
+
+    One pass over strings: character k of w's reversed binary string is
+    bit k, `itemgetter` gathers the characters in the order of perm, and
+    the gathered string, reversed back, parses as the result."""
+    bits = format(w, f"0{len(perm)}b")[::-1]
+    return int("".join(itemgetter(*perm)(bits))[::-1], 2)
 
 
 def invert_permutation(perm) -> tuple[int, ...]:

@@ -8,11 +8,10 @@ polynomial among chaff points and is kept as a reference (its entropy loss
 grows with the chaff count).
 
 Improved JS recovery is rational reconstruction on the partial Euclid that
-BCH decoding also runs (codec._partial_euclid); Reed-Solomon decoding
-(Gao's algorithm) serves original JS only.  Wherever one polynomial is
-evaluated at many points (the hidden polynomial at all r abscissas, the
-difference locator at w') it takes one lane-packed pass,
-gf2m.poly_eval_many.
+Gao's Reed-Solomon decoder also runs (codec._partial_euclid); that decoder
+serves original JS only.  Wherever one polynomial is evaluated at many
+points (the hidden polynomial at all r abscissas, the difference locator
+at w') it takes one lane-packed pass, gf2m.poly_eval_many.
 
 Every deterministic recovery re-verifies its output by re-sketching;
 a mismatch raises DecodeFailure instead of returning a wrong set.

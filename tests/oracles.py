@@ -3,8 +3,10 @@
 Each oracle is built independently of the fast path it checks: explicit
 parity rows and coset-leader enumeration for linear codes, one
 `syndrome_from_support` call per position for the BCH parity rows, a
-column-by-column Gauss-Jordan elimination for their reduced form,
-evaluation at every field element for polynomial roots, the product of
+column-by-column Gauss-Jordan elimination for their reduced form, the
+partial extended Euclid with trace root splitting for BCH decoding, a
+bit-by-bit loop for word permutation, evaluation at every field element
+for polynomial roots, the product of
 s linear factors for a characteristic polynomial, Reed-Solomon decoding
 over all s points for improved Juels-Sudan recovery, and one scalar
 Horner evaluation per pair for the original Juels-Sudan sketch, a
@@ -21,8 +23,29 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations
 
-from fzx.codec import BchCode, DecodeFailure, rs_decode, syndrome_from_support
-from fzx.gf2m import GF2m, _gf2_mod, _is_irreducible, poly_add, poly_deg, poly_divmod, poly_eval, poly_mul, poly_roots
+from fzx.codec import (
+    BchCode,
+    DecodeFailure,
+    _partial_euclid,
+    expand_syndrome,
+    rs_decode,
+    syndrome_from_support,
+)
+from fzx.gf2m import (
+    GF2m,
+    _gf2_mod,
+    _is_irreducible,
+    _split_roots,
+    poly_add,
+    poly_deg,
+    poly_divmod,
+    poly_eval,
+    poly_monic,
+    poly_mul,
+    poly_norm,
+    poly_roots,
+    poly_scale,
+)
 from fzx.setdiff import ElementSet, IjsSketchData, OrigJsSketchData
 
 
@@ -121,6 +144,50 @@ def bch_parity_rows(code: BchCode) -> list[int]:
             rows[b.bit_length() - 1] |= 1 << i
             packed ^= b
     return rows
+
+
+def euclid_support_from_syndrome(
+    code: BchCode, odd_sums: list[int], rng: random.Random | None = None
+) -> set[int]:
+    """BCH decoding by the partial extended Euclid on the key equation
+    S(z)*sigma(z) = omega(z) mod z^delta, run on (z^(delta-1), S(z)/z),
+    with the locator's roots found by trace splitting at every m; raises
+    DecodeFailure exactly where no support of size <= t has the syndrome."""
+    f = code.field
+    if all(s == 0 for s in odd_sums):
+        return set()
+    full = expand_syndrome(code, odd_sums)
+    z_delta = [0] * (code.delta - 1) + [1]
+    r_cur, v_cur = _partial_euclid(f, z_delta, poly_norm(list(full)), code.t)
+    c = poly_eval(f, v_cur, 0)
+    if c == 0:
+        raise DecodeFailure("locator has zero constant term")
+    c_inv = f.inv(c)
+    sigma = poly_scale(f, v_cur, c_inv)
+    # key equation, with omega = z*R_cur/c of degree < (delta+1)/2
+    omega = poly_scale(f, [0] + r_cur, c_inv)
+    prod = poly_mul(f, [0] + full, sigma)
+    assert poly_add(prod[: code.delta], omega[: code.delta]) == []
+    sigma, d = poly_monic(f, sigma), poly_deg(sigma)
+    if d < 2:  # monic z + a has root a
+        roots = {sigma[0]} if d == 1 else set()
+    else:
+        roots = _split_roots(f, sigma, rng)
+    if roots is None or len(roots) != d:
+        raise DecodeFailure("locator does not split into distinct roots")
+    support = {f.inv(r) for r in roots}
+    if syndrome_from_support(code, support) != odd_sums:
+        raise DecodeFailure("recovered support fails syndrome re-check")
+    return support
+
+
+def permute_word_loop(w: int, perm) -> int:
+    """Bit i of the result is bit perm[i] of w, one bit at a time."""
+    out = 0
+    for i, src in enumerate(perm):
+        if (w >> src) & 1:
+            out |= 1 << i
+    return out
 
 
 def rref(rows, n: int) -> list[tuple[int, int]]:

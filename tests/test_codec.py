@@ -9,6 +9,8 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fzx.codec import (
     BchCode,
@@ -23,6 +25,7 @@ from fzx.hamming import bch_params, random_codeword
 from oracles import (
     SmallLinearCode,
     bch_parity_rows,
+    euclid_support_from_syndrome,
     hamming_7_4,
     small_decode_brute,
     small_syndrome,
@@ -359,12 +362,60 @@ class StuckRandom(random.Random):
         return 1
 
 
+def _trace(f, a):
+    """Absolute trace a + a^2 + ... + a^(2^(m-1)), 0 or 1."""
+    acc = 0
+    for _ in range(f.m):
+        acc ^= a
+        a = f.sqr(a)
+    return acc
+
+
 def test_root_finding_that_never_splits_is_a_decode_failure():
-    # the locator (z+3)(z+5) over GF(2^8) is never split by c = 1, so
-    # poly_roots runs out of attempts; that must not escape as RuntimeError
-    f = field_of(8)
+    # Tr(3) = Tr(5) in GF(2^16), so c = 1 never splits the locator
+    # (z+3)(z+5) and the trace splitting runs out of attempts; that must
+    # not escape as RuntimeError
+    f = field_of(16)
+    assert _trace(f, 3) == _trace(f, 5)
     code = BchCode(f, 5)
     sums = syndrome_from_support(code, {f.inv(3), f.inv(5)})
     assert support_from_syndrome(code, sums, random.Random(1)) == {f.inv(3), f.inv(5)}
     with pytest.raises(DecodeFailure):
         support_from_syndrome(code, sums, StuckRandom())
+    # GF(2^8) is searched whole, so the rng is never consulted
+    f8 = field_of(8)
+    code8 = BchCode(f8, 5)
+    sums8 = syndrome_from_support(code8, {f8.inv(3), f8.inv(5)})
+    assert _trace(f8, 3) == _trace(f8, 5)
+    assert support_from_syndrome(code8, sums8, StuckRandom()) == {f8.inv(3), f8.inv(5)}
+
+
+# (m, largest t) of the decoder property: every t up to the bound is drawn
+_DECODE_SHAPES = {4: 3, 5: 6, 8: 8, 10: 6, 16: 5}
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(m=st.sampled_from(sorted(_DECODE_SHAPES)), random_syndrome=st.booleans(), data=st.data())
+def test_decoder_matches_the_euclid_oracle(m, random_syndrome, data):
+    # the support, or a DecodeFailure, wherever the partial Euclid gives one
+    f = field_of(m)
+    t = data.draw(st.integers(1, _DECODE_SHAPES[m]), label="t")
+    code = BchCode(f, 2 * t + 1)
+    if random_syndrome:
+        sums = data.draw(st.lists(st.integers(0, f.order), min_size=t, max_size=t), label="sums")
+    else:
+        supp = data.draw(
+            st.sets(st.integers(1, f.order), min_size=0, max_size=t + 3), label="support"
+        )
+        sums = syndrome_from_support(code, supp)
+    try:
+        want = euclid_support_from_syndrome(code, sums, random.Random(0))
+    except DecodeFailure:
+        assert random_syndrome or len(supp) > t
+        with pytest.raises(DecodeFailure):
+            support_from_syndrome(code, sums)
+        return
+    assert support_from_syndrome(code, sums) == want
+    assert len(want) <= t
+    if not random_syndrome and len(supp) <= t:
+        assert want == supp

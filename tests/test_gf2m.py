@@ -21,6 +21,8 @@ from fzx.gf2m import (
     PRIMITIVE_POLYS,
     _CACHED_TABLES,
     _is_irreducible,
+    _pinned_tables,
+    _split_roots,
     _tables,
     field_of,
     irreducible_modulus,
@@ -29,6 +31,7 @@ from fzx.gf2m import (
     poly_divmod,
     poly_eval,
     poly_eval_many,
+    poly_monic,
     poly_mul,
     poly_roots,
 )
@@ -99,6 +102,21 @@ def test_table_cache_stays_at_its_bound():
     assert info.maxsize == _CACHED_TABLES and info.currsize == _CACHED_TABLES
     # an evicted table lives on in the fields built on it
     assert built[0].mul(built[0].inv(7), 7) == 1
+
+
+def test_pinned_tables_outlive_any_number_of_other_builds():
+    # custom moduli fill the bounded cache and every other pinned degree is
+    # built; GF2m(16) still gets field_of(16)'s tables, not a second walk
+    f16 = field_of(16)
+    for m in range(5, 13):
+        GF2m(m)
+    for mod in range(0x101, 0x200, 2):
+        try:
+            GF2m(8, mod)
+        except ValueError:
+            continue  # not primitive
+    assert GF2m(16)._exp is f16._exp and GF2m(16)._log is f16._log
+    assert _pinned_tables.cache_info().maxsize is None
 
 
 def test_cold_m16_field_retains_under_one_mib_and_shares_it():
@@ -365,6 +383,7 @@ def test_import_does_no_modulus_work():
     code = (
         "import fzx.cli, fzx.gf2m as g; "
         "assert g._tables.cache_info().currsize == 0; "
+        "assert g._pinned_tables.cache_info().currsize == 0; "
         "assert g.field_of.cache_info().currsize == 0"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
@@ -504,12 +523,31 @@ def test_poly_roots_rejects_unsplit_and_repeated():
 
 
 def test_poly_roots_without_rng_draws_from_one_shared_source(monkeypatch):
-    f = GF2m(8)
+    f = GF2m(16)  # fields of at most 256 elements draw nothing
     poly = [1]
     for r in (3, 9, 200):
         poly = poly_mul(f, poly, [r, 1])
     monkeypatch.setattr(gf2m.random, "Random", None)  # no new source per call
     assert poly_roots(f, poly) == {3, 9, 200}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(m=st.integers(1, 8), data=st.data())
+def test_whole_field_search_matches_trace_splitting(m, data):
+    # f = (linear factors, repeats and 0 allowed) * (a random cofactor,
+    # often without roots), so split, repeated and non-split f all occur
+    field = field_of(m)
+    elem = st.integers(0, field.order)
+    f = [data.draw(st.integers(1, field.order), label="lead")]
+    for r in data.draw(st.lists(elem, max_size=8), label="roots"):
+        f = poly_mul(field, f, [r, 1])
+    cofactor = data.draw(st.lists(elem, max_size=4), label="cofactor") + [1]
+    f = poly_mul(field, f, cofactor)
+    want = brute_roots(field, f)
+    got = poly_roots(field, f)
+    assert got == (want if len(want) == poly_deg(f) else None)
+    if poly_deg(f) >= 2:
+        assert _split_roots(field, poly_monic(field, f), random.Random(0)) == got
 
 
 def test_brute_roots_guard_and_scan_semantics():

@@ -30,7 +30,7 @@ from fzx.hamming import (
     ss_permuted,
     ss_syndrome,
 )
-from oracles import bch_parity_rows, hamming_7_4, rref, small_syndrome
+from oracles import bch_parity_rows, hamming_7_4, permute_word_loop, rref, small_syndrome
 
 # the codewords of the [7,4,3] Hamming code, from its explicit parity rows
 HAMMING_7_4_CODEWORDS = {c for c in range(128) if small_syndrome(hamming_7_4(), c) == 0}
@@ -251,6 +251,16 @@ def test_permute_word_and_inverse():
     for _ in range(50):
         w = rng.getrandbits(4)
         assert permute_word(permute_word(w, perm), inv) == w
+
+
+@pytest.mark.parametrize("n", [3, 7, 255, 8191])
+def test_permute_word_matches_the_bit_loop(n):
+    rng = random.Random(n)
+    perm = list(range(n))
+    for _ in range(5):
+        rng.shuffle(perm)
+        for w in (0, (1 << n) - 1, rng.getrandbits(n), 1 << (n - 1)):
+            assert permute_word(w, perm) == permute_word_loop(w, perm)
 
 
 def test_permuted_round_trip():
