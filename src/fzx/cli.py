@@ -89,11 +89,15 @@ def _read_bytes(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_word_text(path: str) -> str:
+def _read_text(path: str) -> str:
     try:
-        text = "".join(Path(path).read_text().split())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        return _read_bytes(path).decode()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_word_text(path: str) -> str:
+    text = "".join(_read_text(path).split())
     if not text or set(text) - {"0", "1"}:
         raise InputError(f"{path}: expected a nonempty string of 0/1 characters")
     return text
@@ -109,10 +113,7 @@ def _word_text(word: int, n: int) -> str:
 
 
 def _read_set(path: str, field) -> ElementSet:
-    try:
-        lines = Path(path).read_text().split()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path).split()
     try:
         elems = [int(line, 16) for line in lines]
         return ElementSet.of(field, elems)

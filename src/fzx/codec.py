@@ -8,13 +8,14 @@ recovered from the Frobenius identity s_{2j} = s_j^2, so they are never
 stored.  Decoding solves the key equation with Berlekamp's binary
 algorithm, in t steps, and finds the locator's roots with
 `gf2m.poly_roots`: one evaluation at every element for fields of at most
-256 elements, trace splitting above.  All decoding work is polynomial in t
-and m; only that whole-field pass, capped at 256 points, depends on 2^m.
+256 elements, above that at most m rounds of trace splitting over a fixed
+basis.  Decoding draws nothing at random, so a syndrome always decodes the
+same way.  All decoding work is polynomial in t and m; only that
+whole-field pass, capped at 256 points, depends on 2^m.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .gf2m import (
@@ -86,9 +87,7 @@ def expand_syndrome(code: BchCode, odd_sums: list[int]) -> list[int]:
     return full
 
 
-def support_from_syndrome(
-    code: BchCode, odd_sums: list[int], rng: random.Random | None = None
-) -> set[int]:
+def support_from_syndrome(code: BchCode, odd_sums: list[int]) -> set[int]:
     """Recover the support set (size <= t) whose odd power sums equal the
     input, or raise DecodeFailure.
 
@@ -97,7 +96,8 @@ def support_from_syndrome(
     shortest LFSR generating s_1, ..., s_{delta-1}.  Since s_{2j} = s_j^2,
     every second discrepancy is zero, so only the t odd steps run.  Then it
     finds sigma's roots, inverts them into positions, and re-verifies the
-    syndrome unconditionally.  `rng` is passed to `poly_roots`.
+    syndrome unconditionally.  Every step is a fixed function of the
+    syndrome.
     """
     f = code.field
     t = code.t
@@ -116,10 +116,7 @@ def support_from_syndrome(
     # key equation: sigma generates s_{L+1}, ..., s_{delta-1}
     assert not any(_discrepancy(f, sigma, full, n) for n in range(length, len(full)))
 
-    try:
-        roots = poly_roots(f, sigma, rng)
-    except RuntimeError as exc:  # the rng never split the locator
-        raise DecodeFailure(f"locator roots not found: {exc}") from exc
+    roots = poly_roots(f, sigma)
     if roots is None:
         raise DecodeFailure("locator does not split into distinct roots")
     support = {f.inv(r) for r in roots}

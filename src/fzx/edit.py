@@ -203,8 +203,6 @@ def edit_rec(w_prime, sk: EditSketch):
     try:
         shingles = ShingleSet(c, frozenset(_unembed_one(e, c, bits) for e in got.elems))
         w = unshingle(shingles, sk.s2)
-    except DecodeFailure:
-        raise
     except ValueError as exc:
         raise DecodeFailure(f"recovered shingle set is inconsistent: {exc}") from exc
     # re-sketch: the output must explain both sketch components exactly

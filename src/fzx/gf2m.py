@@ -14,12 +14,12 @@ first, with no trailing zero coefficients (the zero polynomial is []).
 `poly_eval` evaluates one at one point; `poly_eval_many` evaluates one at
 a whole list of points in a single Horner pass over lane-packed ints.
 `poly_roots` runs that pass over the whole field when it has at most 256
-elements, and splits by the trace map above.
+elements, and above it splits f by the trace map over the fixed basis
+x^0, ..., x^(m-1), in at most m rounds; nothing in it is random.
 """
 
 from __future__ import annotations
 
-import random
 import sys
 from array import array
 from functools import lru_cache
@@ -589,22 +589,15 @@ def _poly_sqrmod(field: GF2m, f, mod):
     return r
 
 
-# Splitting constants for callers that pass no rng: roots come back as a
-# set, so which constants split f changes no output.  One instance, since
-# seeding one from os.urandom costs about as much as a small decode step.
-_ROOT_RNG = random.Random()
-
-
-def poly_roots(
-    field: GF2m, f: list[int], rng: random.Random | None = None
-) -> set[int] | None:
+def poly_roots(field: GF2m, f: list[int]) -> set[int] | None:
     """Distinct roots of f in the field, or None if f is not squarefree
     and fully split (i.e. not a product of deg(f) distinct linear factors).
 
     A field of at most 256 elements is searched whole: f is evaluated at
     every element in one `poly_eval_many` pass (Chien 1964), and f splits
     iff deg(f) of the values are zero.  Larger fields split f by the trace
-    map, with splitting constants drawn from `rng` (`_split_roots`).
+    map in at most m rounds (`_split_roots`).  Both are fixed functions of
+    their input.
     """
     if not f:
         raise ValueError("zero polynomial")
@@ -618,61 +611,56 @@ def poly_roots(
         xs = range(field.order + 1)
         roots = {x for x, v in zip(xs, poly_eval_many(field, f, xs)) if not v}
         return roots if len(roots) == poly_deg(f) else None
-    return _split_roots(field, f, rng)
+    return _split_roots(field, f)
 
 
-def _split_roots(
-    field: GF2m, f: list[int], rng: random.Random | None
-) -> set[int] | None:
-    """poly_roots of a monic f of degree >= 2, by trace splitting.
+def _split_roots(field: GF2m, f: list[int]) -> set[int] | None:
+    """poly_roots of a monic f of degree >= 2, by Berlekamp's trace
+    algorithm (1970) over the fixed basis x^0, ..., x^(m-1).
 
-    Splitting uses the char-2 trace map Tr(cz) = cz + (cz)^2 + ... +
-    (cz)^(2^(m-1)) with fresh random c per attempt.  Since (cz)^(2^i) =
-    c^(2^i) * (z^(2^i) mod f) mod f, the Frobenius powers of z are composed
-    once up front and each attempt costs only scalar combinations.  An
-    attempt budget of 64 per split guards against a broken RNG; past it
-    RuntimeError is raised, which the decoders report as DecodeFailure.
+    Tr(cz) = cz + (cz)^2 + ... + (cz)^(2^(m-1)) is 0 or 1 at every field
+    element, so round i splits each pending factor g by gcd(g, Tr(x^i z)
+    mod g).  Two roots r, s of g fall apart in round i iff Tr(x^i (r+s)) =
+    1; the trace form is nondegenerate, so some i < m does this for every
+    pair, and after at most m rounds every factor is linear.  Since
+    (cz)^(2^k) = c^(2^k) * (z^(2^k) mod f) mod f, the Frobenius powers of z
+    are composed once up front and each round costs only scalar
+    combinations.
     """
-    if rng is None:
-        rng = _ROOT_RNG
+    m = field.m
     # z^(2^i) mod f for i = 0..m; f splits into distinct linear factors
     # iff the top of the chain is z again
     frob = [[0, 1]]
-    for _ in range(field.m):
+    for _ in range(m):
         frob.append(_poly_sqrmod(field, frob[-1], f))
-    if poly_add(frob[field.m], [0, 1]):
+    if poly_add(frob[m], [0, 1]):
         return None
     frob.pop()
 
     mul, sqr = field.mul, field.sqr
     roots: set[int] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        d = poly_deg(g)
-        if d == 0:
-            continue
-        if d == 1:
-            roots.add(g[0])
-            continue
-        for attempt in range(64):
-            c = rng.randrange(1, field.order + 1)
-            acc = [0] * len(f)
-            cp = c
-            for q in frob:
-                for j, a in enumerate(q):
-                    if a:
-                        acc[j] ^= mul(cp, a)
-                cp = sqr(cp)
-            _, tr = poly_divmod(field, poly_norm(acc), g)
-            h = poly_gcd(field, g, tr)
-            dh = poly_deg(h)
-            if 0 < dh < d:
+    pending = [f]
+    for i in range(m):
+        # Tr(x^i z) mod f; x^i is the int 1 << i whatever the modulus
+        acc = [0] * len(f)
+        cp = 1 << i
+        for q in frob:
+            for j, a in enumerate(q):
+                if a:
+                    acc[j] ^= mul(cp, a)
+            cp = sqr(cp)
+        tr = poly_norm(acc)
+        parts = []
+        for g in pending:
+            h = poly_gcd(field, g, poly_divmod(field, tr, g)[1])
+            if 0 < poly_deg(h) < poly_deg(g):
                 h = poly_monic(field, h)
-                q2, _ = poly_divmod(field, g, h)
-                stack.append(h)
-                stack.append(q2)
-                break
-        else:
-            raise RuntimeError("root splitting exceeded attempt budget")
+                parts += (h, poly_divmod(field, g, h)[0])
+            else:
+                parts.append(g)
+        roots.update(g[0] for g in parts if len(g) == 2)  # monic z + a
+        pending = [g for g in parts if len(g) > 2]
+        if not pending:
+            break
+    assert not pending, "m trace rounds leave no factor of degree >= 2"
     return roots

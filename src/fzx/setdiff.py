@@ -13,8 +13,10 @@ serves original JS only.  Wherever one polynomial is evaluated at many
 points (the hidden polynomial at all r abscissas, the difference locator
 at w') it takes one lane-packed pass, gf2m.poly_eval_many.
 
-Every deterministic recovery re-verifies its output by re-sketching;
-a mismatch raises DecodeFailure instead of returning a wrong set.
+Every recovery is a fixed function of its inputs (root finding included,
+gf2m.poly_roots) and re-verifies its output by re-sketching; a mismatch,
+or a polynomial without distinct roots, raises DecodeFailure instead of
+returning a wrong set.
 """
 
 from __future__ import annotations
@@ -190,12 +192,7 @@ def ijs_ss(w: ElementSet, t: int) -> IjsSketchData:
 
 
 def _distinct_roots(field: GF2m, f: list[int]) -> set[int]:
-    if len(f) == 1:
-        return set()
-    try:
-        roots = poly_roots(field, f)
-    except RuntimeError as exc:  # the rng never split f
-        raise DecodeFailure(f"roots not found: {exc}") from exc
+    roots = poly_roots(field, f)
     if roots is None:
         raise DecodeFailure("polynomial does not split into distinct roots")
     return roots

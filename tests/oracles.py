@@ -6,7 +6,7 @@ parity rows and coset-leader enumeration for linear codes, one
 column-by-column Gauss-Jordan elimination for their reduced form, the
 partial extended Euclid with trace root splitting for BCH decoding, a
 bit-by-bit loop for word permutation, evaluation at every field element
-for polynomial roots, the product of
+for polynomial roots, repeated squaring for the absolute trace, the product of
 s linear factors for a characteristic polynomial, Reed-Solomon decoding
 over all s points for improved Juels-Sudan recovery, and one scalar
 Horner evaluation per pair for the original Juels-Sudan sketch, a
@@ -146,9 +146,7 @@ def bch_parity_rows(code: BchCode) -> list[int]:
     return rows
 
 
-def euclid_support_from_syndrome(
-    code: BchCode, odd_sums: list[int], rng: random.Random | None = None
-) -> set[int]:
+def euclid_support_from_syndrome(code: BchCode, odd_sums: list[int]) -> set[int]:
     """BCH decoding by the partial extended Euclid on the key equation
     S(z)*sigma(z) = omega(z) mod z^delta, run on (z^(delta-1), S(z)/z),
     with the locator's roots found by trace splitting at every m; raises
@@ -172,7 +170,7 @@ def euclid_support_from_syndrome(
     if d < 2:  # monic z + a has root a
         roots = {sigma[0]} if d == 1 else set()
     else:
-        roots = _split_roots(f, sigma, rng)
+        roots = _split_roots(f, sigma)
     if roots is None or len(roots) != d:
         raise DecodeFailure("locator does not split into distinct roots")
     support = {f.inv(r) for r in roots}
@@ -205,6 +203,15 @@ def rref(rows, n: int) -> list[tuple[int, int]]:
         done = [r ^ pivot if (r >> col) & 1 else r for r in done]
         done.append(pivot)
     return sorted(((r & -r).bit_length() - 1, r) for r in done)
+
+
+def absolute_trace(field: GF2m, a: int) -> int:
+    """Tr(a) = a + a^2 + ... + a^(2^(m-1)), 0 or 1, by repeated squaring."""
+    acc = 0
+    for _ in range(field.m):
+        acc ^= a
+        a = field.sqr(a)
+    return acc
 
 
 def brute_roots(field: GF2m, f: list[int]) -> set[int]:

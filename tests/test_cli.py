@@ -368,6 +368,33 @@ def test_exit_3_on_missing_file(tmp_path):
                  "-i", str(tmp_path / "nope.txt"), "-o", str(sk)]) == 3
 
 
+@pytest.mark.parametrize("command", ["sketch-word", "sketch-set", "sketch-edit", "recover",
+                                     "rep", "reconcile"])
+def test_exit_3_on_an_input_that_is_not_utf8(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"3a\n\xff\xfe\n")
+    ai = _write_set(tmp_path, "a.set", range(1, 13))
+    sk, helper = tmp_path / "ps.bin", tmp_path / "h.bin"
+    assert main(["gen", "--scheme", "pinsketch", "--m", "10", "--t", "2", "--out-bits", "32",
+                 "-i", ai, "-o", str(helper)]) == 0
+    assert main(["sketch", "--scheme", "pinsketch", "--m", "10", "--t", "2",
+                 "-i", ai, "-o", str(sk)]) == 0
+    capsys.readouterr()
+    argv = {
+        "sketch-word": ["sketch", "--scheme", "hamming-syn", "--m", "4", "--t", "2",
+                        "-i", str(bad), "-o", str(tmp_path / "out.bin")],
+        "sketch-set": ["sketch", "--scheme", "pinsketch", "--m", "10", "--t", "2",
+                       "-i", str(bad), "-o", str(tmp_path / "out.bin")],
+        "sketch-edit": ["sketch", "--scheme", "edit", "--t", "1",
+                        "-i", str(bad), "-o", str(tmp_path / "out.bin")],
+        "recover": ["recover", "-i", str(bad), "--sketch", str(sk)],
+        "rep": ["rep", "-i", str(bad), "--sketch", str(helper), "--out-bits", "32"],
+        "reconcile": ["reconcile", "--local", str(bad), "--sketch", str(sk)],
+    }[command]
+    assert main(argv) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_exit_4_on_missing_scheme_param(tmp_path):
     ai = _write_set(tmp_path, "a.set", [1, 2, 3])
     sk = tmp_path / "sk.bin"

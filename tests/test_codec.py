@@ -24,6 +24,7 @@ from fzx.gf2m import GF2m, field_of, poly_eval, poly_norm
 from fzx.hamming import bch_params, random_codeword
 from oracles import (
     SmallLinearCode,
+    absolute_trace,
     bch_parity_rows,
     euclid_support_from_syndrome,
     hamming_7_4,
@@ -125,12 +126,12 @@ def test_support_round_trip_randomized_and_fail_loud():
         for _ in range(1000):
             supp = set(rng.sample(range(1, (1 << m)), t))
             syn = syndrome_from_support(code, supp)
-            assert support_from_syndrome(code, syn, rng) == supp
+            assert support_from_syndrome(code, syn) == supp
         for _ in range(1000):
             supp = set(rng.sample(range(1, (1 << m)), t + 1))
             syn = syndrome_from_support(code, supp)
             try:
-                got = support_from_syndrome(code, syn, rng)
+                got = support_from_syndrome(code, syn)
             except DecodeFailure:
                 failures += 1
                 continue
@@ -355,39 +356,21 @@ def test_bch_code_validation():
         BchCode(f, 9)
     BchCode(f, 7)
 
-class StuckRandom(random.Random):
-    """An rng whose every draw of a splitting constant is 1."""
 
-    def randrange(self, *args, **kwargs):
-        return 1
-
-
-def _trace(f, a):
-    """Absolute trace a + a^2 + ... + a^(2^(m-1)), 0 or 1."""
-    acc = 0
-    for _ in range(f.m):
-        acc ^= a
-        a = f.sqr(a)
-    return acc
-
-
-def test_root_finding_that_never_splits_is_a_decode_failure():
-    # Tr(3) = Tr(5) in GF(2^16), so c = 1 never splits the locator
-    # (z+3)(z+5) and the trace splitting runs out of attempts; that must
-    # not escape as RuntimeError
+def test_locator_that_round_zero_cannot_split_decodes():
+    # Tr(3) = Tr(5) in GF(2^16), so the first splitting round, c = 1, leaves
+    # the locator (z+3)(z+5) whole; a later round must split it
     f = field_of(16)
-    assert _trace(f, 3) == _trace(f, 5)
+    assert absolute_trace(f, 3) == absolute_trace(f, 5)
     code = BchCode(f, 5)
     sums = syndrome_from_support(code, {f.inv(3), f.inv(5)})
-    assert support_from_syndrome(code, sums, random.Random(1)) == {f.inv(3), f.inv(5)}
-    with pytest.raises(DecodeFailure):
-        support_from_syndrome(code, sums, StuckRandom())
-    # GF(2^8) is searched whole, so the rng is never consulted
+    assert support_from_syndrome(code, sums) == {f.inv(3), f.inv(5)}
+    # GF(2^8) is searched whole
     f8 = field_of(8)
     code8 = BchCode(f8, 5)
     sums8 = syndrome_from_support(code8, {f8.inv(3), f8.inv(5)})
-    assert _trace(f8, 3) == _trace(f8, 5)
-    assert support_from_syndrome(code8, sums8, StuckRandom()) == {f8.inv(3), f8.inv(5)}
+    assert absolute_trace(f8, 3) == absolute_trace(f8, 5)
+    assert support_from_syndrome(code8, sums8) == {f8.inv(3), f8.inv(5)}
 
 
 # (m, largest t) of the decoder property: every t up to the bound is drawn
@@ -409,7 +392,7 @@ def test_decoder_matches_the_euclid_oracle(m, random_syndrome, data):
         )
         sums = syndrome_from_support(code, supp)
     try:
-        want = euclid_support_from_syndrome(code, sums, random.Random(0))
+        want = euclid_support_from_syndrome(code, sums)
     except DecodeFailure:
         assert random_syndrome or len(supp) > t
         with pytest.raises(DecodeFailure):

@@ -35,7 +35,14 @@ from fzx.gf2m import (
     poly_mul,
     poly_roots,
 )
-from oracles import _screen_factors, brute_roots, clmul_mod, pow_mod, smallest_irreducible
+from oracles import (
+    _screen_factors,
+    absolute_trace,
+    brute_roots,
+    clmul_mod,
+    pow_mod,
+    smallest_irreducible,
+)
 
 
 def oracle_mul(a, b, modulus, m):
@@ -500,7 +507,7 @@ def test_poly_roots_vs_brute_oracle_randomized():
             poly = [1]
             for r in roots:
                 poly = poly_mul(f, poly, [r, 1])
-            got = poly_roots(f, poly, rng)
+            got = poly_roots(f, poly)
             assert got == roots
             assert brute_roots(f, poly) == roots
 
@@ -522,13 +529,44 @@ def test_poly_roots_rejects_unsplit_and_repeated():
     assert brute_roots(f, sq) == {3}
 
 
-def test_poly_roots_without_rng_draws_from_one_shared_source(monkeypatch):
-    f = GF2m(16)  # fields of at most 256 elements draw nothing
-    poly = [1]
-    for r in (3, 9, 200):
-        poly = poly_mul(f, poly, [r, 1])
-    monkeypatch.setattr(gf2m.random, "Random", None)  # no new source per call
-    assert poly_roots(f, poly) == {3, 9, 200}
+def _dual_basis(field, k):
+    """The delta with Tr(x^i delta) = 1 for i = k and 0 for every other
+    i < m, by Gauss-Jordan elimination on the trace form's GF(2) matrix:
+    row i has bit j = Tr(x^(i+j)), with the right-hand side in bit m."""
+    m = field.m
+    rows = [
+        sum(absolute_trace(field, field.mul(1 << i, 1 << j)) << j for j in range(m)) | (i == k) << m
+        for i in range(m)
+    ]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if rows[r] >> col & 1)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(m):
+            if r != col and rows[r] >> col & 1:
+                rows[r] ^= rows[col]
+    return sum((rows[j] >> m & 1) << j for j in range(m))
+
+
+@pytest.mark.parametrize("m", [9, 16, 24])
+def test_roots_that_only_trace_round_k_separates(m, monkeypatch):
+    # r and r + delta agree on Tr(x^i z) for every i but k, so round k of
+    # the basis x^0, ..., x^(m-1) is the first to split (z + r)(z + r + delta):
+    # one gcd per round before it, and one that splits
+    field = field_of(m)
+    gcds = []
+    real_gcd = gf2m.poly_gcd
+    monkeypatch.setattr(gf2m, "poly_gcd", lambda *a: gcds.append(1) or real_gcd(*a))
+    for k in (0, m // 2, m - 1):
+        delta = _dual_basis(field, k)
+        assert [absolute_trace(field, field.mul(1 << i, delta)) for i in range(m)] == [
+            int(i == k) for i in range(m)
+        ]
+        for r in (0, 1, 0x1A5 % field.order, field.order):
+            f = poly_mul(field, [r, 1], [r ^ delta, 1])
+            gcds.clear()
+            assert poly_roots(field, f) == {r, r ^ delta}
+            assert len(gcds) == k + 1
+    assert m != 16 or _dual_basis(field, m - 1) == 0x1557
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -547,7 +585,7 @@ def test_whole_field_search_matches_trace_splitting(m, data):
     got = poly_roots(field, f)
     assert got == (want if len(want) == poly_deg(f) else None)
     if poly_deg(f) >= 2:
-        assert _split_roots(field, poly_monic(field, f), random.Random(0)) == got
+        assert _split_roots(field, poly_monic(field, f)) == got
 
 
 def test_brute_roots_guard_and_scan_semantics():
