@@ -1,4 +1,5 @@
-"""Bit-exact framing for sketches, and one-message set reconciliation.
+"""Bit-exact framing for sketches, the scheme table, and one-message set
+reconciliation.
 
 Wire layout, big-endian throughout:
 
@@ -6,23 +7,62 @@ Wire layout, big-endian throughout:
 
 `_WIRE` holds one record per scheme id: its CLI name, the byte widths of
 its aux fields (none for the Hamming schemes and PinSketch; ijs u16 s;
-origjs u16 s, u16 r; edit u32 n, u16 c, u16 t_edit) and its parser, which
-makes the sketching side's own shape check before it reads the payload.
+origjs u16 s, u16 r; edit u32 n, u16 c, u16 t_edit), its parser, which
+makes the sketching side's own shape check before it reads the payload,
+and the sketch, recovery, hash encoding and entropy loss the CLI runs.
 Every serializer is one `_frame` call.  Payloads are bit-packed,
 left-aligned, and zero-padded to a byte; the pad bits must be zero.  An
 edit payload ends with the recovery indices, each minus one, in
 (n-c).bit_length() bits; an index above the n-c+1 shingles is rejected.
 """
 
+import math
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 from .bitpack import bits_to_bytes, bytes_to_bits, pack_fields, unpack_fields, word_from_bytes, word_to_bytes
-from .edit import EditSketch, RecoveryInfo, edit_capacity
+from .edit import (
+    EditSketch,
+    RecoveryInfo,
+    approx_edit_entropy_loss,
+    edit_capacity,
+    edit_entropy_loss,
+    edit_rec,
+    edit_ss,
+    optimal_shingle_len,
+    shingle_encoding,
+)
 from .gf2m import field_of
-from .hamming import CodeOffsetSketch, HammingParams, PermutedSketch, SyndromeSketch, bch_params
-from .setdiff import ElementSet, IjsSketchData, OrigJsSketchData, PinSketchData, pinsketch_code, pinsketch_rec
+from .hamming import (
+    CodeOffsetSketch,
+    HammingParams,
+    PermutedSketch,
+    SyndromeSketch,
+    bch_params,
+    hamming_entropy_loss,
+    rec_code_offset,
+    rec_permuted,
+    rec_syndrome,
+    ss_code_offset,
+    ss_permuted,
+    ss_syndrome,
+)
+from .setdiff import (
+    ElementSet,
+    IjsSketchData,
+    OrigJsSketchData,
+    PinSketchData,
+    ijs_rec,
+    ijs_ss,
+    origjs_rec,
+    origjs_ss,
+    pinsketch_code,
+    pinsketch_rec,
+    pinsketch_ss,
+    setdiff_entropy_loss,
+)
 
 __all__ = [
     "MAGIC", "SCHEME_NAMES", "SCHEME_HAMMING_SYN", "SCHEME_HAMMING_OFFSET", "SCHEME_PINSKETCH",
@@ -233,24 +273,161 @@ def _edit(scheme, m, t, rd, n, c, t_edit):
     return Envelope(scheme, m, t, EditSketch(s1, RecoveryInfo(n, indices)), c=c, t_edit=t_edit)
 
 
+# ---------------------------------------------------------------------------
+# The scheme table
+#
+# A shape is any object with the attributes m, t, c, s, r, n and eps that a
+# scheme reads; the CLI passes its parsed flags.
+
+
+def _bch(shape) -> HammingParams:
+    return bch_params(shape.m, shape.t)
+
+
+def _shingle_len(shape, n: int) -> int:
+    """shape.c, or the loss-minimizing shingle length for n binary characters."""
+    return shape.c if shape.c is not None else optimal_shingle_len(n, shape.t, 2)
+
+
+def _sketch_edit(shape, w: str, rng) -> bytes:
+    c = _shingle_len(shape, len(w))
+    return serialize_edit(edit_ss(w, c, shape.t), c, shape.t)
+
+
+def _bch_loss(shape) -> dict:
+    p = _bch(shape)
+    loss = hamming_entropy_loss(p.n, p.k)
+    return {"n": p.n, "k": p.k, "sketch_bits": p.syndrome_bits, "loss_bits": loss}
+
+
+def _pinsketch_loss(shape) -> dict:
+    pinsketch_code(field_of(shape.m), shape.t)
+    loss = setdiff_entropy_loss("pinsketch", m=shape.m, t=shape.t)
+    return {"sketch_bits": shape.t * shape.m, "loss_bits": loss}
+
+
+def _ijs_loss(shape) -> dict:
+    field_of(shape.m)  # rejects the degrees sketching rejects
+    t = shape.t - shape.t % 2  # as ijs_ss rounds
+    return {"sketch_bits": t * shape.m, "loss_bits": setdiff_entropy_loss("ijs", m=shape.m, t=t)}
+
+
+def _origjs_loss(shape) -> dict:
+    if not 0 <= shape.t <= shape.s < shape.r <= field_of(shape.m).order:
+        raise ValueError("need 0 <= t <= s < r <= 2^m - 1")
+    loss = setdiff_entropy_loss("origjs", m=shape.m, t=shape.t, s=shape.s, r=shape.r)
+    return {"sketch_bits": 2 * shape.r * shape.m, "loss_bits": loss}
+
+
+def _edit_loss(shape) -> dict:
+    c = _shingle_len(shape, shape.n)
+    edit_capacity(shape.n, c, shape.t, 1)  # the checks of edit_ss
+    return {
+        "c": c,
+        "loss_bits": edit_entropy_loss(shape.n, c, shape.t, 2, eps=shape.eps),
+        "approx_loss_bits": approx_edit_entropy_loss(shape.n, shape.t, 2),
+    }
+
+
+def _set_residual(env: Envelope, es: ElementSet, t: int) -> float:
+    sk = env.sketch
+    # of the set sketches only origjs carries r
+    shape = SimpleNamespace(m=env.m, t=t, s=len(es), r=getattr(sk, "r", None))
+    loss = _WIRE[env.scheme].loss(shape)["loss_bits"]
+    return math.log2(math.comb(sk.field.order, len(es))) - loss
+
+
+def _string_residual(env: Envelope, w: str) -> float:
+    shape = SimpleNamespace(n=len(w), c=env.c, t=env.t_edit, eps=None)
+    return len(w) - _edit_loss(shape)["loss_bits"]
+
+
 @dataclass(frozen=True)
 class _Wire:
-    """One scheme on the wire.  parse(scheme, m, t, reader, *aux) reads
-    the payload and returns the Envelope."""
+    """One scheme: its wire format and its whole path from w to a key."""
 
+    id: int  # the scheme byte of the header
     name: str  # the CLI's --scheme value
+    parse: Callable  # (scheme, m, t, reader, *aux) -> Envelope
+    sketch: Callable  # (shape, w, rng) -> envelope bytes
+    recover: Callable  # (env, w') -> w, or DecodeFailure
+    kind: str  # w is a "word" of 2^m - 1 bits, a "set" in GF(2^m)* or a binary "string"
     aux: tuple[int, ...]  # byte widths of the aux fields
-    parse: Callable
+    fields: tuple[str, ...]  # the shape fields sketch and loss need; c and eps may be None
+    encode: Callable  # (env, w) -> the injective (value, n_bits) hash input
+    # (shape) -> the accounting `fzx params` prints, loss_bits among it,
+    # after the shape check sketching makes
+    loss: Callable
+    # (env, w) -> the min-entropy left in w, uniform over its kind, once the
+    # sketch in env is public: what w holds less the loss of env's shape
+    residual: Callable
 
+
+# what the three Hamming schemes share, and what the three set schemes share
+_WORDS = dict(
+    kind="word",
+    aux=(),
+    fields=("m", "t"),
+    encode=lambda env, w: (w, env.params.n),
+    loss=_bch_loss,
+    # an envelope has the m and t of a Hamming shape
+    residual=lambda env, w: env.params.n - _bch_loss(env)["loss_bits"],
+)
+_SETS = dict(kind="set", encode=lambda env, es: pack_fields(es.elems, env.m))
 
 _WIRE = {
-    SCHEME_HAMMING_SYN: _Wire("hamming-syn", (), _hamming_syn),
-    SCHEME_HAMMING_OFFSET: _Wire("hamming-offset", (), _hamming_offset),
-    SCHEME_HAMMING_PERM: _Wire("hamming-perm", (), _hamming_perm),
-    SCHEME_PINSKETCH: _Wire("pinsketch", (), _pinsketch),
-    SCHEME_IJS: _Wire("ijs", (2,), _ijs),
-    SCHEME_ORIGJS: _Wire("origjs", (2, 2), _origjs),
-    SCHEME_EDIT: _Wire("edit", (4, 2, 2), _edit),
+    wire.id: wire
+    for wire in (
+        _Wire(
+            SCHEME_HAMMING_SYN, "hamming-syn", _hamming_syn,
+            lambda sh, w, rng: serialize_hamming_syn(_bch(sh), ss_syndrome(_bch(sh), w)),
+            lambda env, w: rec_syndrome(env.params, w, env.sketch),
+            **_WORDS,
+        ),
+        _Wire(
+            SCHEME_HAMMING_OFFSET, "hamming-offset", _hamming_offset,
+            lambda sh, w, rng: serialize_hamming_offset(
+                _bch(sh), ss_code_offset(_bch(sh), w, rng)
+            ),
+            lambda env, w: rec_code_offset(env.params, w, env.sketch),
+            **_WORDS,
+        ),
+        _Wire(
+            SCHEME_HAMMING_PERM, "hamming-perm", _hamming_perm,
+            lambda sh, w, rng: serialize_hamming_perm(_bch(sh), ss_permuted(_bch(sh), w, rng)),
+            lambda env, w: rec_permuted(env.params, w, env.sketch),
+            **_WORDS,
+        ),
+        _Wire(
+            SCHEME_PINSKETCH, "pinsketch", _pinsketch,
+            lambda sh, es, rng: serialize_pinsketch(pinsketch_ss(es, sh.t)),
+            lambda env, es: pinsketch_rec(es, env.sketch),
+            aux=(), fields=("m", "t"), loss=_pinsketch_loss,
+            residual=lambda env, es: _set_residual(env, es, env.t), **_SETS,
+        ),
+        _Wire(
+            SCHEME_IJS, "ijs", _ijs,
+            lambda sh, es, rng: serialize_ijs(ijs_ss(es, sh.t)),
+            lambda env, es: ijs_rec(es, env.sketch),
+            aux=(2,), fields=("m", "t"), loss=_ijs_loss,
+            # the loss takes t as ijs_ss does, rounded down to even; an odd t
+            # comes only from a foreign sketch, and counts as the t above it
+            residual=lambda env, es: _set_residual(env, es, env.t + env.t % 2), **_SETS,
+        ),
+        _Wire(
+            SCHEME_ORIGJS, "origjs", _origjs,
+            lambda sh, es, rng: serialize_origjs(origjs_ss(es, sh.r, sh.t, rng)),
+            lambda env, es: origjs_rec(es, env.sketch),
+            aux=(2, 2), fields=("m", "t", "s", "r"), loss=_origjs_loss,
+            residual=lambda env, es: _set_residual(env, es, env.t), **_SETS,
+        ),
+        _Wire(
+            SCHEME_EDIT, "edit", _edit, _sketch_edit, lambda env, w: edit_rec(w, env.sketch),
+            kind="string", aux=(4, 2, 2), fields=("n", "t"),
+            encode=lambda env, w: shingle_encoding(w, env.c),
+            loss=_edit_loss, residual=_string_residual,
+        ),
+    )
 }
 
 # wire id -> CLI name, for every scheme with a wire format

@@ -5,7 +5,8 @@ parity rows and coset-leader enumeration for linear codes, one
 `syndrome_from_support` call per position for the BCH parity rows, a
 column-by-column Gauss-Jordan elimination for their reduced form, the
 partial extended Euclid with trace root splitting for BCH decoding, a
-bit-by-bit loop for word permutation, evaluation at every field element
+bit-by-bit loop for word permutation, one whole-int shift per field for
+bit packing, evaluation at every field element
 for polynomial roots, repeated squaring for the absolute trace, the product of
 s linear factors for a characteristic polynomial, Reed-Solomon decoding
 over all s points for improved Juels-Sudan recovery, and one scalar
@@ -185,6 +186,29 @@ def permute_word_loop(w: int, perm) -> int:
     for i, src in enumerate(perm):
         if (w >> src) & 1:
             out |= 1 << i
+    return out
+
+
+def pack_fields_loop(values, width: int) -> tuple[int, int]:
+    """`bitpack.pack_fields` as one shift of the whole int per field."""
+    acc = 0
+    n = 0
+    top = 1 << width
+    for v in values:
+        if not 0 <= v < top:
+            raise ValueError(f"field {v} does not fit in {width} bits")
+        acc = (acc << width) | v
+        n += width
+    return acc, n
+
+
+def unpack_fields_loop(value: int, total_bits: int, width: int) -> list[int]:
+    """`bitpack.unpack_fields` as one shift of the whole int per field."""
+    if width <= 0 or total_bits % width:
+        raise ValueError("bit length not a multiple of field width")
+    out = []
+    for shift in range(total_bits - width, -1, -width):
+        out.append((value >> shift) & ((1 << width) - 1))
     return out
 
 

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from fzx.cli import _SCHEMES, main
-from fzx.envelope import SCHEME_NAMES
+from fzx.cli import main
 
 
 def _write(tmp_path, name, text):
@@ -508,8 +507,34 @@ def test_rep_parses_the_helper_once(tmp_path, capsys, monkeypatch, scheme, flags
     assert calls == [helper.read_bytes()]
 
 
-def test_scheme_table_covers_every_wire_scheme():
-    assert list(_SCHEMES) == list(SCHEME_NAMES.values())
+@pytest.mark.parametrize("command, flag", [
+    *(("recover", f) for f in (["--m", "8"], ["--t", "2"], ["--c", "2"], ["--s", "3"],
+                                ["--r", "20"], ["--n", "15"], ["--seed", "1"])),
+    *(("rep", f) for f in (["--m", "8"], ["--t", "2"], ["--c", "2"], ["--s", "3"],
+                            ["--r", "20"], ["--n", "15"], ["--seed", "1"], ["-o", "k.txt"])),
+    ("params", ["--seed", "1"]), ("params", ["-o", "p.txt"]),
+    ("sketch", ["--s", "3"]), ("sketch", ["--n", "15"]),
+    ("gen", ["--s", "3"]), ("gen", ["--n", "15"]),
+])
+def test_a_flag_the_subcommand_does_not_read_exits_4(tmp_path, capsys, command, flag):
+    wi = _write(tmp_path, "w.txt", "101100101010110")
+    sk, helper = str(tmp_path / "sk.bin"), str(tmp_path / "h.bin")
+    scheme = ["--scheme", "hamming-syn", "--m", "4", "--t", "2"]
+    assert main(["sketch", *scheme, "-i", wi, "-o", sk]) == 0
+    assert main(["gen", *scheme, "--out-bits", "8", "-i", wi, "-o", helper]) == 0
+    argv = {
+        "recover": ["recover", "-i", wi, "--sketch", sk],
+        "rep": ["rep", "-i", wi, "--sketch", helper, "--out-bits", "8"],
+        "params": ["params", *scheme],
+        "sketch": ["sketch", *scheme, "-i", wi, "-o", sk],
+        "gen": ["gen", *scheme, "--out-bits", "8", "-i", wi, "-o", helper],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert main(argv + flag) == 4
+    # unrecognized, or for --s a prefix of two flags the subcommand does take
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "ambiguous option: --s" in err
 
 
 def test_help_exits_zero(capsys):

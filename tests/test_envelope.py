@@ -1,14 +1,16 @@
 """Wire-format tests: golden vectors, rejection paths, reconciliation."""
 
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fzx.bitpack import word_from_bytes, word_to_bytes
+from fzx.bitpack import pack_fields, unpack_fields, word_from_bytes, word_to_bytes
 from fzx.codec import DecodeFailure
-from fzx.edit import edit_rec, edit_ss
+from fzx.edit import edit_rec, edit_ss, shingle_encoding
 from fzx.envelope import (
     SCHEME_EDIT,
     SCHEME_HAMMING_OFFSET,
@@ -18,6 +20,7 @@ from fzx.envelope import (
     SCHEME_NAMES,
     SCHEME_ORIGJS,
     SCHEME_PINSKETCH,
+    _WIRE,
     Envelope,
     MalformedEnvelope,
     ReconcileReport,
@@ -31,9 +34,10 @@ from fzx.envelope import (
     serialize_origjs,
     serialize_pinsketch,
 )
-from fzx.gf2m import GF2m
+from fzx.gf2m import GF2m, field_of
 from fzx.hamming import bch_params, ss_code_offset, ss_permuted, ss_syndrome
-from fzx.setdiff import ElementSet, PinSketchData, ijs_ss, origjs_ss, pinsketch_ss
+from fzx.setdiff import ElementSet, IjsSketchData, PinSketchData, ijs_ss, origjs_ss, pinsketch_ss
+from oracles import char_poly_top, pack_fields_loop, unpack_fields_loop
 
 # Golden vectors: small sketches with hand-checkable packing.  The inputs
 # are pinned (word 0b111 over the m=4 t=2 BCH code; sets over GF(8)/GF(16);
@@ -96,6 +100,62 @@ def test_golden_vectors_reparse_identically(name):
     assert SCHEME_NAMES[env.scheme] == name
     # serializing the parsed sketch reproduces the very same bytes
     assert _RESERIALIZE[env.scheme](env) == data
+
+
+SCHEME_IDS = {
+    "hamming-syn": SCHEME_HAMMING_SYN,
+    "hamming-offset": SCHEME_HAMMING_OFFSET,
+    "hamming-perm": SCHEME_HAMMING_PERM,
+    "pinsketch": SCHEME_PINSKETCH,
+    "ijs": SCHEME_IJS,
+    "origjs": SCHEME_ORIGJS,
+    "edit": SCHEME_EDIT,
+}
+
+
+@pytest.mark.parametrize("name", list(SCHEME_IDS))
+def test_scheme_record_sketches_recovers_and_encodes(name):
+    """Each record, at the shapes of the golden CLI tests, runs sketch ->
+    deserialize -> recover -> encode, and its residual is what w holds
+    less the loss of the shape w was sketched at."""
+    wire = _WIRE[SCHEME_IDS[name]]
+    assert (wire.id, wire.name, SCHEME_NAMES[wire.id]) == (SCHEME_IDS[name], name, name)
+    rng = random.Random(101)
+    shape = SimpleNamespace(m=8, t=8, c=None, s=14, r=64, n=40, eps=None)
+    if wire.kind == "word":
+        w = rng.getrandbits(255)
+        w_prime = w ^ sum(1 << i for i in rng.sample(range(255), 3))
+        value, w_bits = (w, 255), 255
+    elif wire.kind == "set":
+        shape.m, shape.t = 16, 4
+        pool = rng.sample(range(1, 1 << 16), 15)
+        w, w_prime = ElementSet.of(field_of(16), pool[:14]), ElementSet.of(field_of(16), pool[1:])
+        value, w_bits = pack_fields(w.elems, 16), math.log2(math.comb((1 << 16) - 1, 14))
+    else:
+        shape.t = 1
+        w = "".join(rng.choice("01") for _ in range(40))
+        w_prime, value, w_bits = w[:10] + w[11:], None, 40
+    env = deserialize(wire.sketch(shape, w, random.Random(5)))
+    assert env.scheme == wire.id
+    got = wire.recover(env, w_prime)
+    assert got == w
+    assert wire.encode(env, got) == (value or shingle_encoding(w, env.c))
+    residual = w_bits - wire.loss(shape)["loss_bits"]
+    assert wire.residual(env, got) == pytest.approx(residual)
+
+
+def test_ijs_residual_counts_every_coefficient_of_an_odd_t_sketch():
+    # ijs_ss writes only an even t, but a foreign sketch of 5 coefficients
+    # reveals 5 * m bits, so at least that much is lost
+    f = field_of(16)
+    es = ElementSet.of(f, random.Random(3).sample(range(1, f.order + 1), 14))
+    odd = deserialize(serialize_ijs(IjsSketchData(f, 14, 5, char_poly_top(f, es.elems, 5))))
+    even = deserialize(serialize_ijs(ijs_ss(es, 4)))
+    wire = _WIRE[SCHEME_IJS]
+    assert wire.recover(odd, es) == es
+    full = math.log2(math.comb(f.order, 14))
+    assert wire.residual(odd, es) <= full - 5 * 16
+    assert wire.residual(even, es) == pytest.approx(full - 4 * 16)
 
 
 def test_pinsketch_payload_size():
@@ -252,6 +312,28 @@ def test_word_bytes_put_word_bit_i_at_wire_bit_i(n):
     if n % 8:
         with pytest.raises(ValueError):
             word_from_bytes(b"\x00" * (n // 8) + b"\x01", n)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    width=st.integers(1, 64),
+    count=st.sampled_from([63, 64, 65, 128, 129]) | st.integers(0, 200),
+    data=st.data(),
+)
+def test_bit_packing_matches_the_field_loops(width, count, data):
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=count, max_size=count))
+    value, n_bits = pack_fields(values, width)
+    assert (value, n_bits) == pack_fields_loop(values, width) == pack_fields(tuple(values), width)
+    high = data.draw(st.integers(0, 1 << 70)) << n_bits  # bits above total_bits are ignored
+    assert unpack_fields(value | high, n_bits, width) == values
+    assert unpack_fields_loop(value | high, n_bits, width) == values
+    at = data.draw(st.integers(0, count))
+    bad = values[:at] + [data.draw(st.sampled_from([-1, 1 << width]))] + values[at:]
+    with pytest.raises(ValueError) as ours:
+        pack_fields(bad, width)
+    with pytest.raises(ValueError) as loop:
+        pack_fields_loop(bad, width)
+    assert str(ours.value) == str(loop.value)
 
 
 def test_reject_nonzero_padding():
