@@ -117,12 +117,21 @@ _SHOW = {
 # Schemes
 
 
+# the shape flags; a scheme reads those in its record's `fields`
+_SHAPE = ("m", "t", "c", "s", "r", "n")
+
+
 def _scheme(args):
-    """The record of --scheme, once every flag its shape needs is given;
-    sketch and gen take no --s or --n, as they read the size of w off w."""
+    """The record of --scheme, once every flag its shape needs is given and
+    none it does not read is.  sketch and gen take no --s or --n, as they
+    read the size of w off w; edit's --c may be left out."""
     wire = next(wire for wire in _WIRE.values() if wire.name == args.scheme)
+    given = vars(args)
+    for name in _SHAPE:
+        if given.get(name) is not None and name not in wire.fields:
+            raise ValueError(f"{args.scheme} takes no --{name}")
     for name in wire.fields:
-        if vars(args).get(name, 0) is None:
+        if name != "c" and given.get(name, 0) is None:
             raise ValueError(f"--{name} is required for {args.scheme}")
     return wire
 
@@ -230,18 +239,22 @@ def _int_flags(sub, *names):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a flag must be spelled out: a prefix such as --o is no flag
     parser = argparse.ArgumentParser(
-        prog="fzx", description="Secure sketches and fuzzy extractors."
+        prog="fzx", description="Secure sketches and fuzzy extractors.", allow_abbrev=False
     )
     subs = parser.add_subparsers(dest="command", required=True)
     schemes = list(SCHEME_NAMES.values())
 
-    sk = subs.add_parser("sketch", help="write a sketch envelope for the input")
-    rc = subs.add_parser("recover", help="recover the original input from a close one")
-    gen = subs.add_parser("gen", help="extract a key and write the public helper")
-    rep = subs.add_parser("rep", help="reproduce the key from the helper")
-    rec = subs.add_parser("reconcile", help="report the set difference to a peer sketch")
-    pa = subs.add_parser("params", help="print the entropy-loss accounting")
+    def command(name, help):
+        return subs.add_parser(name, help=help, allow_abbrev=False)
+
+    sk = command("sketch", "write a sketch envelope for the input")
+    rc = command("recover", "recover the original input from a close one")
+    gen = command("gen", "extract a key and write the public helper")
+    rep = command("rep", "reproduce the key from the helper")
+    rec = command("reconcile", "report the set difference to a peer sketch")
+    pa = command("params", "print the entropy-loss accounting")
 
     # sketch and gen take the shape from the flags and the size of w from w
     for sub in (sk, gen):

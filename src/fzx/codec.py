@@ -12,11 +12,16 @@ algorithm, in t steps, and finds the locator's roots with
 basis.  Decoding draws nothing at random, so a syndrome always decodes the
 same way.  All decoding work is polynomial in t and m; only that
 whole-field pass, capped at 256 points, depends on 2^m.
+
+A word held whole, as an n-bit int, goes through the same syndrome map
+held as t*m parity rows, which `BchCode` builds on first use and keeps
+for as long as the code lives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gf2m import (
     GF2m,
@@ -36,7 +41,14 @@ class DecodeFailure(Exception):
 
 @dataclass(frozen=True)
 class BchCode:
-    """Binary BCH code of length 2^m - 1 with designed distance delta = 2t+1."""
+    """Binary BCH code of length n = 2^m - 1 with designed distance
+    delta = 2t+1.  Bit i of a word is the field element i+1.
+
+    Its syndrome map is held once, as the t*m parity rows (n-bit masks):
+    a syndrome is t*m parities of w AND row, and codeword sampling
+    eliminates the same rows.  The rows and their reduced form are built
+    on first use and live as long as the code does.
+    """
 
     field: GF2m
     delta: int
@@ -49,11 +61,90 @@ class BchCode:
 
     @property
     def t(self) -> int:
+        """Correction radius: every pattern of at most t flips decodes."""
         return (self.delta - 1) // 2
 
     @property
     def n(self) -> int:
         return (1 << self.field.m) - 1
+
+    @property
+    def syndrome_bits(self) -> int:
+        """Sketch payload width in bits: t*m, which exceeds n - k when the
+        t*m parity rows are linearly dependent."""
+        return self.t * self.field.m
+
+    @property
+    def k(self) -> int:
+        """Code dimension.  n - k is the size of the union of the
+        cyclotomic cosets of 1, 3, ..., 2t-1 mod n (the exponents of the
+        generator polynomial's roots)."""
+        roots: set[int] = set()
+        for i in range(1, 2 * self.t, 2):
+            while i not in roots:
+                roots.add(i)
+                i = 2 * i % self.n
+        return self.n - len(roots)
+
+    @cached_property
+    def parity_rows(self) -> tuple[int, ...]:
+        """H: the t*m parity rows as n-bit masks, row j for bit j of the
+        packed syndrome, so bit i of row m*(t-1-j) + b is bit b of
+        (i+1)^(2j+1).
+
+        Built bit-sliced: plane b of the elements x = i+1 is one periodic
+        n-bit int, a product of two plane sets is m^2 ANDs, and plane k >= m
+        of a product folds into the low planes through alpha^k mod f.
+        """
+        f = self.field
+        m = f.m
+        fold = [f.pow(2, k) for k in range(2 * m - 1)]  # alpha^k mod f
+
+        def reduce(planes: list[int]) -> list[int]:
+            for k in range(m, 2 * m - 1):
+                for c in range(m):
+                    if fold[k] >> c & 1:
+                        planes[c] ^= planes[k]
+            return planes[:m]
+
+        x = []
+        for b in range(m):
+            plane, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+            while width >> m == 0:
+                plane, width = plane | plane << width, 2 * width
+            x.append(plane >> 1)  # the pattern's bit v is element v, at position v-1
+        x2 = reduce([0 if k & 1 else x[k >> 1] for k in range(2 * m - 1)])
+        rows, y = list(x), x
+        for _ in range(self.t - 1):  # y: x^3, x^5, ..., each in front of the last
+            prod = [0] * (2 * m - 1)
+            for a, ya in enumerate(y):
+                for b, xb in enumerate(x2):
+                    prod[a + b] ^= ya & xb
+            y = reduce(prod)
+            rows[:0] = y
+        return tuple(rows)
+
+    @cached_property
+    def reduced_rows(self) -> tuple[tuple[int, int], ...]:
+        """A basis of the parity rows in reduced row echelon form, as
+        (pivot bit, mask) pairs; dependent rows are dropped, so its length
+        is n - k.  Uniform-codeword sampling is then a handful of mask
+        operations per draw rather than a fresh elimination.
+        """
+        reduced: list[tuple[int, int]] = []
+        for mask in self.parity_rows:
+            for pb, pm in reduced:
+                if (mask >> pb) & 1:
+                    mask ^= pm
+            if mask == 0:
+                continue
+            pb = (mask & -mask).bit_length() - 1
+            reduced = [
+                (opb, om ^ mask) if (om >> pb) & 1 else (opb, om)
+                for opb, om in reduced
+            ]
+            reduced.append((pb, mask))
+        return tuple(reduced)
 
 
 def syndrome_from_support(code: BchCode, support) -> list[int]:

@@ -23,6 +23,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from .bitpack import bits_to_bytes, bytes_to_bits, pack_fields, unpack_fields, word_from_bytes, word_to_bytes
+from .codec import BchCode
 from .edit import (
     EditSketch,
     RecoveryInfo,
@@ -37,7 +38,6 @@ from .edit import (
 from .gf2m import field_of
 from .hamming import (
     CodeOffsetSketch,
-    HammingParams,
     PermutedSketch,
     SyndromeSketch,
     bch_params,
@@ -100,7 +100,7 @@ class Envelope:
     m: int
     t: int
     sketch: object
-    params: HammingParams | None = None
+    params: BchCode | None = None
     c: int | None = None
     t_edit: int | None = None
 
@@ -139,26 +139,26 @@ def _edit_shape(m: int, n: int, c: int, t_edit: int, t: int) -> None:
         raise ValueError("t must equal (2c-1) * t_edit")
 
 
-def serialize_hamming_syn(params: HammingParams, sk: SyndromeSketch) -> bytes:
+def serialize_hamming_syn(params: BchCode, sk: SyndromeSketch) -> bytes:
     if sk.n_bits != params.syndrome_bits:
         raise ValueError("sketch width does not match parameters")
     syn = bits_to_bytes(sk.syn_bits, sk.n_bits)
-    return _frame(SCHEME_HAMMING_SYN, params.code.field.m, params.t, (), syn)
+    return _frame(SCHEME_HAMMING_SYN, params.field.m, params.t, (), syn)
 
 
-def serialize_hamming_offset(params: HammingParams, sk: CodeOffsetSketch) -> bytes:
+def serialize_hamming_offset(params: BchCode, sk: CodeOffsetSketch) -> bytes:
     if sk.n_bits != params.n:
         raise ValueError("sketch width does not match parameters")
     shift = word_to_bytes(sk.shift, sk.n_bits)
-    return _frame(SCHEME_HAMMING_OFFSET, params.code.field.m, params.t, (), shift)
+    return _frame(SCHEME_HAMMING_OFFSET, params.field.m, params.t, (), shift)
 
 
-def serialize_hamming_perm(params: HammingParams, sk: PermutedSketch) -> bytes:
+def serialize_hamming_perm(params: BchCode, sk: PermutedSketch) -> bytes:
     if len(sk.perm) != params.n or sk.syn.n_bits != params.syndrome_bits:
         raise ValueError("sketch shape does not match parameters")
     perm = struct.pack(f">{params.n}I", *sk.perm)
     syn = bits_to_bytes(sk.syn.syn_bits, sk.syn.n_bits)
-    return _frame(SCHEME_HAMMING_PERM, params.code.field.m, params.t, (), perm, syn)
+    return _frame(SCHEME_HAMMING_PERM, params.field.m, params.t, (), perm, syn)
 
 
 def serialize_pinsketch(sk: PinSketchData) -> bytes:
@@ -280,7 +280,7 @@ def _edit(scheme, m, t, rd, n, c, t_edit):
 # scheme reads; the CLI passes its parsed flags.
 
 
-def _bch(shape) -> HammingParams:
+def _bch(shape) -> BchCode:
     return bch_params(shape.m, shape.t)
 
 
@@ -353,7 +353,7 @@ class _Wire:
     recover: Callable  # (env, w') -> w, or DecodeFailure
     kind: str  # w is a "word" of 2^m - 1 bits, a "set" in GF(2^m)* or a binary "string"
     aux: tuple[int, ...]  # byte widths of the aux fields
-    fields: tuple[str, ...]  # the shape fields sketch and loss need; c and eps may be None
+    fields: tuple[str, ...]  # the shape fields sketch and loss read; c and eps may be None
     encode: Callable  # (env, w) -> the injective (value, n_bits) hash input
     # (shape) -> the accounting `fzx params` prints, loss_bits among it,
     # after the shape check sketching makes
@@ -423,7 +423,7 @@ _WIRE = {
         ),
         _Wire(
             SCHEME_EDIT, "edit", _edit, _sketch_edit, lambda env, w: edit_rec(w, env.sketch),
-            kind="string", aux=(4, 2, 2), fields=("n", "t"),
+            kind="string", aux=(4, 2, 2), fields=("n", "t", "c"),
             encode=lambda env, w: shingle_encoding(w, env.c),
             loss=_edit_loss, residual=_string_residual,
         ),

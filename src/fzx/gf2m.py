@@ -3,11 +3,11 @@
 Field elements are plain Python ints in [0, 2^m): the integer's binary
 expansion gives the coefficients of the residue polynomial, bit i holding
 the coefficient of x^i.  A GF2m instance carries the extension degree and
-the reduction modulus; it does not wrap elements in objects.  Fields up to
-m = 16 multiply, invert and raise to powers by log/antilog lookup in
-tables built once per (m, modulus) and shared; wider fields multiply by a
-4-bit window.  Every modulus a field is built on by default is pinned:
-primitive ones up to m = 32, the smallest irreducible ones up to m = 512.
+its fixed reduction modulus; it does not wrap elements in objects.  There
+is one modulus per degree, all pinned: primitive ones up to m = 32, the
+smallest irreducible ones up to m = 512.  Fields up to m = 16 multiply,
+invert and raise to powers by log/antilog lookup in tables built once per
+degree and shared; wider fields multiply by a 4-bit window.
 
 Polynomials over the field are lists of ints, lowest-degree coefficient
 first, with no trailing zero coefficients (the zero polynomial is []).
@@ -20,13 +20,13 @@ x^0, ..., x^(m-1), in at most m rounds; nothing in it is random.
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
-from functools import lru_cache
 
 # Lexicographically smallest primitive polynomial of each degree, found by
-# exhaustive search and certified by factoring 2^m - 1.  Encoded as ints,
-# bit i = coefficient of x^i.
+# exhaustive search; `tests/test_gf2m.py` certifies each by factoring
+# 2^m - 1.  Encoded as ints, bit i = coefficient of x^i.
 PRIMITIVE_POLYS = {
     1: 0x3,
     2: 0x7,
@@ -65,7 +65,7 @@ PRIMITIVE_POLYS = {
 # Tail k of the smallest irreducible x^m + k over GF(2) for each hash-field
 # degree m = 33..512, twelve degrees per row.  Found by exhaustive search in
 # increasing k and certified by Rabin's test; `tests/oracles.py` repeats the
-# search.
+# search and holds the test.
 IRREDUCIBLE_TAILS = (
     0x4B, 0x1B, 0x5, 0x35, 0x3F, 0x63, 0x11, 0x39, 0x9, 0x27, 0x59, 0x21,
     0x1B, 0x3, 0x21, 0x2D, 0x71, 0x1D, 0x4B, 0x9, 0x47, 0x7D, 0x47, 0x95,
@@ -120,119 +120,33 @@ _TABLE_MAX_M = 16
 # 0.38 MiB, not the 5.5 MiB of lists, at the same lookup speed.
 _LIST_MAX_M = 13
 
-# (m, modulus) pairs on caller-supplied moduli whose tables stay cached, so a
-# field built again on one of them reuses its tables; callers with many
-# custom moduli stay bounded.  Tables on the pinned moduli are kept apart
-# (`_pinned_tables`), so no custom build evicts them.
-_CACHED_TABLES = 8
-
-# Largest degree accepted for caller-supplied moduli.  Big enough for the
-# universal-hash fields over production key lengths.
-_MAX_CUSTOM_M = 512
-
-
-def _gf2_poly_deg(p: int) -> int:
-    return p.bit_length() - 1
-
-
-def _factor(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _gf2_mod(a: int, g: int) -> int:
-    """a mod g over GF(2), by long division."""
-    dg = g.bit_length()
-    while a.bit_length() >= dg:
-        a ^= g << (a.bit_length() - dg)
-    return a
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b)
-    return a
-
-
-def _frobenius_chain(f: int, m: int) -> list[int]:
-    """[x^(2^i) mod f for i = 0..m], f of degree m, by repeated squaring.
-
-    Squaring over GF(2) only spreads the bits apart (bit i moves to bit
-    2i), which a few shift-and-mask steps do.  The bits at x^m and above
-    are then folded back through x^m = tail, tail = f - x^m.  A tail of
-    degree <= m/2 needs at most two folds of a few shifts each; a denser
-    tail is reduced by long division instead.
-    """
-    tail = f ^ (1 << m)
-    low = (1 << m) - 1
-    taps = [j for j in range(tail.bit_length()) if tail >> j & 1]
-    fold = 2 * tail.bit_length() <= m + 2
-    span = 1 << (m - 1).bit_length()
-    ones = (1 << 2 * span) - 1
-    spread = []
-    while span > 1:
-        span >>= 1
-        spread.append((span, ones // ((1 << 2 * span) - 1) * ((1 << span) - 1)))
-    a = _gf2_mod(2, f)
-    chain = [a]
-    for _ in range(m):
-        for s, mask in spread:
-            a = (a | a << s) & mask
-        if fold:
-            while a >> m:
-                hi = a >> m
-                a &= low
-                for j in taps:
-                    a ^= hi << j
-        else:
-            while a >> m:
-                a ^= f << (a.bit_length() - 1 - m)
-        chain.append(a)
-    return chain
-
-
-def _is_irreducible(mod: int, m: int) -> bool:
-    """Rabin's test: x^(2^m) == x mod f, and x^(2^(m/p)) - x coprime to f
-    for each prime p dividing m; every power comes off one squaring chain."""
-    chain = _frobenius_chain(mod, m)
-    x = chain[0]
-    if chain[m] != x:
-        return False
-    return all(_gf2_gcd(chain[m // p] ^ x, mod) == 1 for p in _factor(m))
+# Largest field degree: the last one of `IRREDUCIBLE_TAILS`, big enough for
+# the universal-hash fields over production key lengths.
+_MAX_M = 32 + len(IRREDUCIBLE_TAILS)
 
 
 def irreducible_modulus(m: int) -> int:
-    """Smallest irreducible degree-m polynomial over GF(2), as an int.
-
-    Used for universal-hash fields whose degree falls outside the pinned
-    primitive table; above it the modulus is read off `IRREDUCIBLE_TAILS`.
-    Deterministic, so hash outputs replay exactly.
-    """
+    """The modulus of GF(2^m), as an int: the pinned primitive polynomial
+    for m <= 32, above it the smallest irreducible x^m + k, k read off
+    `IRREDUCIBLE_TAILS`.  Fixed, so hash outputs replay exactly."""
     if m in PRIMITIVE_POLYS:
         return PRIMITIVE_POLYS[m]
-    if not 1 <= m <= _MAX_CUSTOM_M:
+    if not 1 <= m <= _MAX_M:
         raise ValueError(f"degree {m} out of range")
     return (1 << m) | IRREDUCIBLE_TAILS[m - 33]
 
 
-@lru_cache(maxsize=_CACHED_TABLES)
-def _tables(m: int, modulus: int):
-    """(exp, log) of GF(2^m) mod `modulus`: exp[i] = x^i for 0 <= i <
+@functools.lru_cache(maxsize=None)
+def _tables(m: int):
+    """(exp, log) of GF(2^m) for m <= 16: exp[i] = x^i for 0 <= i <
     2(2^m - 1), so a sum of two logs needs no reduction, and log[x^i] = i.
 
-    One walk over the powers of x fills both, so it also certifies the
-    modulus: x is primitive iff its powers return to 1 after exactly
-    2^m - 1 steps and not before (an early return rewrites log[1]).
-    Lists up to `_LIST_MAX_M`, `array('H')` above it.
+    One walk over the powers of x fills both; the modulus is primitive, so
+    they run through every nonzero element.  Lists up to `_LIST_MAX_M`,
+    `array('H')` above it.  Kept for the process, like `field_of`'s
+    fields: at most one pair per degree.
     """
+    modulus = PRIMITIVE_POLYS[m]
     order = (1 << m) - 1
     zero = [0] if m <= _LIST_MAX_M else array("H", [0])
     exp, log = zero * order, zero * (order + 1)
@@ -243,28 +157,8 @@ def _tables(m: int, modulus: int):
         v <<= 1
         if v >> m:
             v ^= modulus
-    if v != 1 or log[1]:
-        raise ValueError(f"modulus 0x{modulus:x} not primitive")
     exp += exp
     return exp, log
-
-
-@lru_cache(maxsize=None)
-def _pinned_tables(m: int):
-    """`_tables` on the pinned modulus of degree m, kept for the process
-    like `field_of`'s fields: at most one per degree up to 16."""
-    return _tables.__wrapped__(m, PRIMITIVE_POLYS[m])
-
-
-def _reduction_table(m: int, modulus: int, bits: int) -> list[int]:
-    """red[h] = h * x^m mod `modulus` for every h of `bits` bits."""
-    red, v = [0], modulus ^ (1 << m)
-    for _ in range(bits):
-        red += [r ^ v for r in red]
-        v <<= 1
-        if v >> m:
-            v ^= modulus
-    return red
 
 
 def _log_ops(exp, log):
@@ -284,7 +178,12 @@ def _log_ops(exp, log):
 def _window_ops(m: int, modulus: int):
     """mul and sqr for m > 16: carry-less multiply mod f, folding b four
     bits at a time through a 16-entry multiple table of a."""
-    red = _reduction_table(m, modulus, 4)
+    red, v = [0], modulus ^ (1 << m)  # red[h] = h * x^m mod f for every 4-bit h
+    for _ in range(4):
+        red += [r ^ v for r in red]
+        v <<= 1
+        if v >> m:
+            v ^= modulus
     mask, hi = (1 << m) - 1, m - 4
 
     def mul(a: int, b: int) -> int:
@@ -317,63 +216,41 @@ def _window_ops(m: int, modulus: int):
 
 
 class GF2m:
-    """A binary extension field GF(2^m) with a fixed reduction modulus.
+    """The binary extension field GF(2^m), 1 <= m <= 512, on the fixed
+    modulus `irreducible_modulus(m)`.
 
-    With no modulus argument the pinned primitive polynomial for the degree
-    is used (1 <= m <= 32).  A caller-supplied modulus is accepted up to
-    degree 512.  For m <= 16 it is certified primitive by the walk that
-    builds the field's log/antilog tables.  Above 16 it is certified
-    irreducible by Rabin's test, which reads every power it needs off one
-    squaring chain x, x^2, x^4, ..., x^(2^m) mod the modulus.
-    `field_of(m)` hands out one shared instance per degree, and fields of
-    one (m, modulus) share their tables.
-
-    `mul(a, b)` and `sqr(a)` are picked once, at construction, by degree:
-    log/antilog lookup for m <= 16 and a 4-bit window above 16.  Operands
-    must be field elements; they are not checked.
+    `field_of(m)` hands out one shared instance per degree, and every field
+    of one degree up to 16 shares its log/antilog tables.  `mul(a, b)` and
+    `sqr(a)` are picked once, at construction, by degree: log/antilog
+    lookup for m <= 16 and a 4-bit window above 16.  Operands must be field
+    elements; they are not checked.
     """
 
     __slots__ = ("m", "modulus", "order", "mul", "sqr", "_log", "_exp")
 
-    def __init__(self, m: int, modulus: int | None = None):
-        if modulus is None:
-            if m not in PRIMITIVE_POLYS:
-                raise ValueError(f"no pinned primitive polynomial for m={m}")
-            modulus = PRIMITIVE_POLYS[m]
-        else:
-            if not 1 <= m <= _MAX_CUSTOM_M:
-                raise ValueError(f"m={m} out of range for custom modulus")
-            if _gf2_poly_deg(modulus) != m:
-                raise ValueError("modulus degree does not match m")
-            if m > _TABLE_MAX_M and not _is_irreducible(modulus, m):
-                raise ValueError(f"modulus 0x{modulus:x} not irreducible")
+    def __init__(self, m: int):
+        self.modulus = irreducible_modulus(m)
         self.m = m
-        self.modulus = modulus
         self.order = (1 << m) - 1
         if m <= _TABLE_MAX_M:
-            pinned = modulus == PRIMITIVE_POLYS[m]
-            self._exp, self._log = _pinned_tables(m) if pinned else _tables(m, modulus)
+            self._exp, self._log = _tables(m)
             self.mul, self.sqr = _log_ops(self._exp, self._log)
         else:
             self._exp = self._log = None
-            self.mul, self.sqr = _window_ops(m, modulus)
+            self.mul, self.sqr = _window_ops(m, self.modulus)
 
     def __repr__(self):
-        return f"GF2m({self.m}, 0x{self.modulus:x})"
+        return f"GF2m({self.m})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GF2m)
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, GF2m) and self.m == other.m
 
     def __hash__(self):
-        return hash((self.m, self.modulus))
+        return hash(self.m)
 
     def __reduce__(self):
         # mul and sqr are closures, so a field pickles as its constructor call
-        return GF2m, (self.m, self.modulus)
+        return GF2m, (self.m,)
 
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a <= self.order:
@@ -419,13 +296,10 @@ class GF2m:
         return r
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def field_of(m: int) -> GF2m:
-    """The field of degree m, one instance per process: the pinned
-    primitive modulus for m <= 32, otherwise `irreducible_modulus(m)`."""
-    if m <= 32:
-        return GF2m(m)
-    return GF2m(m, irreducible_modulus(m))
+    """GF2m(m), one instance per degree and process."""
+    return GF2m(m)
 
 
 # ---------------------------------------------------------------------------

@@ -6,59 +6,24 @@ sketch (store w XOR c for a random codeword c), and the permuted variant
 (store a fresh random permutation pi together with syn(pi(w))), which maps
 any fixed error pattern to a uniformly random pattern of the same weight.
 
-The code is the binary BCH code of length 2^m - 1 from `bch_params`: bit
-i of a word is the field element i+1, and the syndrome map packs the odd
-power sums s_1, s_3, ..., s_{2t-1} of a word's support.  That map is held
-once, as its t*m parity rows (`_parity_rows`, n-bit masks): a syndrome is
-t*m parities of w AND row, codeword sampling eliminates the same rows, and
-decoding solves the key equation on the syndrome.
+The code is the binary BCH code of length 2^m - 1 that `bch_params`
+interns: bit i of a word is the field element i+1, and the syndrome map
+packs the odd power sums s_1, s_3, ..., s_{2t-1} of a word's support.  The
+code holds that map as its t*m parity rows (`BchCode.parity_rows`): a
+syndrome is t*m parities of w AND row, codeword sampling eliminates the
+same rows, and decoding solves the key equation on the syndrome.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 from .bitpack import unpack_fields
 from .codec import BchCode, support_from_syndrome
 from .gf2m import PRIMITIVE_POLYS, field_of
-
-
-@dataclass(frozen=True)
-class HammingParams:
-    """The BCH code whose syndrome map sketches words of length n = 2^m - 1."""
-
-    code: BchCode
-
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    @property
-    def syndrome_bits(self) -> int:
-        """Sketch payload width in bits: t*m, which exceeds n - k when the
-        t*m parity rows are linearly dependent."""
-        return self.code.t * self.code.field.m
-
-    @property
-    def k(self) -> int:
-        """Code dimension.  n - k is the size of the union of the
-        cyclotomic cosets of 1, 3, ..., 2t-1 mod n (the exponents of the
-        generator polynomial's roots)."""
-        code = self.code
-        roots: set[int] = set()
-        for i in range(1, 2 * code.t, 2):
-            while i not in roots:
-                roots.add(i)
-                i = 2 * i % code.n
-        return code.n - len(roots)
-
-    @property
-    def t(self) -> int:
-        """Correction radius: every pattern of at most t flips decodes."""
-        return self.code.t
 
 
 @dataclass(frozen=True)
@@ -98,80 +63,42 @@ class PermutedSketch:
             raise ValueError("perm is not a permutation of 0..n-1")
 
 
-# Codes whose parameters, parity rows and reduced rows stay cached; each
+# Codes that stay cached, each with its parity rows and reduced rows; each
 # further (m, t), say from a stream of envelopes, evicts the oldest.
 _CACHED_CODES = 8
 
 
-@lru_cache(maxsize=_CACHED_CODES)
-def bch_params(m: int, t: int) -> HammingParams:
-    """Hamming-sketch parameters over the length-(2^m - 1) BCH code with
-    designed distance 2t + 1, over the shared `field_of(m)`.  Only degrees
-    with a pinned primitive polynomial qualify, so a hostile m never
-    searches for a modulus."""
+@functools.lru_cache(maxsize=_CACHED_CODES)
+def bch_params(m: int, t: int) -> BchCode:
+    """The length-(2^m - 1) BCH code with designed distance 2t + 1 over the
+    shared `field_of(m)`, one instance per (m, t) while cached.  Only
+    degrees with a pinned primitive polynomial qualify, so a hostile m
+    never builds a code of more than 2^32 bits."""
     if m not in PRIMITIVE_POLYS:
         raise ValueError(f"no pinned primitive polynomial for m={m}")
-    return HammingParams(BchCode(field_of(m), 2 * t + 1))
+    return BchCode(field_of(m), 2 * t + 1)
 
 
-def _check_word(p: HammingParams, w: int) -> int:
+def _check_word(p: BchCode, w: int) -> int:
     if not isinstance(w, int) or w < 0 or w >> p.n:
         raise ValueError(f"word does not fit in {p.n} bits")
     return w
 
 
-@lru_cache(maxsize=_CACHED_CODES)
-def _parity_rows(code: BchCode) -> tuple[int, ...]:
-    """H: the t*m parity rows as n-bit masks, row j for bit j of the packed
-    syndrome, so bit i of row m*(t-1-j) + b is bit b of (i+1)^(2j+1).
-
-    Built bit-sliced: plane b of the elements x = i+1 is one periodic
-    n-bit int, a product of two plane sets is m^2 ANDs, and plane k >= m
-    of a product folds into the low planes through alpha^k mod f.
-    """
-    f = code.field
-    m = f.m
-    fold = [f.pow(2, k) for k in range(2 * m - 1)]  # alpha^k mod f
-
-    def reduce(planes: list[int]) -> list[int]:
-        for k in range(m, 2 * m - 1):
-            for c in range(m):
-                if fold[k] >> c & 1:
-                    planes[c] ^= planes[k]
-        return planes[:m]
-
-    x = []
-    for b in range(m):
-        plane, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
-        while width >> m == 0:
-            plane, width = plane | plane << width, 2 * width
-        x.append(plane >> 1)  # the pattern's bit v is element v, at position v-1
-    x2 = reduce([0 if k & 1 else x[k >> 1] for k in range(2 * m - 1)])
-    rows, y = list(x), x
-    for _ in range(code.t - 1):  # y: x^3, x^5, ..., each in front of the last
-        prod = [0] * (2 * m - 1)
-        for a, ya in enumerate(y):
-            for b, xb in enumerate(x2):
-                prod[a + b] ^= ya & xb
-        y = reduce(prod)
-        rows[:0] = y
-    return tuple(rows)
-
-
 def _bch_word_syndrome(code: BchCode, w: int) -> int:
     syn = 0
-    for row in reversed(_parity_rows(code)):
+    for row in reversed(code.parity_rows):
         syn = syn << 1 | (w & row).bit_count() & 1
     return syn
 
 
-def ss_syndrome(p: HammingParams, w: int) -> SyndromeSketch:
+def ss_syndrome(p: BchCode, w: int) -> SyndromeSketch:
     """Sketch w as its syndrome under the code's parity map."""
     _check_word(p, w)
-    return SyndromeSketch(_bch_word_syndrome(p.code, w), p.syndrome_bits)
+    return SyndromeSketch(_bch_word_syndrome(p, w), p.syndrome_bits)
 
 
-def rec_syndrome(p: HammingParams, w_prime: int, s: SyndromeSketch) -> int:
+def rec_syndrome(p: BchCode, w_prime: int, s: SyndromeSketch) -> int:
     """Recover the sketched word from w_prime: decode the syndrome of the
     difference to an error pattern e with weight(e) <= t and return
     w_prime XOR e.  Equals the original w whenever dis(w, w') <= t;
@@ -179,42 +106,17 @@ def rec_syndrome(p: HammingParams, w_prime: int, s: SyndromeSketch) -> int:
     _check_word(p, w_prime)
     if s.n_bits != p.syndrome_bits:
         raise ValueError("sketch length does not match code parameters")
-    code = p.code
-    diff = _bch_word_syndrome(code, w_prime) ^ s.syn_bits
+    diff = _bch_word_syndrome(p, w_prime) ^ s.syn_bits
     e = 0
-    for x in support_from_syndrome(code, unpack_fields(diff, s.n_bits, code.field.m)):
+    for x in support_from_syndrome(p, unpack_fields(diff, s.n_bits, p.field.m)):
         e |= 1 << (x - 1)
     return w_prime ^ e
 
 
-@lru_cache(maxsize=_CACHED_CODES)
-def _reduced_parity(code: BchCode) -> tuple[tuple[int, int], ...]:
-    """A basis of the parity rows in reduced row echelon form, as (pivot
-    bit, mask) pairs; dependent rows are dropped, so its length is n - k.
-
-    Precomputed once per code so uniform-codeword sampling is a handful
-    of mask operations per draw rather than a fresh elimination.
-    """
-    reduced: list[tuple[int, int]] = []
-    for mask in _parity_rows(code):
-        for pb, pm in reduced:
-            if (mask >> pb) & 1:
-                mask ^= pm
-        if mask == 0:
-            continue
-        pb = (mask & -mask).bit_length() - 1
-        reduced = [
-            (opb, om ^ mask) if (om >> pb) & 1 else (opb, om)
-            for opb, om in reduced
-        ]
-        reduced.append((pb, mask))
-    return tuple(reduced)
-
-
-def random_codeword(p: HammingParams, rng: random.Random) -> int:
+def random_codeword(p: BchCode, rng: random.Random) -> int:
     """Uniformly random codeword: free positions take fresh random bits,
     pivot positions are forced by back-substitution."""
-    reduced = _reduced_parity(p.code)
+    reduced = p.reduced_rows
     v = rng.getrandbits(p.n)
     for pb, _ in reduced:
         v &= ~(1 << pb)
@@ -224,13 +126,13 @@ def random_codeword(p: HammingParams, rng: random.Random) -> int:
     return v
 
 
-def ss_code_offset(p: HammingParams, w: int, rng: random.Random) -> CodeOffsetSketch:
+def ss_code_offset(p: BchCode, w: int, rng: random.Random) -> CodeOffsetSketch:
     """Sketch w as the shift w XOR c for a uniformly random codeword c."""
     _check_word(p, w)
     return CodeOffsetSketch(w ^ random_codeword(p, rng), p.n)
 
 
-def rec_code_offset(p: HammingParams, w_prime: int, sk: CodeOffsetSketch) -> int:
+def rec_code_offset(p: BchCode, w_prime: int, sk: CodeOffsetSketch) -> int:
     """Subtract the shift, decode to the nearest codeword, re-shift."""
     _check_word(p, w_prime)
     if sk.n_bits != p.n:
@@ -257,7 +159,7 @@ def invert_permutation(perm) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def ss_permuted(p: HammingParams, w: int, rng: random.Random) -> PermutedSketch:
+def ss_permuted(p: BchCode, w: int, rng: random.Random) -> PermutedSketch:
     """Draw a fresh uniform permutation pi (Fisher-Yates) and sketch the
     permuted word's syndrome; pi travels inside the sketch."""
     _check_word(p, w)
@@ -267,7 +169,7 @@ def ss_permuted(p: HammingParams, w: int, rng: random.Random) -> PermutedSketch:
     return PermutedSketch(perm, ss_syndrome(p, permute_word(w, perm)))
 
 
-def rec_permuted(p: HammingParams, w_prime: int, sk: PermutedSketch) -> int:
+def rec_permuted(p: BchCode, w_prime: int, sk: PermutedSketch) -> int:
     """Permute w_prime by the sketch's pi, recover in the permuted domain,
     then undo the permutation."""
     _check_word(p, w_prime)

@@ -12,7 +12,8 @@ s linear factors for a characteristic polynomial, Reed-Solomon decoding
 over all s points for improved Juels-Sudan recovery, and one scalar
 Horner evaluation per pair for the original Juels-Sudan sketch, a
 shift-and-add carry-less multiply for field arithmetic, and a screened
-search in increasing order for the pinned hash-field moduli.  The
+search in increasing order, certified by Rabin's irreducibility test, for
+the pinned hash-field moduli.  The
 enumerating ones are exponential or linear in 2^m, so they stay in the
 small regime.
 """
@@ -34,8 +35,6 @@ from fzx.codec import (
 )
 from fzx.gf2m import (
     GF2m,
-    _gf2_mod,
-    _is_irreducible,
     _split_roots,
     poly_add,
     poly_deg,
@@ -374,6 +373,82 @@ def pow_mod(a: int, e: int, modulus: int) -> int:
     return r
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def gf2_mod(a: int, g: int) -> int:
+    """a mod g over GF(2), by long division."""
+    dg = g.bit_length()
+    while a.bit_length() >= dg:
+        a ^= g << (a.bit_length() - dg)
+    return a
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, gf2_mod(a, b)
+    return a
+
+
+def _frobenius_chain(f: int, m: int) -> list[int]:
+    """[x^(2^i) mod f for i = 0..m], f of degree m, by repeated squaring.
+
+    Squaring over GF(2) only spreads the bits apart (bit i moves to bit
+    2i), which a few shift-and-mask steps do.  The bits at x^m and above
+    are then folded back through x^m = tail, tail = f - x^m.  A tail of
+    degree <= m/2 needs at most two folds of a few shifts each; a denser
+    tail is reduced by long division instead.
+    """
+    tail = f ^ (1 << m)
+    low = (1 << m) - 1
+    taps = [j for j in range(tail.bit_length()) if tail >> j & 1]
+    fold = 2 * tail.bit_length() <= m + 2
+    span = 1 << (m - 1).bit_length()
+    ones = (1 << 2 * span) - 1
+    spread = []
+    while span > 1:
+        span >>= 1
+        spread.append((span, ones // ((1 << 2 * span) - 1) * ((1 << span) - 1)))
+    a = gf2_mod(2, f)
+    chain = [a]
+    for _ in range(m):
+        for s, mask in spread:
+            a = (a | a << s) & mask
+        if fold:
+            while a >> m:
+                hi = a >> m
+                a &= low
+                for j in taps:
+                    a ^= hi << j
+        else:
+            while a >> m:
+                a ^= f << (a.bit_length() - 1 - m)
+        chain.append(a)
+    return chain
+
+
+def is_irreducible(f: int, m: int) -> bool:
+    """Rabin's test on f of degree m: x^(2^m) == x mod f, and
+    x^(2^(m/p)) - x coprime to f for each prime p dividing m; every power
+    comes off one squaring chain."""
+    chain = _frobenius_chain(f, m)
+    x = chain[0]
+    if chain[m] != x:
+        return False
+    return all(_gf2_gcd(chain[m // p] ^ x, f) == 1 for p in prime_factors(m))
+
+
 # A search candidate with a factor of degree <= this never reaches Rabin's test
 _SCREEN_DEG = 8
 
@@ -385,7 +460,7 @@ def _screen_factors() -> tuple[int, ...]:
     found: list[int] = []
     for g in range(3, 1 << (_SCREEN_DEG + 1), 2):
         d = g.bit_length() - 1
-        if all(_gf2_mod(g, h) for h in found if 2 * (h.bit_length() - 1) <= d):
+        if all(gf2_mod(g, h) for h in found if 2 * (h.bit_length() - 1) <= d):
             found.append(g)
     return tuple(found)
 
@@ -398,17 +473,17 @@ def smallest_irreducible(m: int) -> int:
     dropped when an irreducible g of degree <= 8 divides it, i.e. when
     x^m mod g equals k mod g (x^m mod g is worked out once per g: x has
     order dividing 2^deg(g) - 1 mod g).  The survivors go to Rabin's test
-    (`_is_irreducible`), so the first one accepted is exactly the
+    (`is_irreducible`), so the first one accepted is exactly the
     smallest irreducible.
     """
     screen = [
-        (g, _gf2_mod(1 << (m % ((1 << (g.bit_length() - 1)) - 1)), g))
+        (g, gf2_mod(1 << (m % ((1 << (g.bit_length() - 1)) - 1)), g))
         for g in _screen_factors()
     ]
     for k in range(1, 1 << m, 2):
-        if any(_gf2_mod(k, g) == xm for g, xm in screen):
+        if any(gf2_mod(k, g) == xm for g, xm in screen):
             continue
         cand = (1 << m) | k
-        if _is_irreducible(cand, m):
+        if is_irreducible(cand, m):
             return cand
     raise ValueError(f"no irreducible polynomial of degree {m} found")

@@ -11,14 +11,16 @@ from fzx.cli import main
 
 HAMMING = ("hamming-syn", "hamming-offset", "hamming-perm")
 SETS = ("pinsketch", "ijs", "origjs")
+# each scheme gets only the shape flags its record reads
 FLAGS = {
     **{s: ["--m", "8", "--t", "8"] for s in HAMMING},
-    **{s: ["--m", "16", "--t", "4", "--r", "64"] for s in SETS},
+    **{s: ["--m", "16", "--t", "4"] for s in ("pinsketch", "ijs")},
+    "origjs": ["--m", "16", "--t", "4", "--r", "64"],
     "edit": ["--t", "1"],
 }
 PARAMS = {
-    **{s: FLAGS[s] for s in HAMMING},
-    **{s: FLAGS[s] + ["--s", "14"] for s in SETS},
+    **{s: FLAGS[s] for s in FLAGS},
+    "origjs": FLAGS["origjs"] + ["--s", "14"],
     "edit": ["--n", "40", "--t", "1"],
 }
 EPS = "0.01"

@@ -337,7 +337,7 @@ def test_parity_row_bit_convention():
 
 def test_random_codeword_consistent_and_spread():
     p = bch_params(4, 2)
-    small = SmallLinearCode(15, tuple(bch_parity_rows(p.code)))
+    small = SmallLinearCode(15, tuple(bch_parity_rows(p)))
     rng = random.Random(23)
     seen = set()
     for _ in range(200):

@@ -9,6 +9,8 @@ import pickle
 import random
 import subprocess
 import sys
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,6 @@ from fzx.gf2m import (
     GF2m,
     IRREDUCIBLE_TAILS,
     PRIMITIVE_POLYS,
-    _CACHED_TABLES,
-    _is_irreducible,
-    _pinned_tables,
     _split_roots,
     _tables,
     field_of,
@@ -40,7 +39,9 @@ from oracles import (
     absolute_trace,
     brute_roots,
     clmul_mod,
+    is_irreducible,
     pow_mod,
+    prime_factors,
     smallest_irreducible,
 )
 
@@ -69,18 +70,14 @@ def test_mul_matches_oracle_exhaustively(m):
             assert f.mul(a, b) == oracle_mul(a, b, f.modulus, m)
 
 
-# A dense primitive modulus per degree next to the sparse pinned one, so the
-# table walk also reduces through a tail with most of its bits set.
-DENSE_PRIMITIVE = {14: 0x7FE7, 15: 0xFFFD, 16: 0x1FFED}
-
-
-@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("interned", [False, True])
 @pytest.mark.parametrize("m", [14, 15, 16])
-def test_byte_sliced_mul_matches_oracle(m, dense):
+def test_byte_sliced_mul_matches_oracle(m, interned):
     """Degrees 14..16, whose elements span two bytes, on the table path:
-    mul, sqr, inv and pow against the shift-and-add oracle."""
-    f = GF2m(m, DENSE_PRIMITIVE[m]) if dense else GF2m(m)
-    assert f._log is not None
+    mul, sqr, inv and pow against the shift-and-add oracle, on a fresh
+    GF2m(m) and on the interned field_of(m), which share one pair of tables."""
+    f = field_of(m) if interned else GF2m(m)
+    assert f._log is not None and f._exp is field_of(m)._exp
     rng = random.Random(m)
     edges = [0, 1, f.order, 1 << (m - 1)]
     pairs = [(a, b) for a in edges for b in edges]
@@ -98,32 +95,24 @@ def test_byte_sliced_mul_matches_oracle(m, dense):
 
 
 def test_table_cache_stays_at_its_bound():
-    built = []
-    for mod in range(0x101, 0x200, 2):
-        try:
-            built.append(GF2m(8, mod))
-        except ValueError:
-            continue  # not primitive
-    assert len(built) == 16  # phi(255) / 8 primitive polynomials of degree 8
-    info = _tables.cache_info()
-    assert info.maxsize == _CACHED_TABLES and info.currsize == _CACHED_TABLES
-    # an evicted table lives on in the fields built on it
-    assert built[0].mul(built[0].inv(7), 7) == 1
+    # one pair of tables per degree up to 16, however often each is built;
+    # wider fields build none
+    for m in range(1, 40):
+        GF2m(m)
+        GF2m(m)
+    assert _tables.cache_info().currsize == 16
 
 
 def test_pinned_tables_outlive_any_number_of_other_builds():
-    # custom moduli fill the bounded cache and every other pinned degree is
-    # built; GF2m(16) still gets field_of(16)'s tables, not a second walk
-    f16 = field_of(16)
-    for m in range(5, 13):
+    # every degree is built, several times over; every GF2m(m) with m <= 16
+    # still gets field_of(m)'s tables, not a second walk
+    fields = {m: field_of(m) for m in range(1, 17)}
+    for m in range(1, 65):
         GF2m(m)
-    for mod in range(0x101, 0x200, 2):
-        try:
-            GF2m(8, mod)
-        except ValueError:
-            continue  # not primitive
-    assert GF2m(16)._exp is f16._exp and GF2m(16)._log is f16._log
-    assert _pinned_tables.cache_info().maxsize is None
+    for m, f in fields.items():
+        g = GF2m(m)
+        assert g._exp is f._exp and g._log is f._log, m
+    assert _tables.cache_info().maxsize is None
 
 
 def test_cold_m16_field_retains_under_one_mib_and_shares_it():
@@ -133,8 +122,7 @@ def test_cold_m16_field_retains_under_one_mib_and_shares_it():
         "tracemalloc.start(); f = GF2m(16); "
         "held = tracemalloc.get_traced_memory()[0]; "
         "assert held < 1 << 20, held; "
-        "assert f._exp is field_of(16)._exp and f._log is field_of(16)._log; "
-        "assert GF2m(16, 0x1FFED)._exp is not f._exp"
+        "assert f._exp is field_of(16)._exp and f._log is field_of(16)._log"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
@@ -142,13 +130,10 @@ def test_cold_m16_field_retains_under_one_mib_and_shares_it():
 _M16 = st.integers(0, (1 << 16) - 1)
 
 
-@pytest.mark.parametrize(
-    "modulus", [PRIMITIVE_POLYS[16], DENSE_PRIMITIVE[16]], ids=["pinned", "dense"]
-)
 @settings(max_examples=300, derandomize=True, database=None)
 @given(a=_M16, b=_M16, c=_M16)
-def test_m16_mul_associative_and_distributive(modulus, a, b, c):
-    f = GF2m(16, modulus)
+def test_m16_mul_associative_and_distributive(a, b, c):
+    f = field_of(16)
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
     assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
     assert f.sqr(a ^ b) == f.sqr(a) ^ f.sqr(b)
@@ -235,26 +220,30 @@ def test_primitive_table_entries_generate_full_group():
 
 
 def test_custom_modulus_validation():
-    GF2m(4, 0b10011)
+    # a field's modulus is fixed by its degree; none can be passed in
+    with pytest.raises(TypeError):
+        GF2m(4, 0b10011)
+    with pytest.raises(TypeError):
+        GF2m(m=4, modulus=0b10011)
+
+
+@pytest.mark.parametrize("m", [0, -1, 513])
+def test_degree_out_of_range_raises(m):
     with pytest.raises(ValueError):
-        GF2m(4, 0b11111)  # degree 4, irreducible, but not primitive
+        GF2m(m)
     with pytest.raises(ValueError):
-        GF2m(4, 0b10110)  # x * (...) reducible
-    with pytest.raises(ValueError):
-        GF2m(5, 0b10011)  # degree mismatch
-    # m = 14..16 certify through the table walk, as every m <= 16 does
-    for m in (14, 15, 16):
-        assert GF2m(m, PRIMITIVE_POLYS[m]) == GF2m(m)
-        GF2m(m, DENSE_PRIMITIVE[m])
-    assert _is_irreducible(0x1002B, 16)
-    with pytest.raises(ValueError):
-        GF2m(16, 0x1002B)  # irreducible, but x has order below 2^16 - 1
-    with pytest.raises(ValueError):
-        GF2m(15, PRIMITIVE_POLYS[15] ^ 1)  # divisible by x
-    # degree > 16 path checks irreducibility only
-    GF2m(17, PRIMITIVE_POLYS[17])
-    with pytest.raises(ValueError):
-        GF2m(17, (1 << 17) | 0b11)  # x^17 + x + 1 = reducible
+        field_of(m)
+
+
+def test_pinned_primitive_polynomials_are_primitive():
+    # x has order exactly 2^m - 1 mod f: so every nonzero residue is a
+    # power of x, which makes f irreducible too, and the walk of `_tables`
+    # runs through every nonzero element
+    assert sorted(PRIMITIVE_POLYS) == list(range(1, 33))
+    for m, f in PRIMITIVE_POLYS.items():
+        order = (1 << m) - 1
+        assert f.bit_length() - 1 == m and pow_mod(2, order, f) == 1, m
+        assert all(pow_mod(2, order // p, f) != 1 for p in prime_factors(order)), m
 
 
 def test_irreducible_modulus_deterministic_and_valid():
@@ -263,7 +252,7 @@ def test_irreducible_modulus_deterministic_and_valid():
         mod = irreducible_modulus(m)
         assert mod.bit_length() - 1 == m
         assert irreducible_modulus(m) == mod
-        GF2m(m, mod)
+        assert GF2m(m).modulus == mod
     for m in (0, 513):
         with pytest.raises(ValueError):
             irreducible_modulus(m)
@@ -279,7 +268,7 @@ def test_irreducible_modulus_known_answers(m, tail):
 def test_pinned_hash_moduli_are_irreducible():
     assert len(IRREDUCIBLE_TAILS) == 480 and max(IRREDUCIBLE_TAILS) == 0x843
     for m, tail in enumerate(IRREDUCIBLE_TAILS, start=33):
-        assert _is_irreducible((1 << m) | tail, m), m
+        assert is_irreducible((1 << m) | tail, m), m
 
 
 @pytest.mark.parametrize(
@@ -359,7 +348,7 @@ def test_is_irreducible_matches_bit_serial_reference():
             g = irreducible_modulus(m // 2)
             cases.append((_clmul(g, _shift_by_one(g)), False))
         for f, known in cases:
-            got = _is_irreducible(f, m)
+            got = is_irreducible(f, m)
             assert got == _ref_is_irreducible(f, m), hex(f)
             if known is not None:
                 assert got is known, hex(f)
@@ -373,24 +362,25 @@ def test_screen_holds_every_small_irreducible_but_x():
 
 
 def test_field_of_interns_one_field_per_degree():
-    for m in (5, 16, 32, 33, 128):
+    degrees = [1, 5, 16, 17, 32, 33, 128, 512] + random.Random(18).sample(range(1, 513), 12)
+    for m in degrees:
         f = field_of(m)
         assert field_of(m) is f
-        assert f == (GF2m(m) if m <= 32 else GF2m(m, irreducible_modulus(m)))
+        assert f == GF2m(m) and f.modulus == GF2m(m).modulus == irreducible_modulus(m), m
 
 
-@pytest.mark.parametrize("m", [8, 16, 32])
+@pytest.mark.parametrize("m", [8, 16, 32, 300])
 def test_field_pickles_to_an_equal_field(m):
     f = GF2m(m)
+    assert f.__reduce__() == (GF2m, (m,))
     g = pickle.loads(pickle.dumps(f))
-    assert g == f and g.mul(3, f.order) == f.mul(3, f.order)
+    assert g == f and g.modulus == f.modulus and g.mul(3, f.order) == f.mul(3, f.order)
 
 
 def test_import_does_no_modulus_work():
     code = (
         "import fzx.cli, fzx.gf2m as g; "
         "assert g._tables.cache_info().currsize == 0; "
-        "assert g._pinned_tables.cache_info().currsize == 0; "
         "assert g.field_of.cache_info().currsize == 0"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
@@ -416,7 +406,14 @@ def test_poly_eval_examples():
     [(m, None) for m in (1, 4, 8, 9, 13, 16, 17, 24, 32, 33, 64)] + [(16, 0x1FFED)],
 )
 def test_poly_eval_many_matches_horner(m, modulus):
-    field = field_of(m) if modulus is None else GF2m(m, modulus)
+    # poly_eval_many folds through whatever modulus tail the field has; the
+    # pinned ones are sparse, so a dense tail, on a stand-in field, is the
+    # one that takes more than two folds
+    if modulus is None:
+        field = field_of(m)
+    else:
+        mul = partial(clmul_mod, modulus=modulus)
+        field = SimpleNamespace(m=m, order=(1 << m) - 1, modulus=modulus, mul=mul)
     rng = random.Random(9000 + m)
     top = field.order
     for deg in (-1, 0, 1, 2, 5, 11, 40):
@@ -592,4 +589,4 @@ def test_brute_roots_guard_and_scan_semantics():
     f8 = GF2m(3)
     assert brute_roots(f8, [0, 0, 1]) == {0}
     with pytest.raises(ValueError):
-        brute_roots(GF2m(17, PRIMITIVE_POLYS[17]), [1, 1])
+        brute_roots(GF2m(17), [1, 1])

@@ -12,12 +12,9 @@ from fzx.entropy import JointDistribution, avg_min_entropy
 from fzx.gf2m import GF2m, field_of
 from fzx.hamming import (
     CodeOffsetSketch,
-    HammingParams,
     PermutedSketch,
     SyndromeSketch,
     _CACHED_CODES,
-    _parity_rows,
-    _reduced_parity,
     bch_params,
     hamming_entropy_loss,
     invert_permutation,
@@ -36,7 +33,7 @@ from oracles import bch_parity_rows, hamming_7_4, permute_word_loop, rref, small
 HAMMING_7_4_CODEWORDS = {c for c in range(128) if small_syndrome(hamming_7_4(), c) == 0}
 
 
-def small_params() -> HammingParams:
+def small_params() -> BchCode:
     # the m=3 t=1 BCH code is the [7,4,3] Hamming code bit for bit
     return bch_params(3, 1)
 
@@ -54,7 +51,6 @@ class FixedBits:
 
 def test_params_validation():
     p = bch_params(4, 2)
-    assert HammingParams(p.code) == p
     assert p.n == 15 and p.t == 2
     assert p.syndrome_bits == 8  # t*m
     assert small_params().syndrome_bits == 3
@@ -85,16 +81,15 @@ def test_bch_syndrome_matches_support_path():
             w = rng.getrandbits(p.n)
             support = [i + 1 for i in range(p.n) if (w >> i) & 1]
             packed = 0
-            for s in syndrome_from_support(p.code, support):
+            for s in syndrome_from_support(p, support):
                 packed = (packed << m) | s
             assert ss_syndrome(p, w).syn_bits == packed, (m, t)
 
 
 def test_first_syndrome_at_m16_builds_no_large_table():
     # the m=16 t=5 syndrome map is t*m rows of 2^16 - 1 bits, 640 KiB
-    p = bch_params(16, 5)
+    p = BchCode(field_of(16), 11)  # a code of its own, so its rows are not built yet
     w = random.Random(16).getrandbits(p.n)
-    _parity_rows.cache_clear()
     tracemalloc.start()
     try:
         ss_syndrome(p, w)
@@ -113,10 +108,23 @@ def test_code_caches_stay_bounded():
         w = rng.getrandbits(p.n)
         env = deserialize(serialize_hamming_syn(p, ss_syndrome(p, w)))
         assert rec_syndrome(env.params, w ^ 1 << t, env.sketch) == w
-    for cache in (bch_params, _parity_rows, _reduced_parity):
-        info = cache.cache_info()
-        assert info.maxsize == _CACHED_CODES
-        assert info.currsize <= info.maxsize
+    info = bch_params.cache_info()
+    assert info.maxsize == _CACHED_CODES
+    assert info.currsize <= info.maxsize
+
+
+def test_parity_rows_are_built_once_and_evicted_with_their_code():
+    bch_params.cache_clear()
+    p = bch_params(6, 3)
+    rows = p.parity_rows
+    assert p.parity_rows is rows and p.reduced_rows is p.reduced_rows
+    assert bch_params(6, 3) is p and bch_params(6, 3).parity_rows is rows
+    for t in range(1, 9):  # eight further codes
+        bch_params(7, t)
+    q = bch_params(6, 3)
+    assert q is not p and "parity_rows" not in vars(q)
+    assert q.parity_rows == rows and q.parity_rows is not rows
+    assert q.reduced_rows == p.reduced_rows
 
 
 def test_rec_syndrome_small_exhaustive():
@@ -322,10 +330,10 @@ def test_bch_k_from_cyclotomic_cosets_matches_parity_rank():
             if 2 * t + 1 > (1 << m) - 1:
                 continue
             p = bch_params(m, t)
-            rows = bch_parity_rows(p.code)
-            assert list(_parity_rows(p.code)) == rows, (m, t)
-            assert p.n - p.k == len(_reduced_parity(p.code)), (m, t)
-            assert sorted(_reduced_parity(p.code)) == rref(rows, p.n)
+            rows = bch_parity_rows(p)
+            assert list(p.parity_rows) == rows, (m, t)
+            assert p.n - p.k == len(p.reduced_rows), (m, t)
+            assert sorted(p.reduced_rows) == rref(rows, p.n)
     # m=4 t=3: cosets {1,2,4,8}, {3,6,12,9}, {5,10} give n-k = 10 < t*m = 12
     assert bch_params(4, 3).k == 5
     assert small_params().k == 4
@@ -345,7 +353,7 @@ def test_code_offset_round_trip_rank_deficient(m, t):
 
 
 def test_bch_params_share_the_interned_field():
-    assert bch_params(13, 1).code.field is field_of(13)
-    assert bch_params(13, 2).code.field is field_of(13)
+    assert bch_params(13, 1).field is field_of(13)
+    assert bch_params(13, 2).field is field_of(13)
     with pytest.raises(ValueError):
         bch_params(33, 1)
