@@ -23,6 +23,7 @@ from .entropy import (
     MalformedPayload,
     UHashParams,
     extract,
+    extractor_loss,
     max_extractable_bits,
     parse_helper,
     reproduce,
@@ -223,8 +224,11 @@ def _cmd_reconcile(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    info = _scheme(args).loss(args)
+    if args.eps is not None:
+        info["loss_bits"] += extractor_loss(args.eps)
     lines = [f"scheme: {args.scheme}"]
-    lines += [f"{name}: {value}" for name, value in _scheme(args).loss(args).items()]
+    lines += [f"{name}: {value}" for name, value in info.items()]
     print("\n".join(lines))
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bitpack import pack_fields
 from .codec import DecodeFailure
-from .entropy import ExtractedKey, UHashParams, extract, parse_helper, reproduce
+from .entropy import ExtractedKey, UHashParams, extract, extractor_loss, parse_helper, reproduce
 from .gf2m import GF2m, field_of
 from .setdiff import ElementSet, PinSketchData, pinsketch_rec, pinsketch_ss
 
@@ -261,9 +261,7 @@ def edit_entropy_loss(n: int, c: int, t: int, F: int, eps: float | None = None) 
         raise ValueError("bad parameters")
     loss = -(-n // c) * math.log2(n - c + 1) + (2 * c - 1) * t * _ceil_log2(F**c + 1)
     if eps is not None:
-        if not 0 < eps <= 1:
-            raise ValueError("eps must be in (0, 1]")
-        loss += 2 * math.log2(1 / eps) - 2
+        loss += extractor_loss(eps)
     return loss
 
 

@@ -109,17 +109,25 @@ class Envelope:
 # Writing
 
 
-def _frame(scheme: int, m: int, t: int, aux: tuple[int, ...], *segments: bytes) -> bytes:
-    """The envelope: header, aux fields at the widths of the scheme's
-    record, then the payload segments as given."""
+def _fit(scheme: int, m: int, t: int, *aux: int) -> None:
+    """ValueError unless the header of `scheme` can carry m (u8), t (u16)
+    and the leading aux fields given, at the widths of its record.  Each
+    record's sketch and loss run it on the shape before anything is built."""
     if not 1 <= m <= 0xFF:
         raise ValueError("m out of envelope range")
     if not 0 <= t <= 0xFFFF:
         raise ValueError("t out of envelope range")
-    parts = [MAGIC, bytes((scheme, m)), t.to_bytes(2, "big")]
-    for value, width in zip(aux, _WIRE[scheme].aux, strict=True):
+    for value, width in zip(aux, _WIRE[scheme].aux):
         if not 0 <= value < 1 << 8 * width:
             raise ValueError(f"aux field {value} out of envelope range")
+
+
+def _frame(scheme: int, m: int, t: int, aux: tuple[int, ...], *segments: bytes) -> bytes:
+    """The envelope: header, aux fields at the widths of the scheme's
+    record, then the payload segments as given."""
+    _fit(scheme, m, t, *aux)
+    parts = [MAGIC, bytes((scheme, m)), t.to_bytes(2, "big")]
+    for value, width in zip(aux, _WIRE[scheme].aux, strict=True):
         parts.append(value.to_bytes(width, "big"))
     return b"".join(parts + list(segments))
 
@@ -276,17 +284,37 @@ def _edit(scheme, m, t, rd, n, c, t_edit):
 # ---------------------------------------------------------------------------
 # The scheme table
 #
-# A shape is any object with the attributes m, t, c, s, r, n and eps that a
+# A shape is any object with the attributes m, t, c, s, r and n that a
 # scheme reads; the CLI passes its parsed flags.
 
 
 def _bch(shape) -> BchCode:
+    _fit(SCHEME_HAMMING_SYN, shape.m, shape.t)  # the Hamming headers carry no aux
     return bch_params(shape.m, shape.t)
 
 
 def _shingle_len(shape, n: int) -> int:
-    """shape.c, or the loss-minimizing shingle length for n binary characters."""
-    return shape.c if shape.c is not None else optimal_shingle_len(n, shape.t, 2)
+    """shape.c, or the loss-minimizing shingle length for n binary
+    characters, once the header of the edit sketch fits: edit_capacity
+    makes the checks of edit_ss and gives the set capacity t."""
+    c = shape.c if shape.c is not None else optimal_shingle_len(n, shape.t, 2)
+    _fit(SCHEME_EDIT, c + 1, edit_capacity(n, c, shape.t, 1), n, c, shape.t)
+    return c
+
+
+def _sketch_pinsketch(shape, es: ElementSet, rng) -> bytes:
+    _fit(SCHEME_PINSKETCH, shape.m, shape.t)
+    return serialize_pinsketch(pinsketch_ss(es, shape.t))
+
+
+def _sketch_ijs(shape, es: ElementSet, rng) -> bytes:
+    _fit(SCHEME_IJS, shape.m, shape.t - shape.t % 2, len(es))  # as ijs_ss rounds t
+    return serialize_ijs(ijs_ss(es, shape.t))
+
+
+def _sketch_origjs(shape, es: ElementSet, rng) -> bytes:
+    _fit(SCHEME_ORIGJS, shape.m, shape.t, len(es), shape.r)
+    return serialize_origjs(origjs_ss(es, shape.r, shape.t, rng))
 
 
 def _sketch_edit(shape, w: str, rng) -> bytes:
@@ -301,18 +329,20 @@ def _bch_loss(shape) -> dict:
 
 
 def _pinsketch_loss(shape) -> dict:
+    _fit(SCHEME_PINSKETCH, shape.m, shape.t)
     pinsketch_code(field_of(shape.m), shape.t)
     loss = setdiff_entropy_loss("pinsketch", m=shape.m, t=shape.t)
     return {"sketch_bits": shape.t * shape.m, "loss_bits": loss}
 
 
 def _ijs_loss(shape) -> dict:
-    field_of(shape.m)  # rejects the degrees sketching rejects
     t = shape.t - shape.t % 2  # as ijs_ss rounds
+    _fit(SCHEME_IJS, shape.m, t)
     return {"sketch_bits": t * shape.m, "loss_bits": setdiff_entropy_loss("ijs", m=shape.m, t=t)}
 
 
 def _origjs_loss(shape) -> dict:
+    _fit(SCHEME_ORIGJS, shape.m, shape.t, shape.s, shape.r)
     if not 0 <= shape.t <= shape.s < shape.r <= field_of(shape.m).order:
         raise ValueError("need 0 <= t <= s < r <= 2^m - 1")
     loss = setdiff_entropy_loss("origjs", m=shape.m, t=shape.t, s=shape.s, r=shape.r)
@@ -321,10 +351,9 @@ def _origjs_loss(shape) -> dict:
 
 def _edit_loss(shape) -> dict:
     c = _shingle_len(shape, shape.n)
-    edit_capacity(shape.n, c, shape.t, 1)  # the checks of edit_ss
     return {
         "c": c,
-        "loss_bits": edit_entropy_loss(shape.n, c, shape.t, 2, eps=shape.eps),
+        "loss_bits": edit_entropy_loss(shape.n, c, shape.t, 2),
         "approx_loss_bits": approx_edit_entropy_loss(shape.n, shape.t, 2),
     }
 
@@ -338,7 +367,7 @@ def _set_residual(env: Envelope, es: ElementSet, t: int) -> float:
 
 
 def _string_residual(env: Envelope, w: str) -> float:
-    shape = SimpleNamespace(n=len(w), c=env.c, t=env.t_edit, eps=None)
+    shape = SimpleNamespace(n=len(w), c=env.c, t=env.t_edit)
     return len(w) - _edit_loss(shape)["loss_bits"]
 
 
@@ -353,7 +382,7 @@ class _Wire:
     recover: Callable  # (env, w') -> w, or DecodeFailure
     kind: str  # w is a "word" of 2^m - 1 bits, a "set" in GF(2^m)* or a binary "string"
     aux: tuple[int, ...]  # byte widths of the aux fields
-    fields: tuple[str, ...]  # the shape fields sketch and loss read; c and eps may be None
+    fields: tuple[str, ...]  # the shape fields sketch and loss read; c may be None
     encode: Callable  # (env, w) -> the injective (value, n_bits) hash input
     # (shape) -> the accounting `fzx params` prints, loss_bits among it,
     # after the shape check sketching makes
@@ -399,15 +428,13 @@ _WIRE = {
             **_WORDS,
         ),
         _Wire(
-            SCHEME_PINSKETCH, "pinsketch", _pinsketch,
-            lambda sh, es, rng: serialize_pinsketch(pinsketch_ss(es, sh.t)),
+            SCHEME_PINSKETCH, "pinsketch", _pinsketch, _sketch_pinsketch,
             lambda env, es: pinsketch_rec(es, env.sketch),
             aux=(), fields=("m", "t"), loss=_pinsketch_loss,
             residual=lambda env, es: _set_residual(env, es, env.t), **_SETS,
         ),
         _Wire(
-            SCHEME_IJS, "ijs", _ijs,
-            lambda sh, es, rng: serialize_ijs(ijs_ss(es, sh.t)),
+            SCHEME_IJS, "ijs", _ijs, _sketch_ijs,
             lambda env, es: ijs_rec(es, env.sketch),
             aux=(2,), fields=("m", "t"), loss=_ijs_loss,
             # the loss takes t as ijs_ss does, rounded down to even; an odd t
@@ -415,8 +442,7 @@ _WIRE = {
             residual=lambda env, es: _set_residual(env, es, env.t + env.t % 2), **_SETS,
         ),
         _Wire(
-            SCHEME_ORIGJS, "origjs", _origjs,
-            lambda sh, es, rng: serialize_origjs(origjs_ss(es, sh.r, sh.t, rng)),
+            SCHEME_ORIGJS, "origjs", _origjs, _sketch_origjs,
             lambda env, es: origjs_rec(es, env.sketch),
             aux=(2, 2), fields=("m", "t", "s", "r"), loss=_origjs_loss,
             residual=lambda env, es: _set_residual(env, es, env.t), **_SETS,

@@ -5,17 +5,17 @@ expansion gives the coefficients of the residue polynomial, bit i holding
 the coefficient of x^i.  A GF2m instance carries the extension degree and
 its fixed reduction modulus; it does not wrap elements in objects.  There
 is one modulus per degree, all pinned: primitive ones up to m = 32, the
-smallest irreducible ones up to m = 512.  Fields up to m = 16 multiply,
+smallest irreducible ones up to m = 256.  Fields up to m = 16 multiply,
 invert and raise to powers by log/antilog lookup in tables built once per
 degree and shared; wider fields multiply by a 4-bit window.
 
 Polynomials over the field are lists of ints, lowest-degree coefficient
 first, with no trailing zero coefficients (the zero polynomial is []).
-`poly_eval` evaluates one at one point; `poly_eval_many` evaluates one at
-a whole list of points in a single Horner pass over lane-packed ints.
-`poly_roots` runs that pass over the whole field when it has at most 256
-elements, and above it splits f by the trace map over the fixed basis
-x^0, ..., x^(m-1), in at most m rounds; nothing in it is random.
+`poly_eval_many` evaluates one at a whole list of points in a single
+Horner pass over lane-packed ints.  `poly_roots` runs that pass over the
+whole field when it has at most 256 elements, and above it splits f by
+the trace map over the fixed basis x^0, ..., x^(m-1), in at most m
+rounds; nothing in it is random.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ PRIMITIVE_POLYS = {
 }
 
 # Tail k of the smallest irreducible x^m + k over GF(2) for each hash-field
-# degree m = 33..512, twelve degrees per row.  Found by exhaustive search in
+# degree m = 33..256, twelve degrees per row.  Found by exhaustive search in
 # increasing k and certified by Rabin's test; `tests/oracles.py` repeats the
 # search and holds the test.
 IRREDUCIBLE_TAILS = (
@@ -85,28 +85,7 @@ IRREDUCIBLE_TAILS = (
     0x65, 0x2B, 0x69, 0x8B, 0x71, 0xF5, 0xF5, 0x81, 0x137, 0x35, 0x35, 0x1B5,
     0x16D, 0xF5, 0x7B, 0x107, 0x267, 0xBD, 0x95, 0xF5, 0xBD, 0x1CB, 0x1CD, 0x21,
     0x93, 0x27, 0x3F, 0x129, 0x179, 0x173, 0x123, 0x167, 0x53, 0x1A7, 0x215, 0x13D,
-    0x93, 0x6F, 0x95, 0x7D, 0x3F, 0x87, 0x2D, 0x425, 0xBD, 0x251, 0x1FB, 0x69,
-    0xD1, 0x311, 0x27F, 0x245, 0x2D, 0x4D, 0x149, 0x387, 0xC3, 0x35, 0x11F, 0x1E3,
-    0x87, 0xED, 0x13B, 0x4B, 0xB7, 0x21, 0x21, 0x225, 0x213, 0x4D, 0x167, 0x161,
-    0xAF, 0x1FB, 0x65, 0x1D5, 0xF5, 0x2D, 0x7B, 0x8B, 0x25B, 0xF9, 0x35, 0x8D,
-    0x21, 0x13B, 0xAF, 0x21, 0x167, 0x3F, 0x3, 0x3F, 0xC5, 0x8B, 0x115, 0x387,
-    0x173, 0x123, 0xA9, 0x291, 0x8B, 0x167, 0x7B, 0x16B, 0x95, 0x161, 0x12F, 0x1B,
-    0xA5, 0x2F7, 0x7B, 0x17, 0x157, 0x40B, 0xED, 0x10B, 0x13D, 0x6F, 0xF5, 0x47,
-    0x5, 0x27, 0x333, 0x93, 0xE7, 0x1B, 0xAF, 0x2CB, 0x11F, 0x15D, 0x3DB, 0x87,
-    0x115, 0xE7, 0xF5, 0x191, 0x65, 0x65, 0x149, 0xBD, 0x291, 0x32B, 0x63, 0xE7,
-    0x1F1, 0x16B, 0x167, 0x2D, 0x93, 0x19B, 0x129, 0x201, 0x261, 0x161, 0xBB, 0x8D,
-    0x5EB, 0x2D, 0x10D, 0x16D, 0x185, 0x161, 0x17, 0x1A1, 0x10B, 0x251, 0x32B, 0x563,
-    0x27, 0x223, 0x223, 0x1DF, 0x41, 0x395, 0x183, 0x99, 0xCF, 0x13B, 0x47, 0x19B,
-    0x81, 0x185, 0x1F7, 0x7D, 0x1E3, 0xC5, 0x257, 0x2D, 0xBB, 0x3F, 0x321, 0x7B,
-    0x355, 0x10D, 0x1A7, 0x2D, 0xA9, 0x419, 0x16D, 0xA5, 0xD7, 0x13B, 0x215, 0x225,
-    0x13B, 0x77, 0x27F, 0x81, 0x35, 0xBB, 0x21F, 0x1AD, 0x7B, 0x273, 0x167, 0x15B,
-    0x23D, 0x13D, 0x2B, 0xEB, 0x36F, 0xE7, 0x46B, 0x71, 0x47, 0x19D, 0x10D, 0x1B,
-    0x81, 0xA5, 0x18F, 0x2BF, 0xD1, 0x6A3, 0x19D, 0xBD, 0x27F, 0x1D5, 0x335, 0x71,
-    0x7F1, 0x143, 0x2F1, 0xCF, 0x26D, 0x21F, 0xDB, 0x223, 0xC3, 0x261, 0x595, 0x257,
-    0x10D, 0x3C9, 0x843, 0x55F, 0x7D, 0x13D, 0x3, 0x3F, 0x149, 0x2B9, 0x311, 0x9F,
-    0x179, 0x53, 0x1FD, 0xDD, 0x297, 0x261, 0xDB, 0x5D7, 0x1AD, 0xF9, 0x215, 0x1B,
-    0x261, 0x2A1, 0x7B, 0x53, 0x24F, 0x53F, 0xB1, 0x197, 0x6A3, 0x77, 0x2CD, 0x167,
-    0x35, 0x131, 0x9, 0x5F, 0x31D, 0x317, 0xF5, 0x9F, 0x189, 0x53, 0x401, 0x125,
+    0x93, 0x6F, 0x95, 0x7D, 0x3F, 0x87, 0x2D, 0x425,
 )
 
 # Largest degree with log/antilog tables.  Their size and build time double
@@ -120,8 +99,8 @@ _TABLE_MAX_M = 16
 # 0.38 MiB, not the 5.5 MiB of lists, at the same lookup speed.
 _LIST_MAX_M = 13
 
-# Largest field degree: the last one of `IRREDUCIBLE_TAILS`, big enough for
-# the universal-hash fields over production key lengths.
+# Largest field degree: the last one of `IRREDUCIBLE_TAILS`, the widest
+# universal hash (`UHashParams` takes n_bits <= 256).
 _MAX_M = 32 + len(IRREDUCIBLE_TAILS)
 
 
@@ -216,7 +195,7 @@ def _window_ops(m: int, modulus: int):
 
 
 class GF2m:
-    """The binary extension field GF(2^m), 1 <= m <= 512, on the fixed
+    """The binary extension field GF(2^m), 1 <= m <= 256, on the fixed
     modulus `irreducible_modulus(m)`.
 
     `field_of(m)` hands out one shared instance per degree, and every field
@@ -347,22 +326,13 @@ def poly_scale(field: GF2m, f: list[int], c: int) -> list[int]:
     return poly_norm([mul(a, c) for a in f])
 
 
-def poly_eval(field: GF2m, f: list[int], x: int) -> int:
-    """Horner evaluation.  Empty f evaluates to 0."""
-    acc = 0
-    mul = field.mul
-    for c in reversed(f):
-        acc = mul(acc, x) ^ c
-    return acc
-
-
 # array typecode of each unsigned item width in bytes: 1, 2, 4 and 8
 _LANE_TYPES = {array(c).itemsize: c for c in "BHIQ"}
 
 
 def poly_eval_many(field: GF2m, f: list[int], xs) -> list[int]:
-    """[poly_eval(field, f, x) for x in xs], by one Horner pass over all
-    the points at once (bit-slicing, Biham 1997).
+    """The value of f at every x in xs, by one Horner pass over all the
+    points at once (bit-slicing, Biham 1997).
 
     Every x sits in its own lane of w >= 2m bits of one packed int, and so
     does the accumulator.  A lane-wise multiply by x is the XOR of m

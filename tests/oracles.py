@@ -6,20 +6,24 @@ parity rows and coset-leader enumeration for linear codes, one
 column-by-column Gauss-Jordan elimination for their reduced form, the
 partial extended Euclid with trace root splitting for BCH decoding, a
 bit-by-bit loop for word permutation, one whole-int shift per field for
-bit packing, evaluation at every field element
-for polynomial roots, repeated squaring for the absolute trace, the product of
-s linear factors for a characteristic polynomial, Reed-Solomon decoding
-over all s points for improved Juels-Sudan recovery, and one scalar
-Horner evaluation per pair for the original Juels-Sudan sketch, a
-shift-and-add carry-less multiply for field arithmetic, and a screened
-search in increasing order, certified by Rabin's irreducibility test, for
-the pinned hash-field moduli.  The
-enumerating ones are exponential or linear in 2^m, so they stay in the
-small regime.
+bit packing, scalar Horner evaluation (`poly_eval`, the reference for
+`poly_eval_many`) and evaluation at every field element for polynomial
+roots, repeated squaring for the absolute trace, the product of s linear
+factors for a characteristic polynomial, Reed-Solomon decoding over all s
+points for improved Juels-Sudan recovery, and one scalar Horner
+evaluation per pair for the original Juels-Sudan sketch, a shift-and-add
+carry-less multiply for field arithmetic, and a screened search in
+increasing order, certified by Rabin's irreducibility test, for the pinned
+hash-field moduli.  Exact distributions, their min-entropy, average
+min-entropy and statistical distance, and the extractor's exact distance
+from uniform over every hash seed check the entropy accounting and the
+leftover hash lemma.  The enumerating ones are exponential or linear in
+2^m, so they stay in the small regime.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -33,13 +37,13 @@ from fzx.codec import (
     rs_decode,
     syndrome_from_support,
 )
+from fzx.entropy import UHashParams
 from fzx.gf2m import (
     GF2m,
     _split_roots,
     poly_add,
     poly_deg,
     poly_divmod,
-    poly_eval,
     poly_monic,
     poly_mul,
     poly_norm,
@@ -226,6 +230,15 @@ def rref(rows, n: int) -> list[tuple[int, int]]:
         done = [r ^ pivot if (r >> col) & 1 else r for r in done]
         done.append(pivot)
     return sorted(((r & -r).bit_length() - 1, r) for r in done)
+
+
+def poly_eval(field: GF2m, f: list[int], x: int) -> int:
+    """Horner evaluation.  Empty f evaluates to 0."""
+    acc = 0
+    mul = field.mul
+    for c in reversed(f):
+        acc = mul(acc, x) ^ c
+    return acc
 
 
 def absolute_trace(field: GF2m, a: int) -> int:
@@ -487,3 +500,119 @@ def smallest_irreducible(m: int) -> int:
         if is_irreducible(cand, m):
             return cand
     raise ValueError(f"no irreducible polynomial of degree {m} found")
+
+
+# ---------------------------------------------------------------------------
+# Exact distributions: explicit maps from byte-string outcomes to
+# probabilities, sized for desk-scale enumeration (supports up to 2^24
+# outcomes).  Entropies are in bits, log base 2 throughout.
+
+_MAX_SUPPORT = 1 << 24
+
+
+class FiniteDistribution:
+    """Immutable distribution over byte-string outcomes."""
+
+    __slots__ = ("probs",)
+
+    def __init__(self, probs: dict[bytes, float]):
+        if len(probs) > _MAX_SUPPORT:
+            raise ValueError("support larger than 2^24 outcomes")
+        total = 0.0
+        for k, p in probs.items():
+            if not isinstance(k, bytes):
+                raise ValueError("outcomes must be byte strings")
+            if p < 0:
+                raise ValueError(f"negative probability for {k!r}")
+            total += p
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        object.__setattr__(self, "probs", dict(probs))
+
+    def __setattr__(self, *a):
+        raise AttributeError("FiniteDistribution is immutable")
+
+    @classmethod
+    def uniform(cls, n_bits: int) -> "FiniteDistribution":
+        if not 0 <= n_bits <= 24:
+            raise ValueError("uniform distribution limited to 24 bits")
+        width = max(1, (n_bits + 7) // 8)
+        p = 1.0 / (1 << n_bits)
+        return cls({v.to_bytes(width, "big"): p for v in range(1 << n_bits)})
+
+    @classmethod
+    def point(cls, outcome: bytes) -> "FiniteDistribution":
+        return cls({outcome: 1.0})
+
+
+class JointDistribution:
+    """Immutable distribution over pairs of byte-string outcomes."""
+
+    __slots__ = ("probs",)
+
+    def __init__(self, probs: dict[tuple[bytes, bytes], float]):
+        if len(probs) > _MAX_SUPPORT:
+            raise ValueError("support larger than 2^24 outcomes")
+        total = 0.0
+        for k, p in probs.items():
+            if not (isinstance(k, tuple) and len(k) == 2):
+                raise ValueError("outcomes must be pairs")
+            if p < 0:
+                raise ValueError("negative probability")
+            total += p
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        object.__setattr__(self, "probs", dict(probs))
+
+    def __setattr__(self, *a):
+        raise AttributeError("JointDistribution is immutable")
+
+
+def statistical_distance(a: FiniteDistribution, b: FiniteDistribution) -> float:
+    """SD(A, B) = 1/2 sum over outcomes of |Pr[A=v] - Pr[B=v]|."""
+    keys = set(a.probs) | set(b.probs)
+    return 0.5 * sum(abs(a.probs.get(k, 0.0) - b.probs.get(k, 0.0)) for k in keys)
+
+
+def min_entropy(a: FiniteDistribution) -> float:
+    """H_inf(A) = -log2 max_a Pr[A=a]."""
+    return -math.log2(max(a.probs.values()))
+
+
+def avg_min_entropy(j: JointDistribution) -> float:
+    """H~_inf(A|B) = -log2 E_b [max_a Pr[A=a|B=b]], log taken after the
+    average.  Computed as -log2 sum_b max_a Pr[A=a, B=b]."""
+    best: dict[bytes, float] = {}
+    for (a, b), p in j.probs.items():
+        if p > best.get(b, 0.0):
+            best[b] = p
+    return -math.log2(sum(best.values()))
+
+
+def extractor_distance(u: UHashParams, w_dist: FiniteDistribution) -> float:
+    """Exact SD(<H_X(W), X>, <U_l, X>) over a uniform hash seed X.
+
+    Enumerates every seed, so it is guarded to n_bits <= 16.  Outcomes of
+    w_dist are read as big-endian n_bits-wide integers.
+    """
+    if u.n_bits > 16:
+        raise ValueError("exhaustive extractor SD limited to n_bits <= 16")
+    width = max(1, (u.n_bits + 7) // 8)
+    support = []
+    for outcome, prob in w_dist.probs.items():
+        if len(outcome) != width:
+            raise ValueError("outcome width does not match n_bits")
+        support.append((int.from_bytes(outcome, "big"), prob))
+    mul = u.field.mul
+    mask = (1 << u.l_bits) - 1
+    target = 1.0 / (1 << u.l_bits)
+    n_keys = 1 << u.n_bits
+    total = 0.0
+    buckets = [0.0] * (mask + 1)
+    for x in range(n_keys):
+        for h in range(mask + 1):
+            buckets[h] = 0.0
+        for w, prob in support:
+            buckets[mul(x, w) & mask] += prob
+        total += 0.5 * sum(abs(p - target) for p in buckets)
+    return total / n_keys

@@ -28,14 +28,7 @@ from fzx.edit import (
     recovery_info,
     shingle,
 )
-from fzx.entropy import (
-    FiniteDistribution,
-    JointDistribution,
-    UHashParams,
-    avg_min_entropy,
-    extractor_distance,
-    min_entropy,
-)
+from fzx.entropy import UHashParams
 from fzx.envelope import deserialize, reconcile_respond, serialize_pinsketch
 from fzx.gf2m import GF2m
 from fzx.hamming import (
@@ -56,7 +49,15 @@ from fzx.setdiff import (
     pinsketch_ss,
     setdiff_entropy_loss,
 )
-from oracles import hamming_7_4, small_syndrome
+from oracles import (
+    FiniteDistribution,
+    JointDistribution,
+    avg_min_entropy,
+    extractor_distance,
+    hamming_7_4,
+    min_entropy,
+    small_syndrome,
+)
 
 # chi-square upper critical value at p = 0.001 for 104 degrees of freedom,
 # computed offline by bisection on the regularized incomplete gamma

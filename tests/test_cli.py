@@ -2,6 +2,7 @@
 exit-code contract (0 ok, 2 decode failure, 3 malformed input, 4 bad
 parameters)."""
 
+import math
 import random
 
 import pytest
@@ -310,6 +311,23 @@ def test_params_origjs(capsys):
     assert "loss_bits: 14.70" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scheme, shape", [
+    *[(s, ["--m", "8", "--t", "4"]) for s in ("hamming-syn", "hamming-offset", "hamming-perm")],
+    ("pinsketch", ["--m", "10", "--t", "5"]),
+    ("ijs", ["--m", "10", "--t", "4"]),
+    ("origjs", ["--m", "4", "--t", "2", "--s", "4", "--r", "8"]),
+    ("edit", ["--n", "64", "--t", "2"]),
+])
+def test_params_eps_adds_the_extractor_loss(capsys, scheme, shape):
+    def loss_bits(*eps):
+        assert main(["params", "--scheme", scheme, *shape, *eps]) == 0
+        out = capsys.readouterr().out.splitlines()
+        return float(next(line for line in out if line.startswith("loss_bits: ")).split()[1])
+
+    assert loss_bits("--eps", "0.01") == pytest.approx(loss_bits() + 2 * math.log2(100) - 2)
+    assert main(["params", "--scheme", scheme, *shape, "--eps", "0"]) == 4
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -406,6 +424,12 @@ def test_exit_4_on_missing_scheme_param(tmp_path):
     ["--scheme", "pinsketch", "--m", "3", "--t", "4"],  # distance 9 > 2^3 - 1
     ["--scheme", "ijs", "--m", "600", "--t", "2"],  # no field of degree 600
     ["--scheme", "origjs", "--m", "3", "--t", "1", "--r", "8"],  # r > 2^3 - 1
+    # shapes whose envelope header cannot carry them: m u8, t u16, aux u16
+    ["--scheme", "pinsketch", "--m", "256", "--t", "4"],
+    ["--scheme", "ijs", "--m", "256", "--t", "2"],
+    ["--scheme", "ijs", "--m", "300", "--t", "2"],
+    ["--scheme", "pinsketch", "--m", "20", "--t", "70000"],
+    ["--scheme", "origjs", "--m", "17", "--t", "2", "--r", "70000"],
 ])
 def test_params_rejects_what_sketch_rejects(tmp_path, capsys, flags):
     ai = _write_set(tmp_path, "a.set", [1, 2, 3])
@@ -436,6 +460,18 @@ def test_edit_shape_beyond_envelope_header_exits_4(tmp_path, capsys):
     assert main(["params", *flags, "--n", "20"]) == 4
     assert main(["sketch", *flags, "-i", wi, "-o", str(sk)]) == 4
     assert "out of envelope range" in capsys.readouterr().err
+    assert not sk.exists()
+
+
+def test_hamming_shape_beyond_envelope_header_exits_4(tmp_path, capsys):
+    # t = 70000 does not fit the u16 t of the header, and is rejected before
+    # the code's t*m = 1.26M parity rows of 262,143 bits are built
+    wi = _write(tmp_path, "w.txt", "0" * 262143)
+    sk = tmp_path / "h.bin"
+    flags = ["--scheme", "hamming-syn", "--m", "18", "--t", "70000"]
+    assert main(["params", *flags]) == 4
+    assert main(["sketch", *flags, "-i", wi, "-o", str(sk)]) == 4
+    assert "t out of envelope range" in capsys.readouterr().err
     assert not sk.exists()
 
 

@@ -20,7 +20,7 @@ from fzx.codec import (
     support_from_syndrome,
     syndrome_from_support,
 )
-from fzx.gf2m import GF2m, field_of, poly_eval, poly_norm
+from fzx.gf2m import GF2m, field_of, poly_norm
 from fzx.hamming import bch_params, random_codeword
 from oracles import (
     SmallLinearCode,
@@ -28,6 +28,7 @@ from oracles import (
     bch_parity_rows,
     euclid_support_from_syndrome,
     hamming_7_4,
+    poly_eval,
     small_decode_brute,
     small_syndrome,
 )

@@ -5,26 +5,32 @@ import random
 
 import pytest
 
+import fzx
+from fzx import entropy, gf2m
 from fzx.codec import DecodeFailure
 from fzx.entropy import (
     ExtractedKey,
-    FiniteDistribution,
-    JointDistribution,
     MalformedPayload,
     UHashParams,
-    avg_min_entropy,
     compose_gen,
     compose_rep,
     extract,
-    extractor_distance,
     max_extractable_bits,
-    min_entropy,
     parse_helper,
     reproduce,
-    statistical_distance,
     uhash,
 )
-from oracles import hamming_7_4, small_decode_brute, small_syndrome
+from oracles import (
+    FiniteDistribution,
+    JointDistribution,
+    avg_min_entropy,
+    extractor_distance,
+    hamming_7_4,
+    min_entropy,
+    small_decode_brute,
+    small_syndrome,
+    statistical_distance,
+)
 
 
 def test_distribution_validation():
@@ -285,3 +291,12 @@ def test_max_extractable_bits_examples():
         max_extractable_bits(10, 0)
     with pytest.raises(ValueError):
         max_extractable_bits(10, 1.5)
+
+
+def test_the_exact_distribution_oracles_live_in_the_tests():
+    moved = ("FiniteDistribution", "JointDistribution", "statistical_distance",
+             "min_entropy", "avg_min_entropy", "extractor_distance", "_MAX_SUPPORT")
+    for name in moved:
+        assert name not in fzx.__all__ and not hasattr(fzx, name), name
+        assert not hasattr(entropy, name), name
+    assert "poly_eval" not in fzx.__all__ and not hasattr(gf2m, "poly_eval")

@@ -8,7 +8,6 @@ from collections import Counter
 import pytest
 
 from fzx.codec import BchCode, DecodeFailure
-from fzx.entropy import JointDistribution, avg_min_entropy
 from fzx.gf2m import GF2m, field_of
 from fzx.hamming import (
     CodeOffsetSketch,
@@ -27,7 +26,15 @@ from fzx.hamming import (
     ss_permuted,
     ss_syndrome,
 )
-from oracles import bch_parity_rows, hamming_7_4, permute_word_loop, rref, small_syndrome
+from oracles import (
+    JointDistribution,
+    avg_min_entropy,
+    bch_parity_rows,
+    hamming_7_4,
+    permute_word_loop,
+    rref,
+    small_syndrome,
+)
 
 # the codewords of the [7,4,3] Hamming code, from its explicit parity rows
 HAMMING_7_4_CODEWORDS = {c for c in range(128) if small_syndrome(hamming_7_4(), c) == 0}

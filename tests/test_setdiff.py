@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fzx.codec import DecodeFailure, rs_decode
-from fzx.entropy import JointDistribution, avg_min_entropy
 from fzx.envelope import deserialize, serialize_ijs
-from fzx.gf2m import GF2m, field_of, poly_eval
+from fzx.gf2m import GF2m, field_of
 from fzx.setdiff import (
     ElementSet,
     IjsSketchData,
@@ -26,7 +25,14 @@ from fzx.setdiff import (
     setdiff_entropy_loss,
 )
 import oracles
-from oracles import char_poly, char_poly_top, ijs_rec_rs
+from oracles import (
+    JointDistribution,
+    avg_min_entropy,
+    char_poly,
+    char_poly_top,
+    ijs_rec_rs,
+    poly_eval,
+)
 
 
 def _sets_equal(a: ElementSet, b) -> bool:
