@@ -7,11 +7,12 @@ s_j = sum_{x in supp} x^j for j = 1, 3, ..., 2t-1; the even entries are
 recovered from the Frobenius identity s_{2j} = s_j^2, so they are never
 stored.  Decoding solves the key equation with Berlekamp's binary
 algorithm, in t steps, and finds the locator's roots with
-`gf2m.poly_roots`: one evaluation at every element for fields of at most
-256 elements, above that at most m rounds of trace splitting over a fixed
-basis.  Decoding draws nothing at random, so a syndrome always decodes the
-same way.  All decoding work is polynomial in t and m; only that
-whole-field pass, capped at 256 points, depends on 2^m.
+`gf2m.poly_roots`: for fields of at most 256 elements one evaluation at
+every element, an XOR of power rows that the first decode in the field
+builds and keeps; above that at most m rounds of trace splitting over a
+fixed basis.  Decoding draws nothing at random, so a syndrome always
+decodes the same way.  All decoding work is polynomial in t and m; only
+that whole-field pass, capped at 256 byte lanes, depends on 2^m.
 
 A word held whole, as an n-bit int, goes through the same syndrome map
 held as t*m parity rows, which `BchCode` builds on first use and keeps

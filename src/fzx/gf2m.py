@@ -12,10 +12,11 @@ degree and shared; wider fields multiply by a 4-bit window.
 Polynomials over the field are lists of ints, lowest-degree coefficient
 first, with no trailing zero coefficients (the zero polynomial is []).
 `poly_eval_many` evaluates one at a whole list of points in a single
-Horner pass over lane-packed ints.  `poly_roots` runs that pass over the
-whole field when it has at most 256 elements, and above it splits f by
-the trace map over the fixed basis x^0, ..., x^(m-1), in at most m
-rounds; nothing in it is random.
+Horner pass over lane-packed ints.  `poly_roots` searches a field of at
+most 256 elements whole, as one XOR of cached power rows (one byte lane
+per element, built on the first search and grown to the degree asked),
+and above that splits f by the trace map over the fixed basis x^0, ...,
+x^(m-1), in at most m rounds; nothing in it is random.
 """
 
 from __future__ import annotations
@@ -433,29 +434,87 @@ def _poly_sqrmod(field: GF2m, f, mod):
     return r
 
 
+# Power rows of each field of at most 256 elements, by degree m, as
+# `_power_rows` grows them.  A longer tuple replaces a shorter one whole and
+# is never appended to, so a search always reads rows that agree.
+_POWER_ROWS: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _power_rows(field: GF2m, d: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..d (at least) of the whole-field search in GF(2^m), m <= 8.
+
+    Row j is m ints of 2^m byte lanes, and lane x of rows[j][b] holds
+    alpha^b * x^j, alpha the element 2.  Row j+1 is x times row j: the XOR
+    of rows[j][k] over the lanes whose x has bit k set.  Each alpha-multiple
+    after it shifts every lane up one bit, and the bit carried out of x^(m-1)
+    adds the modulus tail back; a lane holds a whole element, so nothing
+    else needs reducing.  Kept for the process, at most 2^m + 1 rows per
+    degree (`poly_roots` answers longer f without them).
+    """
+    m = field.m
+    rows = _POWER_ROWS.get(m, ())
+    if len(rows) > d:
+        return rows
+    n = 1 << m
+    ones = int.from_bytes(b"\1" * n, "little")  # bit 0 of every lane
+    top = ones << (m - 1)
+    tail = field.modulus ^ n
+    xs = int.from_bytes(bytes(range(n)), "little")  # lane x holds x
+    masks = [(k, (xs >> k & ones) * 0xFF) for k in range(m)]
+    grown = list(rows) or [tuple((1 << b) * ones for b in range(m))]
+    while len(grown) <= d:
+        prev, v = grown[-1], 0
+        for k, mk in masks:
+            v ^= prev[k] & mk
+        row = [v]
+        for _ in range(m - 1):
+            hi = v & top
+            v = (v ^ hi) << 1 ^ (hi >> (m - 1)) * tail
+            row.append(v)
+        grown.append(tuple(row))
+    rows = _POWER_ROWS[m] = tuple(grown)
+    return rows
+
+
 def poly_roots(field: GF2m, f: list[int]) -> set[int] | None:
     """Distinct roots of f in the field, or None if f is not squarefree
     and fully split (i.e. not a product of deg(f) distinct linear factors).
 
-    A field of at most 256 elements is searched whole: f is evaluated at
-    every element in one `poly_eval_many` pass (Chien 1964), and f splits
-    iff deg(f) of the values are zero.  Larger fields split f by the trace
+    A field of at most 256 elements is searched whole (Chien 1964): the
+    value of monic f at every element is the XOR of rows[j][b] of
+    `_power_rows` over the set bits b of each coefficient f_j, one byte
+    lane per element (bit-slicing, as in McBits: Bernstein, Chou and
+    Schwabe 2013), and f splits iff deg(f) lanes are zero.  Larger fields split f by the trace
     map in at most m rounds (`_split_roots`).  Both are fixed functions of
     their input.
     """
     if not f:
         raise ValueError("zero polynomial")
+    d = poly_deg(f)
+    if d > field.order + 1:
+        return None  # more roots than the field has elements
     f = poly_monic(field, f)
-    if poly_deg(f) == 0:
+    if d == 0:
         return set()
-    if poly_deg(f) == 1:
+    if d == 1:
         # monic z + a has root a
         return {f[0]}
-    if field.m <= 8:
-        xs = range(field.order + 1)
-        roots = {x for x, v in zip(xs, poly_eval_many(field, f, xs)) if not v}
-        return roots if len(roots) == poly_deg(f) else None
-    return _split_roots(field, f)
+    if field.m > 8:
+        return _split_roots(field, f)
+    acc = 0
+    for c, row in zip(f, _power_rows(field, d)):
+        while c:
+            low = c & -c
+            acc ^= row[low.bit_length() - 1]
+            c ^= low
+    values = acc.to_bytes(field.order + 1, "little")
+    if values.count(0) != d:
+        return None
+    roots, x = set(), values.find(0)
+    while x >= 0:
+        roots.add(x)
+        x = values.find(0, x + 1)
+    return roots
 
 
 def _split_roots(field: GF2m, f: list[int]) -> set[int] | None:

@@ -140,12 +140,22 @@ def test_ijs_odd_t_eps_key_length_agrees(tmp_path, capsys):
     assert len(key) == 2 * 14  # floor(123.65 - 2 log2(1000) + 2) = 105 bits
 
 
-@pytest.mark.parametrize("scheme, n_bytes", [("pinsketch", None), ("ijs", None), ("origjs", 14)])
+# bytes of the hamming-perm helper that hold its 255 u32 permutation
+# entries, after the 2-byte length field and the 8-byte envelope header
+PERM_BODY = range(10, 10 + 4 * 255)
+
+
+@pytest.mark.parametrize(
+    "scheme, n_bytes",
+    [("pinsketch", None), ("ijs", None), ("origjs", 14), ("hamming-syn", None),
+     ("hamming-offset", None), ("hamming-perm", None), ("edit", None)],
+)
 def test_golden_helper_bit_flips_exit_0_2_or_3(tmp_path, capsys, scheme, n_bytes):
     """Every one-bit flip of a golden --out-bits 32 helper (for origjs, of
-    its length field, header and aux) makes rep decode, fail to decode or
-    call the helper malformed: never exit 4, which is for bad parameters,
-    and never raise.  A seed flip still gives a different key with exit 0,
+    its length field, header and aux; for hamming-perm, outside its
+    permutation body) makes rep decode, fail to decode or call the helper
+    malformed: never exit 4, which is for bad parameters, and never raise.
+    A seed or syndrome flip can still give a different key with exit 0,
     which only a helper tag can catch."""
     w, wp = _inputs(scheme)
     wi, wpi = tmp_path / "w.txt", tmp_path / "wp.txt"
@@ -157,6 +167,8 @@ def test_golden_helper_bit_flips_exit_0_2_or_3(tmp_path, capsys, scheme, n_bytes
     data = helper.read_bytes()
     codes = {}
     for bit in range(8 * len(data[:n_bytes])):
+        if scheme == "hamming-perm" and bit // 8 in PERM_BODY:
+            continue
         tampered = bytearray(data)
         tampered[bit // 8] ^= 0x80 >> (bit % 8)
         flipped.write_bytes(tampered)

@@ -403,3 +403,27 @@ def test_decoder_matches_the_euclid_oracle(m, random_syndrome, data):
     assert len(want) <= t
     if not random_syndrome and len(supp) <= t:
         assert want == supp
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(m=st.integers(2, 8), data=st.data())
+def test_support_from_syndrome_on_the_whole_field_search(m, data):
+    # every t with 2t + 1 <= 2^m - 1, so locators up to degree 127: a
+    # support of at most t comes back exactly; one of t+1..2t fails or
+    # decodes to a support of at most t with the same syndrome
+    f = field_of(m)
+    t = data.draw(st.integers(1, (f.order - 1) // 2), label="t")
+    code = BchCode(f, 2 * t + 1)
+    size = data.draw(st.integers(0, 2 * t), label="size")
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    supp = set(rng.sample(range(1, f.order + 1), size))
+    sums = syndrome_from_support(code, supp)
+    if size <= t:
+        assert support_from_syndrome(code, sums) == supp
+        return
+    try:
+        got = support_from_syndrome(code, sums)
+    except DecodeFailure:
+        return
+    assert len(got) <= t
+    assert syndrome_from_support(code, got) == sums

@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from functools import partial
 from types import SimpleNamespace
 
@@ -379,7 +380,9 @@ def test_import_does_no_modulus_work():
     code = (
         "import fzx.cli, fzx.gf2m as g; "
         "assert g._tables.cache_info().currsize == 0; "
-        "assert g.field_of.cache_info().currsize == 0"
+        "assert g.field_of.cache_info().currsize == 0; "
+        "g.GF2m(8), g.field_of(8); "
+        "assert not g._POWER_ROWS"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
@@ -568,19 +571,95 @@ def test_roots_that_only_trace_round_k_separates(m, monkeypatch):
 @given(m=st.integers(1, 8), data=st.data())
 def test_whole_field_search_matches_trace_splitting(m, data):
     # f = (linear factors, repeats and 0 allowed) * (a random cofactor,
-    # often without roots), so split, repeated and non-split f all occur
+    # often without roots), so split, repeated and non-split f all occur,
+    # up to degree 30: past every field's 2^m for m <= 4
     field = field_of(m)
     elem = st.integers(0, field.order)
     f = [data.draw(st.integers(1, field.order), label="lead")]
-    for r in data.draw(st.lists(elem, max_size=8), label="roots"):
+    for r in data.draw(st.lists(elem, max_size=24), label="roots"):
         f = poly_mul(field, f, [r, 1])
-    cofactor = data.draw(st.lists(elem, max_size=4), label="cofactor") + [1]
+    cofactor = data.draw(st.lists(elem, max_size=6), label="cofactor") + [1]
     f = poly_mul(field, f, cofactor)
     want = brute_roots(field, f)
     got = poly_roots(field, f)
     assert got == (want if len(want) == poly_deg(f) else None)
     if poly_deg(f) >= 2:
         assert _split_roots(field, poly_monic(field, f)) == got
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_whole_field_search_edges(m, monkeypatch):
+    monkeypatch.setattr(gf2m, "_POWER_ROWS", {})
+    field = field_of(m)
+    q = field.order + 1
+    # more roots than elements: None before any row is built
+    too_long = [1] * (q + 2)
+    assert poly_roots(field, too_long) is None
+    assert m not in gf2m._POWER_ROWS
+    # z^q + z vanishes on the whole field, which takes rows 0..q
+    whole = [0, 1] + [0] * (q - 2) + [1]
+    assert poly_roots(field, whole) == brute_roots(field, whole) == set(range(q))
+    assert len(gf2m._POWER_ROWS[m]) == q + 1
+    assert poly_roots(field, too_long) is None
+    assert len(gf2m._POWER_ROWS[m]) == q + 1
+    lead = field.order  # the int 1 only at m = 1
+    rootless = next(g for a in range(q) if not brute_roots(field, g := [a, 1, 1]))
+    rng = random.Random(m)
+    for _ in range(20):
+        roots = rng.sample(range(1, q), rng.randrange(min(q - 1, 6))) + [0]
+        f = [lead]
+        for r in roots:
+            f = poly_mul(field, f, [r, 1])
+        # a root at 0, under a non-monic lead
+        assert poly_roots(field, f) == brute_roots(field, f) == set(roots)
+        # a repeated root
+        rep = poly_mul(field, f, [roots[0], 1])
+        assert brute_roots(field, rep) == set(roots)
+        assert poly_roots(field, rep) is None
+        # a cofactor without roots leaves f unsplit
+        unsplit = poly_mul(field, f, rootless)
+        assert brute_roots(field, unsplit) == set(roots)
+        assert poly_roots(field, unsplit) is None
+
+
+def test_power_rows_grown_from_threads_stay_aligned(monkeypatch):
+    # threads that grow one degree's rows at once each swap in a whole
+    # tuple; rows appended to a shared list would be misaligned
+    field = field_of(8)
+    cases = []
+    for d in range(2, 40, 3):
+        roots = set(random.Random(d).sample(range(256), d))
+        f = [1]
+        for r in roots:
+            f = poly_mul(field, f, [r, 1])
+        cases.append((f, roots))
+    want = gf2m._power_rows(field, 38)
+    errors = []
+
+    def search(start, first):
+        start.wait(timeout=60)
+        for f, roots in cases[first:] + cases[:first]:
+            if poly_roots(field, f) != roots:
+                errors.append(poly_deg(f))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(gf2m, "_POWER_ROWS", {})
+            # every thread starts at once, on degree 38, 35 or 32
+            start = threading.Barrier(6)
+            threads = [threading.Thread(target=search, args=(start, -1 - i % 3)) for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            rows = gf2m._POWER_ROWS[8]
+            assert rows == want[: len(rows)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
 
 
 def test_brute_roots_guard_and_scan_semantics():
