@@ -1,6 +1,6 @@
 """Command-line front end: sketch/recover, gen/rep, reconcile, params.
 
-Each scheme's sketch, recovery, hash encoding and loss live in its record
+Each scheme's header, sketch, recovery, encoding and loss live in its record
 in `envelope._WIRE`; this module does file I/O per kind of input, flags
 (each subcommand takes only those it reads) and reconciliation.
 
@@ -35,6 +35,7 @@ from .envelope import (
     MalformedEnvelope,
     deserialize,
     reconcile_respond,
+    residual,
 )
 from .gf2m import field_of
 from .hamming import bch_params
@@ -138,10 +139,11 @@ def _scheme(args):
 
 
 def _sketch(args, rng):
-    """Read the input file and sketch it: (scheme, w, envelope bytes)."""
+    """Read the input file and sketch it at the header of the flags and
+    the size of w: (scheme, w, envelope bytes)."""
     wire = _scheme(args)
     w = _READ[wire.kind](args.input, args)
-    return wire, w, wire.sketch(args, w, rng)
+    return wire, w, wire.sketch(w, rng, *wire.header(args, w))
 
 
 def _open(args, env_bytes: bytes, what: str):
@@ -158,7 +160,7 @@ def _open(args, env_bytes: bytes, what: str):
     return wire, env, wire.recover(env, w_prime)
 
 
-def _key_bits(args, wire, env, w) -> int:
+def _key_bits(args, env, w) -> int:
     """The key length: --out-bits, or what --eps leaves of the residual
     entropy of w given the sketch in env; gen and rep read the same
     envelope, so they agree."""
@@ -166,7 +168,7 @@ def _key_bits(args, wire, env, w) -> int:
         return args.out_bits
     if args.eps is None:
         raise ValueError("need --out-bits or --eps")
-    l = max_extractable_bits(wire.residual(env, w), args.eps)
+    l = max_extractable_bits(residual(env, w), args.eps)
     if l < 1:
         raise ValueError("no extractable bits at this eps; residual entropy too low")
     return l
@@ -197,7 +199,7 @@ def _cmd_gen(args) -> int:
     wire, w, data = _sketch(args, rng)
     env = deserialize(data)
     value, n_bits = wire.encode(env, w)
-    key = extract(data, value, UHashParams(n_bits, _key_bits(args, wire, env, w)), rng)
+    key = extract(data, value, UHashParams(n_bits, _key_bits(args, env, w)), rng)
     Path(args.output).write_bytes(key.p)
     print(key.r.hex())
     return 0
@@ -206,7 +208,7 @@ def _cmd_gen(args) -> int:
 def _cmd_rep(args) -> int:
     sketch, seed = parse_helper(_read_bytes(args.sketch))
     wire, env, w = _open(args, sketch, "helper")
-    l_bits = _key_bits(args, wire, env, w)
+    l_bits = _key_bits(args, env, w)
     print(reproduce(seed, *wire.encode(env, w), l_bits).hex())
     return 0
 
@@ -224,7 +226,8 @@ def _cmd_reconcile(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    info = _scheme(args).loss(args)
+    wire = _scheme(args)
+    info = wire.loss(*wire.header(args))
     if args.eps is not None:
         info["loss_bits"] += extractor_loss(args.eps)
     lines = [f"scheme: {args.scheme}"]

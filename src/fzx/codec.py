@@ -99,7 +99,9 @@ class BchCode:
         """
         f = self.field
         m = f.m
-        fold = [f.pow(2, k) for k in range(2 * m - 1)]  # alpha^k mod f
+        fold = [1]  # alpha^k mod f for k < 2m - 1
+        for _ in range(2 * m - 2):
+            fold.append(f.mul(fold[-1], 2))
 
         def reduce(planes: list[int]) -> list[int]:
             for k in range(m, 2 * m - 1):

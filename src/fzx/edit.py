@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bitpack import pack_fields
 from .codec import DecodeFailure
-from .entropy import ExtractedKey, UHashParams, extract, extractor_loss, parse_helper, reproduce
+from .entropy import ExtractedKey, UHashParams, extract, parse_helper, reproduce
 from .gf2m import GF2m, field_of
 from .setdiff import ElementSet, PinSketchData, pinsketch_rec, pinsketch_ss
 
@@ -243,7 +243,7 @@ def edit_rep(w_prime, p: bytes, l_bits: int) -> bytes:
     if env.scheme != SCHEME_EDIT:
         raise MalformedEnvelope("bad-scheme", "helper does not hold an edit sketch")
     w = edit_rec(w_prime, env.sketch)
-    return reproduce(seed, *shingle_encoding(w, env.c), l_bits)
+    return reproduce(seed, *shingle_encoding(w, env.aux[1]), l_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +254,11 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def edit_entropy_loss(n: int, c: int, t: int, F: int, eps: float | None = None) -> float:
-    """ceil(n/c) log2(n-c+1) + (2c-1) t ceil(log2(F^c+1)), plus the
-    extractor's 2 log2(1/eps) - 2 when eps is given."""
+def edit_entropy_loss(n: int, c: int, t: int, F: int) -> float:
+    """ceil(n/c) log2(n-c+1) + (2c-1) t ceil(log2(F^c+1))."""
     if not 1 <= c < n or t < 1 or F < 2:
         raise ValueError("bad parameters")
-    loss = -(-n // c) * math.log2(n - c + 1) + (2 * c - 1) * t * _ceil_log2(F**c + 1)
-    if eps is not None:
-        loss += extractor_loss(eps)
-    return loss
+    return -(-n // c) * math.log2(n - c + 1) + (2 * c - 1) * t * _ceil_log2(F**c + 1)
 
 
 def optimal_shingle_len(n: int, t: int, F: int) -> int:

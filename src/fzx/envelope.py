@@ -9,7 +9,7 @@ Wire layout, big-endian throughout:
 its aux fields (none for the Hamming schemes and PinSketch; ijs u16 s;
 origjs u16 s, u16 r; edit u32 n, u16 c, u16 t_edit), its parser, which
 makes the sketching side's own shape check before it reads the payload,
-and the sketch, recovery, hash encoding and entropy loss the CLI runs.
+and the header, sketch, recovery, hash encoding and loss the CLI runs.
 Every serializer is one `_frame` call.  Payloads are bit-packed,
 left-aligned, and zero-padded to a byte; the pad bits must be zero.  An
 edit payload ends with the recovery indices, each minus one, in
@@ -18,8 +18,8 @@ edit payload ends with the recovery indices, each minus one, in
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 from .bitpack import bits_to_bytes, bytes_to_bits, pack_fields, unpack_fields, word_from_bytes, word_to_bytes
@@ -70,7 +70,7 @@ __all__ = [
     "MalformedEnvelope", "Envelope", "ReconcileReport",
     "serialize_hamming_syn", "serialize_hamming_offset", "serialize_hamming_perm",
     "serialize_pinsketch", "serialize_ijs", "serialize_origjs", "serialize_edit",
-    "deserialize", "reconcile_respond",
+    "deserialize", "residual", "reconcile_respond",
 ]
 
 MAGIC = b"FZX1"
@@ -94,15 +94,18 @@ class MalformedEnvelope(ValueError):
 
 @dataclass(frozen=True)
 class Envelope:
-    """A parsed sketch envelope; `sketch` is the scheme's native type."""
+    """A parsed envelope: its header, aux fields and native sketch."""
 
     scheme: int
     m: int
     t: int
     sketch: object
-    params: BchCode | None = None
-    c: int | None = None
-    t_edit: int | None = None
+    aux: tuple[int, ...] = ()
+
+    @property
+    def params(self) -> BchCode:
+        """The BCH code of a Hamming envelope."""
+        return bch_params(self.m, self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +115,7 @@ class Envelope:
 def _fit(scheme: int, m: int, t: int, *aux: int) -> None:
     """ValueError unless the header of `scheme` can carry m (u8), t (u16)
     and the leading aux fields given, at the widths of its record.  Each
-    record's sketch and loss run it on the shape before anything is built."""
+    record's header runs it on the shape before anything is built."""
     if not 1 <= m <= 0xFF:
         raise ValueError("m out of envelope range")
     if not 0 <= t <= 0xFFFF:
@@ -230,43 +233,38 @@ class _Reader:
         return unpack_fields(self.rest(count * width), count * width, width)
 
 
-def _hamming_syn(scheme, m, t, rd):
-    p = bch_params(m, t)
-    return Envelope(scheme, m, t, SyndromeSketch(rd.rest(t * m), t * m), params=p)
+def _hamming_syn(m, t, rd):
+    bch_params(m, t)  # the code sketching needs
+    return SyndromeSketch(rd.rest(t * m), t * m)
 
 
-def _hamming_offset(scheme, m, t, rd):
-    p = bch_params(m, t)
-    shift = rd.rest(p.n, word_from_bytes)
-    return Envelope(scheme, m, t, CodeOffsetSketch(shift, p.n), params=p)
+def _hamming_offset(m, t, rd):
+    n = bch_params(m, t).n
+    return CodeOffsetSketch(rd.rest(n, word_from_bytes), n)
 
 
-def _hamming_perm(scheme, m, t, rd):
-    p = bch_params(m, t)
-    perm = struct.unpack(f">{p.n}I", rd.take(4 * p.n))
-    sk = PermutedSketch(perm, SyndromeSketch(rd.rest(t * m), t * m))
-    return Envelope(scheme, m, t, sk, params=p)
+def _hamming_perm(m, t, rd):
+    n = bch_params(m, t).n
+    perm = struct.unpack(f">{n}I", rd.take(4 * n))
+    return PermutedSketch(perm, SyndromeSketch(rd.rest(t * m), t * m))
 
 
-def _pinsketch(scheme, m, t, rd):
+def _pinsketch(m, t, rd):
     field = field_of(m)
     pinsketch_code(field, t)
-    return Envelope(scheme, m, t, PinSketchData(field, t, tuple(rd.fields(t, m))))
+    return PinSketchData(field, t, tuple(rd.fields(t, m)))
 
 
-def _ijs(scheme, m, t, rd, s):
-    field = field_of(m)
-    return Envelope(scheme, m, t, IjsSketchData(field, s, t, tuple(rd.fields(t, m))))
+def _ijs(m, t, rd, s):
+    return IjsSketchData(field_of(m), s, t, tuple(rd.fields(t, m)))
 
 
-def _origjs(scheme, m, t, rd, s, r):
-    field = field_of(m)
+def _origjs(m, t, rd, s, r):
     flat = rd.fields(2 * r, m)
-    pairs = tuple(zip(flat[0::2], flat[1::2]))
-    return Envelope(scheme, m, t, OrigJsSketchData(field, s, r, t, pairs))
+    return OrigJsSketchData(field_of(m), s, r, t, tuple(zip(flat[0::2], flat[1::2])))
 
 
-def _edit(scheme, m, t, rd, n, c, t_edit):
+def _edit(m, t, rd, n, c, t_edit):
     try:
         _edit_shape(m, n, c, t_edit, t)
     except ValueError as exc:
@@ -278,97 +276,72 @@ def _edit(scheme, m, t, rd, n, c, t_edit):
     indices = tuple(i + 1 for i in rd.fields(-(-n // c), (n - c).bit_length()))
     if max(indices) > n - c + 1:
         raise MalformedEnvelope("bad-index", f"recovery index above {n - c + 1} shingles")
-    return Envelope(scheme, m, t, EditSketch(s1, RecoveryInfo(n, indices)), c=c, t_edit=t_edit)
+    return EditSketch(s1, RecoveryInfo(n, indices))
 
 
 # ---------------------------------------------------------------------------
 # The scheme table
 #
-# A shape is any object with the attributes m, t, c, s, r and n that a
-# scheme reads; the CLI passes its parsed flags.
+# A record's `header` is the scheme's one shape check: it makes the (m, t,
+# *aux) of an envelope from a shape (the CLI passes its flags: m, t, c, s,
+# r, n) and, when sketching, from w, whose size stands in for s or n.
+# `loss` is a formula over a header, from a shape or off the wire.
 
 
-def _bch(shape) -> BchCode:
+def _bch_header(shape, w=None) -> tuple:
     _fit(SCHEME_HAMMING_SYN, shape.m, shape.t)  # the Hamming headers carry no aux
-    return bch_params(shape.m, shape.t)
+    bch_params(shape.m, shape.t)
+    return shape.m, shape.t
 
 
-def _shingle_len(shape, n: int) -> int:
-    """shape.c, or the loss-minimizing shingle length for n binary
-    characters, once the header of the edit sketch fits: edit_capacity
-    makes the checks of edit_ss and gives the set capacity t."""
-    c = shape.c if shape.c is not None else optimal_shingle_len(n, shape.t, 2)
-    _fit(SCHEME_EDIT, c + 1, edit_capacity(n, c, shape.t, 1), n, c, shape.t)
-    return c
-
-
-def _sketch_pinsketch(shape, es: ElementSet, rng) -> bytes:
+def _pinsketch_header(shape, es=None) -> tuple:
     _fit(SCHEME_PINSKETCH, shape.m, shape.t)
-    return serialize_pinsketch(pinsketch_ss(es, shape.t))
+    pinsketch_code(field_of(shape.m), shape.t)
+    return shape.m, shape.t
 
 
-def _sketch_ijs(shape, es: ElementSet, rng) -> bytes:
-    _fit(SCHEME_IJS, shape.m, shape.t - shape.t % 2, len(es))  # as ijs_ss rounds t
-    return serialize_ijs(ijs_ss(es, shape.t))
+def _ijs_header(shape, es=None) -> tuple:
+    """t rounded down to even, as ijs_ss rounds it and with its warning
+    when es is sketched; `fzx params` takes no --s, so it stops at t."""
+    t = shape.t - shape.t % 2
+    if es is not None and t != shape.t:
+        warnings.warn("improved JS capacity must be even; rounding t down")
+    head = (shape.m, t) if es is None else (shape.m, t, len(es))
+    _fit(SCHEME_IJS, *head)
+    return head
 
 
-def _sketch_origjs(shape, es: ElementSet, rng) -> bytes:
-    _fit(SCHEME_ORIGJS, shape.m, shape.t, len(es), shape.r)
-    return serialize_origjs(origjs_ss(es, shape.r, shape.t, rng))
+def _origjs_header(shape, es=None) -> tuple:
+    s = shape.s if es is None else len(es)
+    _fit(SCHEME_ORIGJS, shape.m, shape.t, s, shape.r)
+    if not 0 <= shape.t <= s < shape.r <= field_of(shape.m).order:
+        raise ValueError("need 0 <= t <= s < r <= 2^m - 1")
+    return shape.m, shape.t, s, shape.r
 
 
-def _sketch_edit(shape, w: str, rng) -> bytes:
-    c = _shingle_len(shape, len(w))
-    return serialize_edit(edit_ss(w, c, shape.t), c, shape.t)
+def _edit_header(shape, w=None) -> tuple:
+    """The header of the sketch of a binary string of len(w) or shape.n
+    characters, with shape.c or, left out, the loss-minimizing shingle
+    length; edit_capacity makes the checks of edit_ss."""
+    n = shape.n if w is None else len(w)
+    c = shape.c if shape.c is not None else optimal_shingle_len(n, shape.t, 2)
+    t_set = edit_capacity(n, c, shape.t, 1)
+    _fit(SCHEME_EDIT, c + 1, t_set, n, c, shape.t)
+    return c + 1, t_set, n, c, shape.t
 
 
-def _bch_loss(shape) -> dict:
-    p = _bch(shape)
+def _bch_loss(m, t) -> dict:
+    p = bch_params(m, t)
     loss = hamming_entropy_loss(p.n, p.k)
     return {"n": p.n, "k": p.k, "sketch_bits": p.syndrome_bits, "loss_bits": loss}
 
 
-def _pinsketch_loss(shape) -> dict:
-    _fit(SCHEME_PINSKETCH, shape.m, shape.t)
-    pinsketch_code(field_of(shape.m), shape.t)
-    loss = setdiff_entropy_loss("pinsketch", m=shape.m, t=shape.t)
-    return {"sketch_bits": shape.t * shape.m, "loss_bits": loss}
-
-
-def _ijs_loss(shape) -> dict:
-    t = shape.t - shape.t % 2  # as ijs_ss rounds
-    _fit(SCHEME_IJS, shape.m, t)
-    return {"sketch_bits": t * shape.m, "loss_bits": setdiff_entropy_loss("ijs", m=shape.m, t=t)}
-
-
-def _origjs_loss(shape) -> dict:
-    _fit(SCHEME_ORIGJS, shape.m, shape.t, shape.s, shape.r)
-    if not 0 <= shape.t <= shape.s < shape.r <= field_of(shape.m).order:
-        raise ValueError("need 0 <= t <= s < r <= 2^m - 1")
-    loss = setdiff_entropy_loss("origjs", m=shape.m, t=shape.t, s=shape.s, r=shape.r)
-    return {"sketch_bits": 2 * shape.r * shape.m, "loss_bits": loss}
-
-
-def _edit_loss(shape) -> dict:
-    c = _shingle_len(shape, shape.n)
+def _edit_loss(m, t, n, c, t_edit) -> dict:
     return {
         "c": c,
-        "loss_bits": edit_entropy_loss(shape.n, c, shape.t, 2),
-        "approx_loss_bits": approx_edit_entropy_loss(shape.n, shape.t, 2),
+        "loss_bits": edit_entropy_loss(n, c, t_edit, 2),
+        "approx_loss_bits": approx_edit_entropy_loss(n, t_edit, 2),
     }
-
-
-def _set_residual(env: Envelope, es: ElementSet, t: int) -> float:
-    sk = env.sketch
-    # of the set sketches only origjs carries r
-    shape = SimpleNamespace(m=env.m, t=t, s=len(es), r=getattr(sk, "r", None))
-    loss = _WIRE[env.scheme].loss(shape)["loss_bits"]
-    return math.log2(math.comb(sk.field.order, len(es))) - loss
-
-
-def _string_residual(env: Envelope, w: str) -> float:
-    shape = SimpleNamespace(n=len(w), c=env.c, t=env.t_edit)
-    return len(w) - _edit_loss(shape)["loss_bits"]
 
 
 @dataclass(frozen=True)
@@ -377,30 +350,25 @@ class _Wire:
 
     id: int  # the scheme byte of the header
     name: str  # the CLI's --scheme value
-    parse: Callable  # (scheme, m, t, reader, *aux) -> Envelope
-    sketch: Callable  # (shape, w, rng) -> envelope bytes
+    parse: Callable  # (m, t, reader, *aux) -> the sketch
+    header: Callable  # (shape, w=None) -> (m, t, *aux), or ValueError
+    sketch: Callable  # (w, rng, m, t, *aux) -> envelope bytes
     recover: Callable  # (env, w') -> w, or DecodeFailure
     kind: str  # w is a "word" of 2^m - 1 bits, a "set" in GF(2^m)* or a binary "string"
     aux: tuple[int, ...]  # byte widths of the aux fields
-    fields: tuple[str, ...]  # the shape fields sketch and loss read; c may be None
+    fields: tuple[str, ...]  # the shape fields header reads; c may be None
     encode: Callable  # (env, w) -> the injective (value, n_bits) hash input
-    # (shape) -> the accounting `fzx params` prints, loss_bits among it,
-    # after the shape check sketching makes
-    loss: Callable
-    # (env, w) -> the min-entropy left in w, uniform over its kind, once the
-    # sketch in env is public: what w holds less the loss of env's shape
-    residual: Callable
+    loss: Callable  # (m, t, *aux) -> the accounting `fzx params` prints, loss_bits among it
 
 
 # what the three Hamming schemes share, and what the three set schemes share
 _WORDS = dict(
+    header=_bch_header,
     kind="word",
     aux=(),
     fields=("m", "t"),
     encode=lambda env, w: (w, env.params.n),
     loss=_bch_loss,
-    # an envelope has the m and t of a Hamming shape
-    residual=lambda env, w: env.params.n - _bch_loss(env)["loss_bits"],
 )
 _SETS = dict(kind="set", encode=lambda env, es: pack_fields(es.elems, env.m))
 
@@ -409,49 +377,68 @@ _WIRE = {
     for wire in (
         _Wire(
             SCHEME_HAMMING_SYN, "hamming-syn", _hamming_syn,
-            lambda sh, w, rng: serialize_hamming_syn(_bch(sh), ss_syndrome(_bch(sh), w)),
-            lambda env, w: rec_syndrome(env.params, w, env.sketch),
+            sketch=lambda w, rng, m, t: serialize_hamming_syn(
+                bch_params(m, t), ss_syndrome(bch_params(m, t), w)
+            ),
+            recover=lambda env, w: rec_syndrome(env.params, w, env.sketch),
             **_WORDS,
         ),
         _Wire(
             SCHEME_HAMMING_OFFSET, "hamming-offset", _hamming_offset,
-            lambda sh, w, rng: serialize_hamming_offset(
-                _bch(sh), ss_code_offset(_bch(sh), w, rng)
+            sketch=lambda w, rng, m, t: serialize_hamming_offset(
+                bch_params(m, t), ss_code_offset(bch_params(m, t), w, rng)
             ),
-            lambda env, w: rec_code_offset(env.params, w, env.sketch),
+            recover=lambda env, w: rec_code_offset(env.params, w, env.sketch),
             **_WORDS,
         ),
         _Wire(
             SCHEME_HAMMING_PERM, "hamming-perm", _hamming_perm,
-            lambda sh, w, rng: serialize_hamming_perm(_bch(sh), ss_permuted(_bch(sh), w, rng)),
-            lambda env, w: rec_permuted(env.params, w, env.sketch),
+            sketch=lambda w, rng, m, t: serialize_hamming_perm(
+                bch_params(m, t), ss_permuted(bch_params(m, t), w, rng)
+            ),
+            recover=lambda env, w: rec_permuted(env.params, w, env.sketch),
             **_WORDS,
         ),
         _Wire(
-            SCHEME_PINSKETCH, "pinsketch", _pinsketch, _sketch_pinsketch,
+            SCHEME_PINSKETCH, "pinsketch", _pinsketch, _pinsketch_header,
+            lambda es, rng, m, t: serialize_pinsketch(pinsketch_ss(es, t)),
             lambda env, es: pinsketch_rec(es, env.sketch),
-            aux=(), fields=("m", "t"), loss=_pinsketch_loss,
-            residual=lambda env, es: _set_residual(env, es, env.t), **_SETS,
+            aux=(), fields=("m", "t"),
+            loss=lambda m, t: {
+                "sketch_bits": t * m, "loss_bits": setdiff_entropy_loss("pinsketch", m=m, t=t)
+            },
+            **_SETS,
         ),
         _Wire(
-            SCHEME_IJS, "ijs", _ijs, _sketch_ijs,
+            SCHEME_IJS, "ijs", _ijs, _ijs_header,
+            lambda es, rng, m, t, s: serialize_ijs(ijs_ss(es, t)),
             lambda env, es: ijs_rec(es, env.sketch),
-            aux=(2,), fields=("m", "t"), loss=_ijs_loss,
-            # the loss takes t as ijs_ss does, rounded down to even; an odd t
-            # comes only from a foreign sketch, and counts as the t above it
-            residual=lambda env, es: _set_residual(env, es, env.t + env.t % 2), **_SETS,
+            aux=(2,), fields=("m", "t"),
+            # ijs_ss writes only an even t; an odd t comes only from a
+            # foreign sketch, and counts as the t above it
+            loss=lambda m, t, *s: {
+                "sketch_bits": t * m, "loss_bits": setdiff_entropy_loss("ijs", m=m, t=t + t % 2)
+            },
+            **_SETS,
         ),
         _Wire(
-            SCHEME_ORIGJS, "origjs", _origjs, _sketch_origjs,
+            SCHEME_ORIGJS, "origjs", _origjs, _origjs_header,
+            lambda es, rng, m, t, s, r: serialize_origjs(origjs_ss(es, r, t, rng)),
             lambda env, es: origjs_rec(es, env.sketch),
-            aux=(2, 2), fields=("m", "t", "s", "r"), loss=_origjs_loss,
-            residual=lambda env, es: _set_residual(env, es, env.t), **_SETS,
+            aux=(2, 2), fields=("m", "t", "s", "r"),
+            loss=lambda m, t, s, r: {
+                "sketch_bits": 2 * r * m,
+                "loss_bits": setdiff_entropy_loss("origjs", m=m, t=t, s=s, r=r),
+            },
+            **_SETS,
         ),
         _Wire(
-            SCHEME_EDIT, "edit", _edit, _sketch_edit, lambda env, w: edit_rec(w, env.sketch),
+            SCHEME_EDIT, "edit", _edit, _edit_header,
+            lambda w, rng, m, t, n, c, t_edit: serialize_edit(edit_ss(w, c, t_edit), c, t_edit),
+            lambda env, w: edit_rec(w, env.sketch),
             kind="string", aux=(4, 2, 2), fields=("n", "t", "c"),
-            encode=lambda env, w: shingle_encoding(w, env.c),
-            loss=_edit_loss, residual=_string_residual,
+            encode=lambda env, w: shingle_encoding(w, env.aux[1]),
+            loss=_edit_loss,
         ),
     )
 }
@@ -471,13 +458,26 @@ def deserialize(data: bytes) -> Envelope:
         raise MalformedEnvelope("bad-scheme", f"unknown scheme 0x{scheme:02x}")
     if m < 1:
         raise MalformedEnvelope("bad-header", "m must be >= 1")
-    aux = [int.from_bytes(rd.take(width), "big") for width in wire.aux]
+    aux = tuple([int.from_bytes(rd.take(width), "big") for width in wire.aux])
     try:
-        return wire.parse(scheme, m, t, rd, *aux)
+        return Envelope(scheme, m, t, wire.parse(m, t, rd, *aux), aux)
     except MalformedEnvelope:
         raise
     except ValueError as exc:
         raise MalformedEnvelope("inconsistent", str(exc)) from exc
+
+
+def residual(env: Envelope, w) -> float:
+    """The min-entropy left in w, uniform over its kind, once the sketch in
+    env is public: what w holds less the loss of env's header."""
+    wire = _WIRE[env.scheme]
+    if wire.kind == "word":
+        held = (1 << env.m) - 1
+    elif wire.kind == "set":
+        held = math.log2(math.comb((1 << env.m) - 1, len(w)))
+    else:
+        held = len(w)
+    return held - wire.loss(env.m, env.t, *env.aux)["loss_bits"]
 
 
 # ---------------------------------------------------------------------------

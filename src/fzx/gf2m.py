@@ -5,9 +5,9 @@ expansion gives the coefficients of the residue polynomial, bit i holding
 the coefficient of x^i.  A GF2m instance carries the extension degree and
 its fixed reduction modulus; it does not wrap elements in objects.  There
 is one modulus per degree, all pinned: primitive ones up to m = 32, the
-smallest irreducible ones up to m = 256.  Fields up to m = 16 multiply,
-invert and raise to powers by log/antilog lookup in tables built once per
-degree and shared; wider fields multiply by a 4-bit window.
+smallest irreducible ones up to m = 256.  Fields up to m = 16 multiply
+and invert by log/antilog lookup in tables built once per degree and
+shared; wider fields multiply by a 4-bit window.
 
 Polynomials over the field are lists of ints, lowest-degree coefficient
 first, with no trailing zero coefficients (the zero polynomial is []).
@@ -258,22 +258,6 @@ class GF2m:
             u ^= v << j
             g1 ^= g2 << j
         return g1
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e with e >= 0; pins 0^0 = 1."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        if a == 0:
-            return 1 if e == 0 else 0
-        if self._log is not None:
-            return self._exp[self._log[a] * e % self.order]
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
 
 
 @functools.lru_cache(maxsize=None)

@@ -183,11 +183,11 @@ def ijs_ss(w: ElementSet, t: int) -> IjsSketchData:
     characteristic polynomial.  Deterministic.  t must be even (distances
     between same-size sets are even); odd t is rounded down."""
     s = len(w)
-    if not 0 <= t <= s:
-        raise ValueError("need 0 <= t <= |w|")
     if t % 2:
         warnings.warn("improved JS capacity must be even; rounding t down")
         t -= 1
+    if not 0 <= t <= s:
+        raise ValueError("need 0 <= t <= |w|")
     return IjsSketchData(w.field, s, t, tuple(_top_coeffs(w.field, w.elems, t)[1:]))
 
 

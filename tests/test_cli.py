@@ -4,10 +4,14 @@ parameters)."""
 
 import math
 import random
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fzx.cli import main
+from fzx.envelope import deserialize
 
 
 def _write(tmp_path, name, text):
@@ -450,6 +454,75 @@ def test_edit_params_rejects_what_sketch_rejects(tmp_path, capsys, t, c):
     assert main(["sketch", "--scheme", "edit", "--t", t, "--c", c, "-i", wi, "-o", sk]) == 4
     assert main(["params", "--scheme", "edit", "--n", "16", "--t", t, "--c", c]) == 4
     assert "bad parameters" in capsys.readouterr().err
+
+
+# t and r: small, or past what a field, a u8 m or a u16 header field holds;
+# not 0xFFFF itself, which fits at m >= 17, where the sketch takes seconds
+_T = st.integers(0, 40) | st.sampled_from([255, 256, 0x10000, 70000])
+_SET_M = st.integers(1, 16) | st.sampled_from([255, 256, 300])
+
+
+@st.composite
+def _shape(draw, scheme):
+    """The shape flags of `scheme` for `fzx sketch`, the flags only
+    `fzx params` reads, and the text of an input file whose size matches
+    --s or --n."""
+    if scheme.startswith("hamming"):
+        m = draw(st.integers(1, 9))
+        w = "".join(draw(st.lists(st.sampled_from("01"), min_size=2**m - 1, max_size=2**m - 1)))
+        return ["--m", str(m), "--t", str(draw(_T))], [], w
+    if scheme == "edit":
+        n = draw(st.integers(1, 30))
+        flags = ["--t", str(draw(st.integers(0, 4) | st.just(70000)))]
+        c = draw(st.none() | st.integers(0, n + 1))
+        flags += [] if c is None else ["--c", str(c)]
+        w = "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+        return flags, ["--n", str(n)], w
+    m = draw(_SET_M)
+    cap = min(20, 2 ** min(m, 16) - 1)  # |w| <= 20, in GF(2^m)*
+    if scheme == "ijs":
+        # params reads no --s, so |w| covers the rounded t wherever it can,
+        # and is drawn often at that edge
+        t = draw(st.integers(0, cap) | st.sampled_from([0x10000, 70000]))
+        s = draw(st.integers(min(t - t % 2, cap), cap) | st.just(min(t - t % 2, cap)))
+    else:
+        t, s = draw(_T), draw(st.integers(0, cap))
+    elems = draw(st.lists(st.integers(1, 2 ** min(m, 16) - 1), min_size=s, max_size=s, unique=True))
+    flags = ["--m", str(m), "--t", str(t)]
+    if scheme != "origjs":
+        return flags, [], "".join(f"{x:x}\n" for x in elems)
+    flags += ["--r", str(draw(_T))]
+    return flags, ["--s", str(s)], "".join(f"{x:x}\n" for x in elems)
+
+
+@pytest.mark.parametrize("scheme", ["hamming-syn", "hamming-offset", "hamming-perm",
+                                    "pinsketch", "ijs", "origjs", "edit"])
+@settings(max_examples=60, derandomize=True, database=None, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_params_rejects_exactly_what_sketch_rejects(tmp_path, scheme, data):
+    """`fzx params` runs the header of a scheme on the flags, `fzx sketch`
+    on the flags and the size of w: the two agree on every shape."""
+    flags, sized, text = data.draw(_shape(scheme))
+    wi = _write(tmp_path, "w.txt", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ijs rounds an odd t down
+        rc_sketch = main(["sketch", "--scheme", scheme, *flags, "-i", wi,
+                          "-o", str(tmp_path / "sk.bin")])
+    rc_params = main(["params", "--scheme", scheme, *flags, *sized])
+    assert rc_sketch == rc_params and rc_params in (0, 4)
+
+
+@pytest.mark.parametrize("t, size", [(5, 12), (7, 6)])
+def test_ijs_odd_t_warns_once_when_sketching_and_params_stays_silent(tmp_path, recwarn, t, size):
+    ai = _write_set(tmp_path, "a.set", range(1, size + 1))
+    sk = tmp_path / "sk.bin"
+    flags = ["--scheme", "ijs", "--m", "12", "--t", str(t)]
+    assert main(["params", *flags]) == 0
+    assert not recwarn
+    assert main(["sketch", *flags, "-i", ai, "-o", str(sk)]) == 0
+    assert [str(w.message) for w in recwarn] == ["improved JS capacity must be even; rounding t down"]
+    assert deserialize(sk.read_bytes()).t == t - 1
 
 
 def test_edit_shape_beyond_envelope_header_exits_4(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Wire-format tests: golden vectors, rejection paths, reconciliation."""
 
+import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from fzx.envelope import (
     ReconcileReport,
     deserialize,
     reconcile_respond,
+    residual,
     serialize_edit,
     serialize_hamming_offset,
     serialize_hamming_perm,
@@ -37,7 +39,13 @@ from fzx.envelope import (
 from fzx.gf2m import GF2m, field_of
 from fzx.hamming import bch_params, ss_code_offset, ss_permuted, ss_syndrome
 from fzx.setdiff import ElementSet, IjsSketchData, PinSketchData, ijs_ss, origjs_ss, pinsketch_ss
-from oracles import char_poly_top, pack_fields_loop, unpack_fields_loop
+from oracles import (
+    JointDistribution,
+    avg_min_entropy,
+    char_poly_top,
+    pack_fields_loop,
+    unpack_fields_loop,
+)
 
 # Golden vectors: small sketches with hand-checkable packing.  The inputs
 # are pinned (word 0b111 over the m=4 t=2 BCH code; sets over GF(8)/GF(16);
@@ -82,7 +90,7 @@ _RESERIALIZE = {
     SCHEME_PINSKETCH: lambda env: serialize_pinsketch(env.sketch),
     SCHEME_IJS: lambda env: serialize_ijs(env.sketch),
     SCHEME_ORIGJS: lambda env: serialize_origjs(env.sketch),
-    SCHEME_EDIT: lambda env: serialize_edit(env.sketch, env.c, env.t_edit),
+    SCHEME_EDIT: lambda env: serialize_edit(env.sketch, *env.aux[1:]),
 }
 
 
@@ -116,8 +124,8 @@ SCHEME_IDS = {
 @pytest.mark.parametrize("name", list(SCHEME_IDS))
 def test_scheme_record_sketches_recovers_and_encodes(name):
     """Each record, at the shapes of the golden CLI tests, runs sketch ->
-    deserialize -> recover -> encode, and its residual is what w holds
-    less the loss of the shape w was sketched at."""
+    deserialize -> recover -> encode, the envelope carries the header of
+    the shape and w, and the residual is what w holds less its loss."""
     wire = _WIRE[SCHEME_IDS[name]]
     assert (wire.id, wire.name, SCHEME_NAMES[wire.id]) == (SCHEME_IDS[name], name, name)
     rng = random.Random(101)
@@ -135,13 +143,15 @@ def test_scheme_record_sketches_recovers_and_encodes(name):
         shape.t = 1
         w = "".join(rng.choice("01") for _ in range(40))
         w_prime, value, w_bits = w[:10] + w[11:], None, 40
-    env = deserialize(wire.sketch(shape, w, random.Random(5)))
-    assert env.scheme == wire.id
+    head = wire.header(shape, w)
+    env = deserialize(wire.sketch(w, random.Random(5), *head))
+    assert env.scheme == wire.id and (env.m, env.t, *env.aux) == head
     got = wire.recover(env, w_prime)
     assert got == w
-    assert wire.encode(env, got) == (value or shingle_encoding(w, env.c))
-    residual = w_bits - wire.loss(shape)["loss_bits"]
-    assert wire.residual(env, got) == pytest.approx(residual)
+    assert wire.encode(env, got) == (value or shingle_encoding(w, env.aux[1]))
+    # `fzx params` runs the header on the flags alone: s and n as above
+    loss = wire.loss(*wire.header(shape))["loss_bits"]
+    assert residual(env, got) == pytest.approx(w_bits - loss)
 
 
 def test_ijs_residual_counts_every_coefficient_of_an_odd_t_sketch():
@@ -154,8 +164,101 @@ def test_ijs_residual_counts_every_coefficient_of_an_odd_t_sketch():
     wire = _WIRE[SCHEME_IJS]
     assert wire.recover(odd, es) == es
     full = math.log2(math.comb(f.order, 14))
-    assert wire.residual(odd, es) <= full - 5 * 16
-    assert wire.residual(even, es) == pytest.approx(full - 4 * 16)
+    assert residual(odd, es) <= full - 5 * 16
+    assert residual(even, es) == pytest.approx(full - 4 * 16)
+
+
+class _Replay(random.Random):
+    """An rng whose getrandbits returns the given values in turn, so that
+    every draw of a sketch's randomness can be enumerated."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def getrandbits(self, k):
+        return next(self.values)
+
+
+def _words(m):
+    return [(w, w.to_bytes(2, "big")) for w in range(1 << (1 << m) - 1)]
+
+
+def _sets(m, s):
+    f = field_of(m)
+    return [(ElementSet(f, es), bytes(es)) for es in itertools.combinations(range(1, 1 << m), s)]
+
+
+def _strings(n):
+    return [("".join(bits), "".join(bits).encode()) for bits in itertools.product("01", repeat=n)]
+
+
+# Toy shapes at which W, uniform over its kind, and the sketch's randomness
+# can be enumerated whole: (shape, the values of W with their byte form,
+# every sequence of getrandbits values the sketch draws, all equally likely,
+# and whether the paper's loss is tight there).  The code offset draws one
+# n-bit word; the shuffle of the permuted sketch draws j < 3, then j < 2.
+_LOSS_SHAPES = {
+    "hamming-syn": [(dict(m=3, t=1), _words(3), [()], True)],
+    "hamming-offset": [(dict(m=3, t=1), _words(3), [(v,) for v in range(128)], True)],
+    "hamming-perm": [(dict(m=2, t=1), _words(2), list(itertools.product(range(3), range(2))),
+                      False)],
+    "pinsketch": [(dict(m=4, t=2), _sets(4, 3), [()], False),
+                  (dict(m=4, t=4), _sets(4, 5), [()], False)],
+    "ijs": [(dict(m=4, t=2), _sets(4, 3), [()], False),
+            (dict(m=4, t=4), _sets(4, 5), [()], False)],
+    "edit": [(dict(t=1, c=3), _strings(8), [()], False),
+             (dict(t=1, c=2), _strings(10), [()], False)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOSS_SHAPES))
+def test_record_loss_bounds_the_measured_entropy_loss(name):
+    """The loss of a record's header is at least H(W) - H~(W | envelope),
+    measured over the joint distribution of (w, envelope bytes) that the
+    record's own header and sketch make, and equal to it where the paper's
+    bound is tight; the residual of an envelope is at most H~(W | envelope)."""
+    wire = _WIRE[SCHEME_IDS[name]]
+    for flags, ws, draws, tight in _LOSS_SHAPES[name]:
+        shape = SimpleNamespace(**flags)
+        probs = {}
+        for w, key in ws:
+            head = wire.header(shape, w)
+            for values in draws:
+                rng = _Replay(values)
+                data = wire.sketch(w, rng, *head)
+                assert next(rng.values, None) is None  # every value drawn
+                probs[key, data] = probs.get((key, data), 0.0) + 1 / (len(ws) * len(draws))
+        h_avg = avg_min_entropy(JointDistribution(probs))
+        measured = math.log2(len(ws)) - h_avg
+        loss = wire.loss(*head)["loss_bits"]
+        assert loss >= measured - 1e-9
+        if tight:
+            assert loss == pytest.approx(measured)
+        assert residual(deserialize(data), w) <= h_avg + 1e-9
+
+
+def test_origjs_loss_covers_the_chain_rule_bound():
+    """The chaff of origjs is too large to enumerate, so this takes the
+    chain-rule bound the paper's loss rests on: H~(W | SS(W)) >= H(W, SS(W))
+    - log2 |support of SS(W)|.  W and its sketch fix the randomness drawn
+    (the s - t coefficients of the hidden polynomial, the r - s chaff
+    abscissas off w and their ordinates off the polynomial), so H(W, SS(W))
+    is H(W) plus the min-entropy of that randomness, and a sketch is r
+    points with distinct nonzero abscissas.  With r = 2^m - 1 the chaff
+    fills the field, and the bound is within 2 bits of the paper's loss."""
+    wire = _WIRE[SCHEME_ORIGJS]
+    m, t, s, r = 4, 1, 2, 15
+    n, q = (1 << m) - 1, 1 << m  # GF(2^m)* and GF(2^m)
+    h_w = math.log2(math.comb(n, s))
+    h_joint = h_w + (s - t) * m + math.log2(math.comb(n - s, r - s)) + (r - s) * math.log2(q - 1)
+    h_avg_bound = h_joint - (math.log2(math.comb(n, r)) + r * m)
+    es = ElementSet.of(field_of(m), [3, 9])
+    head = wire.header(SimpleNamespace(m=m, t=t, r=r), es)
+    assert head == (m, t, s, r)
+    assert wire.loss(*head)["loss_bits"] >= h_w - h_avg_bound
+    env = deserialize(wire.sketch(es, random.Random(1), *head))
+    assert residual(env, es) <= h_avg_bound
 
 
 def test_pinsketch_payload_size():
@@ -400,7 +503,7 @@ def test_round_trips_randomized():
         wstr = "".join(rng.choice("01") for _ in range(64))
         ed = edit_ss(wstr, 4, 2)
         env = deserialize(serialize_edit(ed, 4, 2))
-        assert env.sketch == ed and env.c == 4 and env.t_edit == 2
+        assert env.sketch == ed and env.aux == (64, 4, 2)
 
 
 

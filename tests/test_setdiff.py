@@ -214,6 +214,9 @@ def test_ijs_odd_capacity_rounds_down():
         sk = ijs_ss(w, 3)
     assert sk.t == 2
     assert sk == ijs_ss(w, 2)
+    # an odd t one above |w| rounds down before the size check
+    with pytest.warns(UserWarning):
+        assert ijs_ss(w, 5) == ijs_ss(w, 4)
 
 
 def test_ijs_t_equals_s_boundary():
