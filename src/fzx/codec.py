@@ -21,7 +21,6 @@ for as long as the code lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .gf2m import (
@@ -40,7 +39,6 @@ class DecodeFailure(Exception):
     """Raised when a sketch or syndrome does not decode within capacity."""
 
 
-@dataclass(frozen=True)
 class BchCode:
     """Binary BCH code of length n = 2^m - 1 with designed distance
     delta = 2t+1.  Bit i of a word is the field element i+1.
@@ -48,17 +46,31 @@ class BchCode:
     Its syndrome map is held once, as the t*m parity rows (n-bit masks):
     a syndrome is t*m parities of w AND row, and codeword sampling
     eliminates the same rows.  The rows and their reduced form are built
-    on first use and live as long as the code does.
+    on first use and cached in the code's `__dict__`, so it is a plain
+    class rather than a named tuple; it compares by (field, delta), and
+    assigning to it raises AttributeError.
     """
 
-    field: GF2m
-    delta: int
-
-    def __post_init__(self):
-        if self.delta < 3 or self.delta % 2 == 0:
+    def __init__(self, field: GF2m, delta: int):
+        if delta < 3 or delta % 2 == 0:
             raise ValueError("designed distance must be odd and >= 3")
-        if self.delta > (1 << self.field.m) - 1:
+        if delta > (1 << field.m) - 1:
             raise ValueError("designed distance exceeds code length")
+        self.__dict__.update(field=field, delta=delta)
+
+    def __setattr__(self, *a):
+        raise AttributeError("BchCode is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, BchCode) and (self.field, self.delta) == (other.field, other.delta)
+
+    def __hash__(self):
+        return hash((self.field, self.delta))
+
+    def __repr__(self):
+        return f"BchCode(field={self.field!r}, delta={self.delta!r})"
 
     @property
     def t(self) -> int:

@@ -10,13 +10,13 @@ sorted shingle sits at each position of the disjoint c-partition of w
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bitpack import pack_fields
 from .codec import DecodeFailure
 from .entropy import ExtractedKey, UHashParams, extract, parse_helper, reproduce
 from .gf2m import GF2m, field_of
-from .setdiff import ElementSet, PinSketchData, pinsketch_rec, pinsketch_ss
+from .setdiff import ElementSet, pinsketch_rec, pinsketch_ss
 
 __all__ = [
     "ShingleSet",
@@ -37,50 +37,63 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ShingleSet:
-    """All length-c windows of a string, as a set."""
+    """All length-c windows of a string, as a set.  Its length is its size,
+    so it is a plain class rather than a named tuple; it compares by
+    (c, shingles), and assigning to it raises AttributeError."""
 
-    c: int
-    shingles: frozenset
-
-    def __post_init__(self):
-        if self.c < 1:
+    def __init__(self, c: int, shingles: frozenset):
+        if c < 1:
             raise ValueError("shingle length must be >= 1")
-        if not self.shingles:
+        if not shingles:
             raise ValueError("shingle set cannot be empty")
-        for s in self.shingles:
-            if len(s) != self.c:
+        for s in shingles:
+            if len(s) != c:
                 raise ValueError("every shingle must have length exactly c")
+        self.__dict__.update(c=c, shingles=shingles)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ShingleSet is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, ShingleSet) and (self.c, self.shingles) == (other.c, other.shingles)
+
+    def __hash__(self):
+        return hash((self.c, self.shingles))
+
+    def __repr__(self):
+        return f"ShingleSet(c={self.c!r}, shingles={self.shingles!r})"
 
     def __len__(self) -> int:
         return len(self.shingles)
 
 
-@dataclass(frozen=True)
-class RecoveryInfo:
+class RecoveryInfo(namedtuple("RecoveryInfo", "n indices")):
     """Positions of the disjoint-partition shingles in the sorted shingle set.
 
     indices are 1-based; together with the shingle set they pin down the
     original string of length n.
     """
 
-    n: int
-    indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, indices: tuple[int, ...]):
+        if n < 1:
             raise ValueError("string length must be >= 1")
-        if not self.indices:
+        if not indices:
             raise ValueError("at least one index required")
-        if any(i < 1 for i in self.indices):
+        if any(i < 1 for i in indices):
             raise ValueError("indices are 1-based")
+        return super().__new__(cls, n, indices)
 
 
-@dataclass(frozen=True)
-class EditSketch:
-    s1: PinSketchData
-    s2: RecoveryInfo
+class EditSketch(namedtuple("EditSketch", "s1 s2")):
+    """The `PinSketchData` s1 of the embedded shingle set and the
+    `RecoveryInfo` s2 that orders it back into the string."""
+
+    __slots__ = ()
 
 
 def shingle(w, c: int) -> ShingleSet:
@@ -262,10 +275,17 @@ def edit_entropy_loss(n: int, c: int, t: int, F: int) -> float:
 
 
 def optimal_shingle_len(n: int, t: int, F: int) -> int:
-    """Integer c in {2..n-1} minimizing the exact sketch entropy loss."""
+    """Integer c in {2..n-1} minimizing the exact sketch entropy loss, the
+    least such c on a tie."""
     if n < 3 or t < 1 or F < 2:
         raise ValueError("bad parameters")
-    return min(range(2, n), key=lambda c: (edit_entropy_loss(n, c, t, F), c))
+    best = (math.inf, 0)
+    for c in range(2, n):
+        # the first term of the loss is >= 0 and the second grows with c
+        if (2 * c - 1) * t * _ceil_log2(F**c + 1) >= best[0]:
+            break
+        best = min(best, (edit_entropy_loss(n, c, t, F), c))
+    return best[1]
 
 
 def approx_edit_entropy_loss(n: int, t: int, F: int) -> float:

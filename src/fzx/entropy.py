@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gf2m import GF2m, field_of
 
@@ -20,16 +20,15 @@ class MalformedPayload(ValueError):
     """Helper payload fails structural validation."""
 
 
-@dataclass(frozen=True)
-class UHashParams:
+class UHashParams(namedtuple("UHashParams", "n_bits l_bits")):
     """Parameters of the truncated-product hash family over GF(2^n)."""
 
-    n_bits: int
-    l_bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.l_bits <= self.n_bits <= 256:
+    def __new__(cls, n_bits: int, l_bits: int):
+        if not 1 <= l_bits <= n_bits <= 256:
             raise ValueError("need 1 <= l_bits <= n_bits <= 256")
+        return super().__new__(cls, n_bits, l_bits)
 
     @property
     def field(self) -> GF2m:
@@ -58,12 +57,10 @@ def extractor_loss(eps: float) -> float:
     return 2 * math.log2(1 / eps) - 2
 
 
-@dataclass(frozen=True)
-class ExtractedKey:
-    """An extracted key R plus the public helper payload P."""
+class ExtractedKey(namedtuple("ExtractedKey", "r p")):
+    """An extracted key r plus the public helper payload p, both bytes."""
 
-    r: bytes
-    p: bytes
+    __slots__ = ()
 
 
 def _to_bytes(value: int, n_bits: int) -> bytes:

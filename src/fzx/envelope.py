@@ -19,8 +19,7 @@ edit payload ends with the recovery indices, each minus one, in
 import math
 import struct
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .bitpack import bits_to_bytes, bytes_to_bits, pack_fields, unpack_fields, word_from_bytes, word_to_bytes
 from .codec import BchCode
@@ -92,15 +91,11 @@ class MalformedEnvelope(ValueError):
         super().__init__(f"{code}: {message}")
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """A parsed envelope: its header, aux fields and native sketch."""
+class Envelope(namedtuple("Envelope", "scheme m t sketch aux", defaults=((),))):
+    """A parsed envelope: its header (scheme, m, t), its native sketch and
+    its aux fields, a tuple of ints."""
 
-    scheme: int
-    m: int
-    t: int
-    sketch: object
-    aux: tuple[int, ...] = ()
+    __slots__ = ()
 
     @property
     def params(self) -> BchCode:
@@ -344,21 +339,22 @@ def _edit_loss(m, t, n, c, t_edit) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class _Wire:
-    """One scheme: its wire format and its whole path from w to a key."""
+class _Wire(namedtuple("_Wire", "id name parse header sketch recover kind aux fields encode loss")):
+    """One scheme: its wire format and its whole path from w to a key.
 
-    id: int  # the scheme byte of the header
-    name: str  # the CLI's --scheme value
-    parse: Callable  # (m, t, reader, *aux) -> the sketch
-    header: Callable  # (shape, w=None) -> (m, t, *aux), or ValueError
-    sketch: Callable  # (w, rng, m, t, *aux) -> envelope bytes
-    recover: Callable  # (env, w') -> w, or DecodeFailure
-    kind: str  # w is a "word" of 2^m - 1 bits, a "set" in GF(2^m)* or a binary "string"
-    aux: tuple[int, ...]  # byte widths of the aux fields
-    fields: tuple[str, ...]  # the shape fields header reads; c may be None
-    encode: Callable  # (env, w) -> the injective (value, n_bits) hash input
-    loss: Callable  # (m, t, *aux) -> the accounting `fzx params` prints, loss_bits among it
+    id: the scheme byte of the header; name: the CLI's --scheme value;
+    parse(m, t, reader, *aux) -> the sketch;
+    header(shape, w=None) -> (m, t, *aux), or ValueError;
+    sketch(w, rng, m, t, *aux) -> envelope bytes;
+    recover(env, w') -> w, or DecodeFailure;
+    kind: w is a "word" of 2^m - 1 bits, a "set" in GF(2^m)* or a binary "string";
+    aux: the byte widths of the aux fields;
+    fields: the shape fields header reads (c may be None);
+    encode(env, w) -> the injective (value, n_bits) hash input;
+    loss(m, t, *aux) -> the accounting `fzx params` prints, loss_bits among it.
+    """
+
+    __slots__ = ()
 
 
 # what the three Hamming schemes share, and what the three set schemes share
@@ -484,16 +480,16 @@ def residual(env: Envelope, w) -> float:
 # One-message set reconciliation
 
 
-@dataclass(frozen=True)
-class ReconcileReport:
-    """The two one-sided differences between a local and a remote set."""
+class ReconcileReport(namedtuple("ReconcileReport", "local_only remote_only")):
+    """The two one-sided differences between a local and a remote set,
+    each an `ElementSet`."""
 
-    local_only: ElementSet
-    remote_only: ElementSet
+    __slots__ = ()
 
-    def __post_init__(self):
-        if set(self.local_only.elems) & set(self.remote_only.elems):
+    def __new__(cls, local_only: ElementSet, remote_only: ElementSet):
+        if set(local_only.elems) & set(remote_only.elems):
             raise ValueError("one-sided differences must be disjoint")
+        return super().__new__(cls, local_only, remote_only)
 
 
 def reconcile_respond(local: ElementSet, env: Envelope) -> ReconcileReport:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .bitpack import unpack_fields
@@ -26,41 +26,39 @@ from .codec import BchCode, support_from_syndrome
 from .gf2m import PRIMITIVE_POLYS, field_of
 
 
-@dataclass(frozen=True)
-class SyndromeSketch:
+class SyndromeSketch(namedtuple("SyndromeSketch", "syn_bits n_bits")):
     """Packed t*m-bit syndrome: the odd power sums s_1 first, each an
     m-bit big-endian field."""
 
-    syn_bits: int
-    n_bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_bits < 0 or self.syn_bits < 0 or self.syn_bits >> self.n_bits:
+    def __new__(cls, syn_bits: int, n_bits: int):
+        if n_bits < 0 or syn_bits < 0 or syn_bits >> n_bits:
             raise ValueError("syndrome wider than stated bit length")
+        return super().__new__(cls, syn_bits, n_bits)
 
 
-@dataclass(frozen=True)
-class CodeOffsetSketch:
+class CodeOffsetSketch(namedtuple("CodeOffsetSketch", "shift n_bits")):
     """The n-bit shift w XOR c from a random codeword c to the input."""
 
-    shift: int
-    n_bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_bits < 0 or self.shift < 0 or self.shift >> self.n_bits:
+    def __new__(cls, shift: int, n_bits: int):
+        if n_bits < 0 or shift < 0 or shift >> n_bits:
             raise ValueError("shift wider than stated bit length")
+        return super().__new__(cls, shift, n_bits)
 
 
-@dataclass(frozen=True)
-class PermutedSketch:
-    """A permutation of the n positions plus the permuted word's syndrome."""
+class PermutedSketch(namedtuple("PermutedSketch", "perm syn")):
+    """A permutation of the n positions (a tuple) plus the permuted word's
+    `SyndromeSketch`."""
 
-    perm: tuple[int, ...]
-    syn: SyndromeSketch
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+    def __new__(cls, perm: tuple[int, ...], syn: SyndromeSketch):
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("perm is not a permutation of 0..n-1")
+        return super().__new__(cls, perm, syn)
 
 
 # Codes that stay cached, each with its parity rows and reduced rows; each

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .codec import (
     BchCode,
@@ -37,21 +37,34 @@ from .codec import (
 from .gf2m import GF2m, poly_deg, poly_eval_many, poly_norm, poly_roots
 
 
-@dataclass(frozen=True)
 class ElementSet:
-    """A set of nonzero GF(2^m) elements, stored sorted."""
+    """A set of nonzero GF(2^m) elements, stored sorted.  Its length is its
+    size, so it is a plain class rather than a named tuple; it compares by
+    (field, elems), and assigning to it raises AttributeError."""
 
-    field: GF2m
-    elems: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, field: GF2m, elems: tuple[int, ...]):
         prev = 0
-        for x in self.elems:
-            if not isinstance(x, int) or not 0 < x <= self.field.order:
+        for x in elems:
+            if not isinstance(x, int) or not 0 < x <= field.order:
                 raise ValueError(f"element {x!r} outside GF(2^m)*")
             if x <= prev:
                 raise ValueError("elements must be strictly increasing, no duplicates")
             prev = x
+        self.__dict__.update(field=field, elems=elems)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ElementSet is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, ElementSet) and (self.field, self.elems) == (other.field, other.elems)
+
+    def __hash__(self):
+        return hash((self.field, self.elems))
+
+    def __repr__(self):
+        return f"ElementSet(field={self.field!r}, elems={self.elems!r})"
 
     @classmethod
     def of(cls, field: GF2m, elems) -> "ElementSet":
@@ -64,75 +77,67 @@ class ElementSet:
         return len(self.elems)
 
 
-@dataclass(frozen=True)
-class PinSketchData:
-    """The odd power sums s_1, s_3, ..., s_{2t-1} of a set."""
+class PinSketchData(namedtuple("PinSketchData", "field t odd_sums")):
+    """The odd power sums s_1, s_3, ..., s_{2t-1} of a set in `field`."""
 
-    field: GF2m
-    t: int
-    odd_sums: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t < 1:
+    def __new__(cls, field: GF2m, t: int, odd_sums: tuple[int, ...]):
+        if t < 1:
             raise ValueError("capacity t must be >= 1")
-        if len(self.odd_sums) != self.t:
+        if len(odd_sums) != t:
             raise ValueError("expected t odd power sums")
-        for s in self.odd_sums:
-            self.field.check(s)
+        for s in odd_sums:
+            field.check(s)
+        return super().__new__(cls, field, t, odd_sums)
 
     @property
     def bit_length(self) -> int:
         return self.t * self.field.m
 
 
-@dataclass(frozen=True)
-class IjsSketchData:
+class IjsSketchData(namedtuple("IjsSketchData", "field s t top_coeffs")):
     """Coefficients of the characteristic polynomial of a size-s set,
     degrees s-1 down to s-t."""
 
-    field: GF2m
-    s: int
-    t: int
-    top_coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.t <= self.s:
+    def __new__(cls, field: GF2m, s: int, t: int, top_coeffs: tuple[int, ...]):
+        if not 0 <= t <= s:
             raise ValueError("need 0 <= t <= s")
-        if len(self.top_coeffs) != self.t:
+        if len(top_coeffs) != t:
             raise ValueError("expected t coefficients")
-        for c in self.top_coeffs:
-            self.field.check(c)
+        for c in top_coeffs:
+            field.check(c)
+        return super().__new__(cls, field, s, t, top_coeffs)
 
     @property
     def bit_length(self) -> int:
         return self.t * self.field.m
 
 
-@dataclass(frozen=True)
-class OrigJsSketchData:
-    """r point pairs, s of them on a hidden low-degree polynomial."""
+class OrigJsSketchData(namedtuple("OrigJsSketchData", "field s r t pairs")):
+    """r point pairs (x, y), sorted by x, s of them on a hidden
+    low-degree polynomial."""
 
-    field: GF2m
-    s: int
-    r: int
-    t: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.t <= self.s:
+    def __new__(cls, field: GF2m, s: int, r: int, t: int, pairs: tuple[tuple[int, int], ...]):
+        if not 0 <= t <= s:
             raise ValueError("need 0 <= t <= s")
-        if not self.s < self.r <= self.field.order:
+        if not s < r <= field.order:
             raise ValueError("need s < r <= universe size")
-        if len(self.pairs) != self.r:
+        if len(pairs) != r:
             raise ValueError("expected r pairs")
         prev_x = 0
-        for x, y in self.pairs:
-            if not 0 < x <= self.field.order:
+        for x, y in pairs:
+            if not 0 < x <= field.order:
                 raise ValueError(f"pair abscissa {x} outside GF(2^m)*")
             if x <= prev_x:
                 raise ValueError("pairs must be sorted by x, distinct")
-            self.field.check(y)
+            field.check(y)
             prev_x = x
+        return super().__new__(cls, field, s, r, t, pairs)
 
 
 def pinsketch_code(field: GF2m, t: int) -> BchCode:

@@ -4,6 +4,8 @@ parameters)."""
 
 import math
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -722,3 +724,16 @@ def test_a_shape_flag_the_scheme_does_not_read_exits_4(
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_import_cli_loads_no_dataclasses_typing_or_inspect():
+    # every CLI process pays its imports; a module the site already loaded
+    # costs nothing more, so only the modules fzx.cli adds count
+    code = (
+        "import sys; bare = set(sys.modules); import fzx.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    added = set(run.stdout.split())
+    assert run.returncode == 0 and "fzx.cli" in added, run.stderr
+    assert not {"dataclasses", "typing", "inspect"} & added

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -323,15 +324,27 @@ def test_entropy_loss_monotone_in_t():
 
 
 def test_optimal_shingle_len_scan():
-    # independent scan over the full range agrees with the function
-    n, t, F = 1000, 10, 2
-    best = min(range(2, n), key=lambda c: (_loss_oracle(n, c, t, F), c))
-    got = optimal_shingle_len(n, t, F)
-    assert got == best
+    # an independent scan over the full range agrees with the function,
+    # which stops once the loss's second term alone exceeds its best
+    shapes = [(64, 2, 2), (1000, 10, 2), (4096, 16, 2), (8000, 1, 2), (32000, 1, 2)]
+    for n, t, F in shapes + [(3, 1, 2), (4, 1, 2), (300, 3, 256)]:
+        best = min(range(2, n), key=lambda c: (_loss_oracle(n, c, t, F), c))
+        assert optimal_shingle_len(n, t, F) == best, (n, t, F)
     # stationary point (n log n / 4t log F)^(1/3) = 6.29, integer argmin nearby
-    real_c = (n * math.log2(n) / (4 * t)) ** (1 / 3)
-    assert abs(got - real_c) <= 1.0
+    real_c = (1000 * math.log2(1000) / (4 * 10)) ** (1 / 3)
+    assert abs(optimal_shingle_len(1000, 10, 2) - real_c) <= 1.0
     assert optimal_shingle_len(64, 2, 2) == 4
+
+
+def test_optimal_shingle_len_u32_length_is_fast():
+    # the edit header admits a u32 string length; a full scan would take hours
+    n = (1 << 32) - 1
+    start = time.perf_counter()
+    c = optimal_shingle_len(n, 1, 2)
+    assert time.perf_counter() - start < 2.0
+    real_c = (n * math.log2(n) / 4) ** (1 / 3)  # 3251.0
+    assert abs(c - real_c) <= 1.0
+    assert edit_entropy_loss(n, c, 1, 2) < min(edit_entropy_loss(n, d, 1, 2) for d in (c - 1, c + 1))
 
 
 def test_approx_loss_near_exact_scan():
