@@ -293,13 +293,16 @@ def rs_decode(
     most max_wrong of the (x, y) pairs, by Gao's algorithm (2003).
 
     Interpolates g1 through all n points, with g1(x_i) = y_i and
-    deg g1 < n, next to g0 = prod (z - x_i), and runs the extended Euclid
-    on (g0, g1) until the remainder r has degree < (n + deg_bound + 1)/2;
-    with Bezout coefficient v of g1, the answer is r / v.  O(n^2) field
-    multiplications.  Requires the unique-decoding regime
-    len(points) - max_wrong > deg_bound + max_wrong; raises DecodeFailure
-    when no polynomial meets the agreement bound, which is checked on the
-    result itself.
+    deg g1 < n, by Newton's divided differences: n(n-1)/2 multiplies and
+    as many inverses (a table lookup for m <= 16), plus about n^2/2
+    multiplies to expand the Newton form.  When deg g1 <= deg_bound every
+    point lies on g1 and it is the answer.  Only otherwise does it build
+    g0 = prod (z - x_i) and run the extended Euclid on (g0, g1) until the
+    remainder r has degree < (n + deg_bound + 1)/2; with Bezout
+    coefficient v of g1, the answer is r / v.  Requires the unique-decoding
+    regime len(points) - max_wrong > deg_bound + max_wrong; raises
+    DecodeFailure when no polynomial meets the agreement bound, which is
+    checked on the result itself.
     """
     n = len(points)
     xs = [p[0] for p in points]
@@ -310,24 +313,22 @@ def rs_decode(
     if n - max_wrong <= deg_bound + max_wrong:
         raise ValueError("parameters outside the unique-decoding regime")
 
-    mul = field.mul
+    mul, inv = field.mul, field.inv
+    dd = [p[1] for p in points]  # dd[i] becomes the divided difference [y_0, ..., y_i]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            diff = dd[i] ^ dd[i - 1]
+            dd[i] = diff and mul(diff, inv(xs[i] ^ xs[i - j]))
+    poly_norm(dd)
+    g1: list[int] = []
+    for x, a in zip(reversed(xs[: len(dd)]), reversed(dd)):  # g1 = g1*(z + x) + a
+        g1 = [mul(x, c) ^ d for c, d in zip(g1 + [0], [a] + g1)]
+    if poly_deg(g1) <= deg_bound:  # the Euclid would halt at once with v = [1]
+        return g1
     g0 = [1]
     for x in xs:  # g0 *= z + x
         g0 = [mul(x, c) ^ d for c, d in zip(g0 + [0], [0] + g0)]
-    # g1 = sum y_i / g0'(x_i) * g0 / (z - x_i).  In characteristic 2 the
-    # derivative g0' keeps only the odd coefficients of g0, so g0'(x) is a
-    # polynomial in x^2 with about n/2 terms, evaluated at every x_i^2 in
-    # one lane-packed pass.
-    d0 = poly_eval_many(field, g0[1::2], [field.sqr(x) for x in xs])
-    g1 = [0] * n
-    for (x, y), d in zip(points, d0):
-        if y:
-            w = mul(y, field.inv(d))
-            c = 0
-            for k in range(n, 0, -1):  # g0 / (z - x) by synthetic division
-                c = mul(c, x) ^ g0[k]
-                g1[k - 1] ^= mul(w, c)
-    r, v = _partial_euclid(field, g0, poly_norm(g1), (n + deg_bound + 2) // 2)
+    r, v = _partial_euclid(field, g0, g1, (n + deg_bound + 2) // 2)
     fpoly, rem = poly_divmod(field, r, v)
     if rem:
         raise DecodeFailure("Bezout coefficient does not divide the remainder")

@@ -7,11 +7,14 @@ set size; the original Juels-Sudan scheme hides a random low-degree
 polynomial among chaff points and is kept as a reference (its entropy loss
 grows with the chaff count).
 
-Improved JS recovery is rational reconstruction on the partial Euclid that
-Gao's Reed-Solomon decoder also runs (codec._partial_euclid); that decoder
-serves original JS only.  Wherever one polynomial is evaluated at many
-points (the hidden polynomial at all r abscissas, the difference locator
-at w') it takes one lane-packed pass, gf2m.poly_eval_many.
+Improved JS recovery is rational reconstruction on the partial Euclid
+(codec._partial_euclid).  Original JS recovery Reed-Solomon decodes the
+pairs w' selects (codec.rs_decode): it interpolates them by Newton's
+divided differences, and runs Gao's partial Euclid only when the
+interpolant's degree exceeds the bound, as a wrong pair makes it.
+Wherever one polynomial is evaluated at many points (the hidden
+polynomial at all r abscissas, the difference locator at w') it takes
+one lane-packed pass, gf2m.poly_eval_many.
 
 Every recovery is a fixed function of its inputs (root finding included,
 gf2m.poly_roots) and re-verifies its output by re-sketching; a mismatch,

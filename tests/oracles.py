@@ -9,7 +9,10 @@ bit-by-bit loop for word permutation, one whole-int shift per field for
 bit packing, scalar Horner evaluation (`poly_eval`, the reference for
 `poly_eval_many`) and evaluation at every field element for polynomial
 roots, repeated squaring for the absolute trace, the product of s linear
-factors for a characteristic polynomial, Reed-Solomon decoding over all s
+factors for a characteristic polynomial, Gao's Reed-Solomon decoder with
+Lagrange interpolation and an unconditional Euclid (the reference for
+`rs_decode`, which interpolates by Newton's divided differences and skips
+the Euclid when no point is wrong), Reed-Solomon decoding over all s
 points for improved Juels-Sudan recovery, and one scalar Horner
 evaluation per pair for the original Juels-Sudan sketch, a shift-and-add
 carry-less multiply for field arithmetic, and a screened search in
@@ -316,6 +319,55 @@ def ijs_rec_rs(w_prime: ElementSet, sk: IjsSketchData) -> ElementSet:
     if char_poly_top(field, out.elems, t) != sk.top_coeffs:
         raise DecodeFailure("recovered set fails sketch re-check")
     return out
+
+
+def gao_rs_decode(
+    field: GF2m,
+    points: list[tuple[int, int]],
+    deg_bound: int,
+    max_wrong: int,
+) -> list[int]:
+    """`rs_decode` as Gao (2003) states it, with Lagrange interpolation.
+
+    g1 = sum y_i / g0'(x_i) * g0 / (z - x_i), next to g0 = prod (z - x_i),
+    by one synthetic division of g0 per point; then the extended Euclid
+    on (g0, g1) always runs, until the remainder r has degree
+    < (n + deg_bound + 1)/2, and the answer r / v is checked against the
+    agreement bound.  Raises the same exceptions, with the same messages,
+    as `rs_decode`.
+    """
+    n = len(points)
+    xs = [p[0] for p in points]
+    if len(set(xs)) != n:
+        raise ValueError("duplicate x coordinates")
+    if deg_bound < 0 or max_wrong < 0:
+        raise ValueError("negative degree bound or error bound")
+    if n - max_wrong <= deg_bound + max_wrong:
+        raise ValueError("parameters outside the unique-decoding regime")
+
+    mul = field.mul
+    g0 = [1]
+    for x in xs:  # g0 *= z + x
+        g0 = [mul(x, c) ^ d for c, d in zip(g0 + [0], [0] + g0)]
+    g0_prime = [c if k & 1 else 0 for k, c in enumerate(g0)][1:]
+    g1 = [0] * n
+    for x, y in points:
+        if y:
+            w = mul(y, field.inv(poly_eval(field, g0_prime, x)))
+            c = 0
+            for k in range(n, 0, -1):  # g0 / (z - x) by synthetic division
+                c = mul(c, x) ^ g0[k]
+                g1[k - 1] ^= mul(w, c)
+    r, v = _partial_euclid(field, g0, poly_norm(g1), (n + deg_bound + 2) // 2)
+    fpoly, rem = poly_divmod(field, r, v)
+    if rem:
+        raise DecodeFailure("Bezout coefficient does not divide the remainder")
+    if poly_deg(fpoly) > deg_bound:
+        raise DecodeFailure("quotient exceeds degree bound")
+    agree = sum(1 for x, y in points if poly_eval(field, fpoly, x) == y)
+    if agree < n - max_wrong:
+        raise DecodeFailure("no polynomial meets the agreement bound")
+    return fpoly
 
 
 def origjs_ss(

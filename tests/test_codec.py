@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fzx import codec
 from fzx.codec import (
     BchCode,
     DecodeFailure,
@@ -27,6 +28,7 @@ from oracles import (
     absolute_trace,
     bch_parity_rows,
     euclid_support_from_syndrome,
+    gao_rs_decode,
     hamming_7_4,
     poly_eval,
     pow_mod,
@@ -255,6 +257,63 @@ def test_rs_decode_m16_32_points_8_errors():
     for i in rng.sample(range(32), 8):
         pts[i] = (pts[i][0], pts[i][1] ^ rng.randrange(1, 1 << 16))
     assert rs_decode(f, pts, 15, 8) == target
+
+
+def _decoded(decode, *args):
+    """What a decoder returns, or the type and message of what it raises."""
+    try:
+        return decode(*args)
+    except (DecodeFailure, ValueError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=2000)
+@given(m=st.sampled_from((2, 3, 4, 8, 13, 16, 24, 32)), zero_x=st.booleans(), data=st.data())
+def test_rs_decode_matches_gao_lagrange(m, zero_x, data):
+    # the same polynomial, or the same exception and message, as Gao's
+    # decoder with Lagrange interpolation and an unconditional Euclid: up
+    # to 40 points in the unique-decoding regime, with 0 to max_wrong + 2
+    # errors, x = 0 among the points and all-zero ys
+    f = field_of(m)
+    elem = st.integers(0, f.order)
+    n = data.draw(st.integers(1, min(40, f.order + zero_x)), label="n")
+    deg_bound = data.draw(st.integers(0, n - 1), label="deg_bound")
+    max_wrong = data.draw(st.integers(0, (n - deg_bound - 1) // 2), label="max_wrong")
+    xs = data.draw(
+        st.lists(st.integers(1, f.order), min_size=n - zero_x, max_size=n - zero_x, unique=True)
+        .map(lambda xs: xs + [0] * zero_x)
+        .flatmap(st.permutations),
+        label="xs",
+    )
+    target = data.draw(st.lists(elem, min_size=deg_bound + 1, max_size=deg_bound + 1), label="target")
+    pts = [(x, poly_eval(f, target, x)) for x in xs]
+    wrong = data.draw(st.sets(st.integers(0, n - 1), max_size=max_wrong + 2), label="wrong")
+    for i in sorted(wrong):
+        pts[i] = (pts[i][0], data.draw(elem))
+    want = _decoded(gao_rs_decode, f, pts, deg_bound, max_wrong)
+    assert _decoded(rs_decode, f, pts, deg_bound, max_wrong) == want
+
+
+def test_error_free_decode_takes_no_euclid_step(monkeypatch):
+    # every point on a polynomial within the degree bound: the interpolant
+    # is the answer, and only a wrong point brings in the Euclid
+    f = field_of(16)
+    rng = random.Random(23)
+    target = [rng.randrange(1, 1 << 16) for _ in range(12)]
+    pts = [(x, poly_eval(f, target, x)) for x in rng.sample(range(1, 1 << 16), 16)]
+    euclid = codec._partial_euclid
+
+    def no_euclid(*args):
+        raise AssertionError("Euclid step on an error-free decode")
+
+    monkeypatch.setattr(codec, "_partial_euclid", no_euclid)
+    assert rs_decode(f, pts, 11, 2) == target
+    assert rs_decode(f, [(x, 0) for x, _ in pts], 11, 2) == []
+    calls = []
+    monkeypatch.setattr(codec, "_partial_euclid", lambda *a: calls.append(a) or euclid(*a))
+    pts[5] = (pts[5][0], pts[5][1] ^ 1)
+    assert rs_decode(f, pts, 11, 2) == target
+    assert len(calls) == 1
 
 
 def test_small_linear_code_hamming():

@@ -474,20 +474,27 @@ def test_origjs_full_universe_boundary():
 
 
 def test_origjs_round_trips():
-    f = GF2m(8)
-    s, t, r = 10, 2, 40
+    # identity and t/2 swapped elements, which w' selects as chaff pairs
+    # (wrong points) in odd trials and misses (fewer points) otherwise:
+    # m=8; m=16, the fuzzy-extract shape on the log tables; and m=24, a
+    # window field where every inverse runs the extended Euclid
     rng = random.Random(409)
-    univ = list(range(1, 256))
-    for _ in range(300):
-        w = set(rng.sample(univ, s))
-        sk = origjs_ss(ElementSet.of(f, w), r, t, rng)
-        # identity
-        assert _sets_equal(origjs_rec(ElementSet.of(f, w), sk), w)
-        # one swapped element
-        out = rng.choice(sorted(w))
-        into = rng.choice(sorted(set(univ) - w))
-        w_prime = w - {out} | {into}
-        assert _sets_equal(origjs_rec(ElementSet.of(f, w_prime), sk), w)
+    for m, s, t, r, trials in ((8, 10, 2, 40, 300), (16, 16, 4, 64, 100), (24, 12, 4, 40, 40)):
+        f = field_of(m)
+        for trial in range(trials):
+            w = set(rng.sample(range(1, f.order + 1), s))
+            sk = origjs_ss(ElementSet.of(f, w), r, t, rng)
+            assert _sets_equal(origjs_rec(ElementSet.of(f, w), sk), w)
+            if trial % 2:
+                ins = set(rng.sample(sorted({x for x, _ in sk.pairs} - w), t // 2))
+            else:
+                ins = set()
+                while len(ins) < t // 2:
+                    x = rng.randrange(1, f.order + 1)
+                    if x not in w:
+                        ins.add(x)
+            w_prime = w - set(rng.sample(sorted(w), t // 2)) | ins
+            assert _sets_equal(origjs_rec(ElementSet.of(f, w_prime), sk), w)
 
 
 def test_origjs_beyond_capacity_correct_or_loud():
