@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .gf2m import (
+    Frozen,
     GF2m,
     poly_add,
     poly_deg,
@@ -39,17 +40,18 @@ class DecodeFailure(Exception):
     """Raised when a sketch or syndrome does not decode within capacity."""
 
 
-class BchCode:
+class BchCode(Frozen):
     """Binary BCH code of length n = 2^m - 1 with designed distance
     delta = 2t+1.  Bit i of a word is the field element i+1.
 
     Its syndrome map is held once, as the t*m parity rows (n-bit masks):
     a syndrome is t*m parities of w AND row, and codeword sampling
     eliminates the same rows.  The rows and their reduced form are built
-    on first use and cached in the code's `__dict__`, so it is a plain
-    class rather than a named tuple; it compares by (field, delta), and
-    assigning to it raises AttributeError.
+    on first use and cached in the code's `__dict__`, so it is a `Frozen`
+    class with a `__dict__` rather than a named tuple.
     """
+
+    _fields = ("field", "delta")
 
     def __init__(self, field: GF2m, delta: int):
         if delta < 3 or delta % 2 == 0:
@@ -57,20 +59,6 @@ class BchCode:
         if delta > (1 << field.m) - 1:
             raise ValueError("designed distance exceeds code length")
         self.__dict__.update(field=field, delta=delta)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BchCode is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return isinstance(other, BchCode) and (self.field, self.delta) == (other.field, other.delta)
-
-    def __hash__(self):
-        return hash((self.field, self.delta))
-
-    def __repr__(self):
-        return f"BchCode(field={self.field!r}, delta={self.delta!r})"
 
     @property
     def t(self) -> int:
@@ -200,10 +188,11 @@ def support_from_syndrome(code: BchCode, odd_sums: list[int]) -> set[int]:
     Solves the key equation with Berlekamp's binary form of the shift-register
     synthesis (Berlekamp 1968; Massey 1969): the error locator sigma is the
     shortest LFSR generating s_1, ..., s_{delta-1}.  Since s_{2j} = s_j^2,
-    every second discrepancy is zero, so only the t odd steps run.  Then it
-    finds sigma's roots, inverts them into positions, and re-verifies the
-    syndrome unconditionally.  Every step is a fixed function of the
-    syndrome.
+    every second discrepancy is zero, so only the t odd steps run.  Since
+    sigma(0) = 1, the reversed locator z^L sigma(1/z) is monic, and its
+    roots, the inverses of sigma's, are the support itself, which is then
+    re-verified against the syndrome unconditionally.  Every step is a
+    fixed function of the syndrome.
     """
     f = code.field
     t = code.t
@@ -222,13 +211,20 @@ def support_from_syndrome(code: BchCode, odd_sums: list[int]) -> set[int]:
     # key equation: sigma generates s_{L+1}, ..., s_{delta-1}
     assert not any(_discrepancy(f, sigma, full, n) for n in range(length, len(full)))
 
-    roots = poly_roots(f, sigma)
-    if roots is None:
-        raise DecodeFailure("locator does not split into distinct roots")
-    support = {f.inv(r) for r in roots}
+    support = _distinct_roots(f, sigma[::-1])
     if syndrome_from_support(code, support) != odd_sums:
         raise DecodeFailure("recovered support fails syndrome re-check")
     return support
+
+
+def _distinct_roots(field: GF2m, f: list[int]) -> set[int]:
+    """The roots of f, or DecodeFailure when f does not split into distinct
+    linear factors: the one place where `poly_roots`' None becomes a
+    decode failure."""
+    roots = poly_roots(field, f)
+    if roots is None:
+        raise DecodeFailure("polynomial does not split into distinct roots")
+    return roots
 
 
 def _discrepancy(field: GF2m, sigma: list[int], full: list[int], n: int) -> int:

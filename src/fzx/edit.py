@@ -15,7 +15,7 @@ from collections import namedtuple
 from .bitpack import pack_fields
 from .codec import DecodeFailure
 from .entropy import ExtractedKey, UHashParams, extract, parse_helper, reproduce
-from .gf2m import GF2m, field_of
+from .gf2m import Frozen, GF2m, field_of
 from .setdiff import ElementSet, pinsketch_rec, pinsketch_ss
 
 __all__ = [
@@ -37,10 +37,11 @@ __all__ = [
 ]
 
 
-class ShingleSet:
+class ShingleSet(Frozen):
     """All length-c windows of a string, as a set.  Its length is its size,
-    so it is a plain class rather than a named tuple; it compares by
-    (c, shingles), and assigning to it raises AttributeError."""
+    so it is a `Frozen` class rather than a named tuple."""
+
+    _fields = ("c", "shingles")
 
     def __init__(self, c: int, shingles: frozenset):
         if c < 1:
@@ -51,20 +52,6 @@ class ShingleSet:
             if len(s) != c:
                 raise ValueError("every shingle must have length exactly c")
         self.__dict__.update(c=c, shingles=shingles)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ShingleSet is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return isinstance(other, ShingleSet) and (self.c, self.shingles) == (other.c, other.shingles)
-
-    def __hash__(self):
-        return hash((self.c, self.shingles))
-
-    def __repr__(self):
-        return f"ShingleSet(c={self.c!r}, shingles={self.shingles!r})"
 
     def __len__(self) -> int:
         return len(self.shingles)

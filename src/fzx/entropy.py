@@ -26,8 +26,10 @@ class UHashParams(namedtuple("UHashParams", "n_bits l_bits")):
     __slots__ = ()
 
     def __new__(cls, n_bits: int, l_bits: int):
-        if not 1 <= l_bits <= n_bits <= 256:
-            raise ValueError("need 1 <= l_bits <= n_bits <= 256")
+        if n_bits > 256:
+            raise ValueError(f"hash input of {n_bits} bits exceeds the 256-bit limit")
+        if not 1 <= l_bits <= n_bits:
+            raise ValueError("need 1 <= l_bits <= n_bits")
         return super().__new__(cls, n_bits, l_bits)
 
     @property

@@ -22,6 +22,7 @@ x^(m-1), in at most m rounds; nothing in it is random.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from array import array
 
@@ -158,12 +159,11 @@ def _log_ops(exp, log):
 def _window_ops(m: int, modulus: int):
     """mul and sqr for m > 16: carry-less multiply mod f, folding b four
     bits at a time through a 16-entry multiple table of a."""
-    red, v = [0], modulus ^ (1 << m)  # red[h] = h * x^m mod f for every 4-bit h
-    for _ in range(4):
-        red += [r ^ v for r in red]
-        v <<= 1
-        if v >> m:
-            v ^= modulus
+    # red[h] = h * x^m mod f for every 4-bit h: every modulus tail of m > 16
+    # has at most m - 3 bits, so its three shifts stay below x^m
+    red, tail = [0], modulus ^ (1 << m)
+    for k in range(4):
+        red += [r ^ tail << k for r in red]
     mask, hi = (1 << m) - 1, m - 4
 
     def mul(a: int, b: int) -> int:
@@ -195,7 +195,36 @@ def _window_ops(m: int, modulus: int):
     return mul, sqr
 
 
-class GF2m:
+class Frozen:
+    """An immutable value, equal to another of its exact type, hashed and
+    shown by the fields named in `_fields`.  Subclasses fill their fields
+    through `object.__setattr__`, or through `__dict__` when they have one;
+    assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # the field values, read by one C call: a tuple, or the one value
+        cls._values = property(operator.attrgetter(*cls._fields))
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return other is self or (type(other) is type(self) and self._values == other._values)
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+
+class GF2m(Frozen):
     """The binary extension field GF(2^m), 1 <= m <= 256, on the fixed
     modulus `irreducible_modulus(m)`.
 
@@ -203,30 +232,24 @@ class GF2m:
     of one degree up to 16 shares its log/antilog tables.  `mul(a, b)` and
     `sqr(a)` are picked once, at construction, by degree: log/antilog
     lookup for m <= 16 and a 4-bit window above 16.  Operands must be field
-    elements; they are not checked.
+    elements; they are not checked.  Fields compare by m, and none of their
+    attributes can be reassigned, so a shared field stays what it was built.
     """
 
     __slots__ = ("m", "modulus", "order", "mul", "sqr", "_log", "_exp")
+    _fields = ("m",)
 
     def __init__(self, m: int):
-        self.modulus = irreducible_modulus(m)
-        self.m = m
-        self.order = (1 << m) - 1
+        modulus = irreducible_modulus(m)
         if m <= _TABLE_MAX_M:
-            self._exp, self._log = _tables(m)
-            self.mul, self.sqr = _log_ops(self._exp, self._log)
+            exp, log = _tables(m)
+            mul, sqr = _log_ops(exp, log)
         else:
-            self._exp = self._log = None
-            self.mul, self.sqr = _window_ops(m, self.modulus)
-
-    def __repr__(self):
-        return f"GF2m({self.m})"
-
-    def __eq__(self, other):
-        return isinstance(other, GF2m) and self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m)
+            exp = log = None
+            mul, sqr = _window_ops(m, modulus)
+        slots = dict(m=m, modulus=modulus, order=(1 << m) - 1, mul=mul, sqr=sqr, _log=log, _exp=exp)
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # mul and sqr are closures, so a field pickles as its constructor call
@@ -305,8 +328,7 @@ def poly_mul(field: GF2m, f: list[int], g: list[int]) -> list[int]:
 
 
 def poly_scale(field: GF2m, f: list[int], c: int) -> list[int]:
-    if c == 0:
-        return []
+    """c * f for a nonzero c."""
     mul = field.mul
     return poly_norm([mul(a, c) for a in f])
 

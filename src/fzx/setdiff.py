@@ -32,18 +32,21 @@ from collections import namedtuple
 from .codec import (
     BchCode,
     DecodeFailure,
+    _distinct_roots,
     _partial_euclid,
     rs_decode,
     support_from_syndrome,
     syndrome_from_support,
 )
-from .gf2m import GF2m, poly_deg, poly_eval_many, poly_norm, poly_roots
+from .gf2m import Frozen, GF2m, poly_deg, poly_eval_many, poly_norm
+from .gf2m import poly_roots  # noqa: F401  # `bench/test_bench.py` reads setdiff.poly_roots
 
 
-class ElementSet:
+class ElementSet(Frozen):
     """A set of nonzero GF(2^m) elements, stored sorted.  Its length is its
-    size, so it is a plain class rather than a named tuple; it compares by
-    (field, elems), and assigning to it raises AttributeError."""
+    size, so it is a `Frozen` class rather than a named tuple."""
+
+    _fields = ("field", "elems")
 
     def __init__(self, field: GF2m, elems: tuple[int, ...]):
         prev = 0
@@ -54,20 +57,6 @@ class ElementSet:
                 raise ValueError("elements must be strictly increasing, no duplicates")
             prev = x
         self.__dict__.update(field=field, elems=elems)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ElementSet is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return isinstance(other, ElementSet) and (self.field, self.elems) == (other.field, other.elems)
-
-    def __hash__(self):
-        return hash((self.field, self.elems))
-
-    def __repr__(self):
-        return f"ElementSet(field={self.field!r}, elems={self.elems!r})"
 
     @classmethod
     def of(cls, field: GF2m, elems) -> "ElementSet":
@@ -197,13 +186,6 @@ def ijs_ss(w: ElementSet, t: int) -> IjsSketchData:
     if not 0 <= t <= s:
         raise ValueError("need 0 <= t <= |w|")
     return IjsSketchData(w.field, s, t, tuple(_top_coeffs(w.field, w.elems, t)[1:]))
-
-
-def _distinct_roots(field: GF2m, f: list[int]) -> set[int]:
-    roots = poly_roots(field, f)
-    if roots is None:
-        raise DecodeFailure("polynomial does not split into distinct roots")
-    return roots
 
 
 def ijs_rec(w_prime: ElementSet, sk: IjsSketchData) -> ElementSet:

@@ -232,6 +232,27 @@ def test_gen_key_depends_on_seed(tmp_path, capsys):
     assert keys[0] != keys[1]
 
 
+@pytest.mark.parametrize(
+    "flags, w, width",
+    [
+        # 12 elements of 24 bits: the README's set at --m 24
+        (["--scheme", "origjs", "--m", "24", "--t", "4", "--r", "40"],
+         "".join(f"{x:x}\n" for x in (0x3A, 0x7F, 0x101, 0x1C4, 0x2B, 0x99, 0x3FF, 0x200,
+                                     0x12, 0x77, 0x1E0, 0x155)), 288),
+        (["--scheme", "hamming-syn", "--m", "9", "--t", "2"], "01" * 255 + "1\n", 511),
+    ],
+    ids=["origjs-m24-s12", "hamming-syn-m9"],
+)
+def test_gen_names_the_hash_width_it_rejects(tmp_path, capsys, flags, w, width):
+    # the extractor hashes at most 256 bits; the sketch itself is fine
+    wi = _write(tmp_path, "w.txt", w)
+    helper = str(tmp_path / "h.bin")
+    assert main(["sketch", *flags, "-i", wi, "-o", helper]) == 0
+    assert main(["gen", *flags, "--out-bits", "32", "--seed", "7", "-i", wi, "-o", helper]) == 4
+    err = capsys.readouterr().err
+    assert f"{width} bits" in err and "256" in err
+
+
 # ---------------------------------------------------------------------------
 # reconcile
 

@@ -154,6 +154,72 @@ def test_scheme_record_sketches_recovers_and_encodes(name):
     assert residual(env, got) == pytest.approx(w_bits - loss)
 
 
+# largest t_edit whose set capacity (2c-1) * t_edit fits GF(2^(c+1))*, by c
+_EDIT_T_MAX = {2: 1, 3: 1, 4: 2, 5: 3}
+
+
+@settings(max_examples=350, derandomize=True, database=None, deadline=2000)
+@given(name=st.sampled_from(sorted(SCHEME_IDS)), data=st.data())
+def test_record_recovers_within_capacity_and_fails_loud_beyond(name, data):
+    """Each record at small shapes, through header -> sketch -> deserialize
+    -> recover: noise within capacity gives w back exactly; beyond it,
+    recovery raises DecodeFailure or returns a fixed point of recovery, a
+    value that recovers to itself.  No other exception escapes."""
+    wire = _WIRE[SCHEME_IDS[name]]
+    draw = data.draw
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    m = draw(st.integers(3, 5), label="m")
+    order = (1 << m) - 1
+    if wire.kind == "word":
+        t = draw(st.integers(1, min(6, order // 2)), label="t")
+        shape = SimpleNamespace(m=m, t=t)
+        w = rng.getrandbits(order)
+        k = min(order, draw(st.integers(0, 2 * t + 2), label="flips"))
+        w_prime = w ^ sum(1 << i for i in rng.sample(range(order), k))
+        within = k <= t
+    elif wire.kind == "set":
+        s = draw(st.integers(0 if name == "pinsketch" else 1, min(8, order - 1)), label="s")
+        pool = rng.sample(range(1, order + 1), order)
+        w = ElementSet.of(field_of(m), pool[:s])
+        if name == "pinsketch":
+            t = draw(st.integers(1, min(5, order // 2)), label="t")
+            k = min(order, draw(st.integers(0, 2 * t + 2), label="flips"))
+            w_prime = ElementSet.of(w.field, set(w.elems) ^ set(rng.sample(pool, k)))
+            within = k <= t
+        else:
+            t = 2 * draw(st.integers(0, s // 2), label="t/2")
+            e = draw(st.integers(0, min(s, order - s)), label="swaps")
+            w_prime = ElementSet.of(w.field, pool[e : s + e])
+            within = 2 * e <= t
+        r = draw(st.integers(s + 1, min(order, s + 12)), label="r")
+        shape = SimpleNamespace(m=m, t=t, r=r)
+    else:
+        c = draw(st.integers(2, 5), label="c")
+        t_edit = draw(st.integers(1, _EDIT_T_MAX[c]), label="t_edit")
+        k = draw(st.integers(0, 2 * c * t_edit + 2), label="edits")
+        n = draw(st.integers(c + 1 + k, c + k + 20), label="n")
+        w = "".join(rng.choice("01") for _ in range(n))
+        w_prime = w
+        for _ in range(k):  # a deletion or an insertion, at a random place
+            i = rng.randrange(len(w_prime))
+            if rng.random() < 0.5:
+                w_prime = w_prime[:i] + w_prime[i + 1 :]
+            else:
+                w_prime = w_prime[:i] + rng.choice("01") + w_prime[i:]
+        shape = SimpleNamespace(n=len(w), t=t_edit, c=c)
+        within = k <= t_edit
+    env = deserialize(wire.sketch(w, rng, *wire.header(shape, w)))
+    try:
+        got = wire.recover(env, w_prime)
+    except DecodeFailure:
+        assert not within
+        return
+    if within:
+        assert got == w
+    else:
+        assert wire.recover(env, got) == got
+
+
 def test_ijs_residual_counts_every_coefficient_of_an_odd_t_sketch():
     # ijs_ss writes only an even t, but a foreign sketch of 5 coefficients
     # reveals 5 * m bits, so at least that much is lost

@@ -257,6 +257,13 @@ def test_pinned_hash_moduli_are_irreducible():
         assert is_irreducible((1 << m) | tail, m), m
 
 
+def test_window_moduli_leave_three_shifts_of_their_tail_below_x_m():
+    # the 4-bit window's reduction table shifts the modulus tail up to three
+    # times and does not reduce it again
+    for m in range(17, 257):
+        assert (irreducible_modulus(m) ^ 1 << m).bit_length() + 3 <= m, m
+
+
 @pytest.mark.parametrize("degrees", [range(33, 257)], ids=["33-256"])
 def test_pinned_hash_moduli_match_the_search(degrees):
     for m in degrees:

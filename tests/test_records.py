@@ -23,7 +23,9 @@ from fzx import (
     ShingleSet,
     SyndromeSketch,
     UHashParams,
+    pinsketch_ss,
 )
+from fzx.gf2m import field_of
 
 F = GF2m(4)
 PIN = PinSketchData(F, 2, (3, 7))
@@ -31,6 +33,7 @@ INFO = RecoveryInfo(5, (1, 2, 3))
 
 # (record, field names, valid arguments, malformed arguments)
 RECORDS = [
+    (GF2m, "m", (16,), [(0,), (257,)]),
     (BchCode, "field delta", (F, 5), [(F, 4), (F, 1), (GF2m(3), 9)]),
     (SyndromeSketch, "syn_bits n_bits", (5, 8), [(256, 8), (-1, 8), (0, -1)]),
     (CodeOffsetSketch, "shift n_bits", (3, 4), [(16, 4), (-1, 4), (0, -1)]),
@@ -107,3 +110,21 @@ def test_record_contract(cls, names, args, bad):
 
 def test_envelope_aux_defaults_to_empty():
     assert Envelope(3, 4, 2, PIN).aux == ()
+
+
+def test_shared_field_cannot_be_reassigned():
+    # field_of(16) serves every sketch over GF(2^16) in the process, so a
+    # write to it would change all of them
+    f = field_of(16)
+    mul = f.mul
+    before = pinsketch_ss(ElementSet.of(f, [1, 2, 3]), 2)
+    try:
+        with pytest.raises(AttributeError):
+            f.mul = lambda a, b: 0
+        with pytest.raises(AttributeError):
+            del f.mul
+    finally:
+        if f.mul is not mul:
+            object.__setattr__(f, "mul", mul)
+    assert f.mul is mul
+    assert pinsketch_ss(ElementSet.of(f, [1, 2, 3]), 2) == before

@@ -497,6 +497,27 @@ def test_origjs_round_trips():
             assert _sets_equal(origjs_rec(ElementSet.of(f, w_prime), sk), w)
 
 
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_t_equals_s_recovers_from_any_set_of_the_right_size(m):
+    # at t == s the ijs sketch is the whole characteristic polynomial and
+    # the origjs polynomial is zero, so a w' disjoint from w (for origjs,
+    # half of it chaff abscissas) still recovers w
+    rng = random.Random(m)
+    f = field_of(m)
+    for _ in range(20):
+        s = rng.randrange(1, 6)
+        w = set(rng.sample(range(1, f.order + 1), s))
+        far = sorted(set(range(1, f.order + 1)) - w)
+        if s % 2 == 0:  # ijs capacities are even
+            sk = ijs_ss(ElementSet.of(f, w), s)
+            assert _sets_equal(ijs_rec(ElementSet.of(f, rng.sample(far, s)), sk), w)
+        ok = origjs_ss(ElementSet.of(f, w), s + 6, s, rng)
+        chaff = sorted({x for x, _ in ok.pairs} - w)
+        w_prime = set(rng.sample(chaff, s // 2))
+        w_prime |= set(rng.sample(sorted(set(far) - w_prime - set(chaff)), s - len(w_prime)))
+        assert _sets_equal(origjs_rec(ElementSet.of(f, w_prime), ok), w)
+
+
 def test_origjs_beyond_capacity_correct_or_loud():
     # t+2 differences: either DecodeFailure, or the genuine points still
     # dominate and the original set comes back exactly (never silent garbage)
