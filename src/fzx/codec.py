@@ -185,14 +185,19 @@ def support_from_syndrome(code: BchCode, odd_sums: list[int]) -> set[int]:
     """Recover the support set (size <= t) whose odd power sums equal the
     input, or raise DecodeFailure.
 
-    Solves the key equation with Berlekamp's binary form of the shift-register
-    synthesis (Berlekamp 1968; Massey 1969): the error locator sigma is the
-    shortest LFSR generating s_1, ..., s_{delta-1}.  Since s_{2j} = s_j^2,
-    every second discrepancy is zero, so only the t odd steps run.  Since
-    sigma(0) = 1, the reversed locator z^L sigma(1/z) is monic, and its
-    roots, the inverses of sigma's, are the support itself, which is then
-    re-verified against the syndrome unconditionally.  Every step is a
-    fixed function of the syndrome.
+    The error locator sigma is the shortest LFSR generating s_1, ...,
+    s_{delta-1}, found by Berlekamp's binary form of the shift-register
+    synthesis (Berlekamp 1968, ch. 7; Massey 1969), which runs only the t
+    odd steps since s_{2j} = s_j^2.  The roots of the monic reversed
+    locator are the support.  Every step is a fixed function of the syndrome.
+
+    The re-check of the support against the syndrome is the one check of
+    the output.  It also rejects a locator of degree below L: power sums
+    of its fewer roots that matched the syndrome would give an LFSR
+    shorter than L.  It is believed never to fire on a locator of length
+    L <= t with distinct roots, since the binary algorithm solves the key
+    equation together with Newton's identities; a tier-1 sweep of every
+    syndrome of small codes (m <= 6) pins that.
     """
     f = code.field
     t = code.t
@@ -205,12 +210,6 @@ def support_from_syndrome(code: BchCode, odd_sums: list[int]) -> set[int]:
     sigma, length = _berlekamp(f, full)
     if length > t:
         raise DecodeFailure("locator longer than t")
-    if poly_deg(sigma) != length:
-        raise DecodeFailure("locator degree differs from its LFSR length")
-
-    # key equation: sigma generates s_{L+1}, ..., s_{delta-1}
-    assert not any(_discrepancy(f, sigma, full, n) for n in range(length, len(full)))
-
     support = _distinct_roots(f, sigma[::-1])
     if syndrome_from_support(code, support) != odd_sums:
         raise DecodeFailure("recovered support fails syndrome re-check")
@@ -227,16 +226,6 @@ def _distinct_roots(field: GF2m, f: list[int]) -> set[int]:
     return roots
 
 
-def _discrepancy(field: GF2m, sigma: list[int], full: list[int], n: int) -> int:
-    """s_{n+1} + sum_i sigma_i s_{n+1-i}: zero iff the LFSR sigma produces
-    the (n+1)-th syndrome entry (full[n]) from the ones before it."""
-    mul = field.mul
-    d = full[n]
-    for i in range(1, min(len(sigma), n + 1)):
-        d ^= mul(sigma[i], full[n - i])
-    return d
-
-
 def _berlekamp(field: GF2m, full: list[int]) -> tuple[list[int], int]:
     """Shortest LFSR (sigma, L), sigma(0) = 1, generating the syndrome
     s_1, ..., s_{2t} held in `full`, by Berlekamp-Massey run only at the
@@ -247,7 +236,9 @@ def _berlekamp(field: GF2m, full: list[int]) -> tuple[list[int], int]:
     sigma, prev = [1], [1]  # current LFSR and the one before its last lengthening
     length, gap, d_prev = 0, 1, 1  # prev enters shifted by z^gap, scaled 1/d_prev
     for n in range(0, len(full), 2):
-        d = _discrepancy(field, sigma, full, n)
+        d = full[n]  # s_{n+1} + sum_i sigma_i s_{n+1-i}: zero iff sigma produces it
+        for i in range(1, min(len(sigma), n + 1)):
+            d ^= mul(sigma[i], full[n - i])
         if d == 0:
             gap += 2
             continue

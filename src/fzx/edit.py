@@ -205,7 +205,8 @@ def edit_rec(w_prime, sk: EditSketch):
         w = unshingle(shingles, sk.s2)
     except ValueError as exc:
         raise DecodeFailure(f"recovered shingle set is inconsistent: {exc}") from exc
-    # re-sketch: the output must explain both sketch components exactly
+    # the output must explain both sketch components: unshingle can build a
+    # string whose shingle set, or whose partition, is not the sketched one
     if pinsketch_ss(_embedded_set(shingle(w, c), bits), sk.s1.t) != sk.s1:
         raise DecodeFailure("recovered string fails sketch re-check")
     if recovery_info(w, c) != sk.s2:

@@ -4,6 +4,7 @@ Frozen vectors were computed by hand in GF(8)/GF(16) and cross-checked by
 the enumeration oracles below before the decoder existed.
 """
 
+import math
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -116,6 +117,39 @@ def test_support_round_trip_exhaustive_m4():
                 cases += 1
         if delta == 5:
             assert cases == 105 + 15 + 1
+
+
+@pytest.mark.parametrize("m,t_max", [(3, 3), (4, 3), (5, 3), (6, 2)])
+def test_every_syndrome_decodes_exactly_when_a_support_has_it(monkeypatch, m, t_max):
+    # Every syndrome of every code: exactly the sum_{k<=t} C(n, k) syndromes
+    # of the supports of size <= t decode, each to its support, and every
+    # other one raises DecodeFailure.  The re-check of support_from_syndrome
+    # runs on each nonzero syndrome that decodes and is reached by no
+    # failure: it never fires, as its docstring argues.
+    real = codec.syndrome_from_support
+    checked = []
+
+    def recheck(code, support):
+        checked.append(support)
+        return real(code, support)
+
+    monkeypatch.setattr(codec, "syndrome_from_support", recheck)
+    f = GF2m(m)
+    for t in range(1, t_max + 1):
+        code = BchCode(f, 2 * t + 1)
+        decoded = 0
+        for syn in product(range(1 << m), repeat=t):
+            syn = list(syn)
+            checked.clear()
+            try:
+                got = support_from_syndrome(code, syn)
+            except DecodeFailure:
+                assert not checked
+                continue
+            assert len(got) <= t and real(code, got) == syn
+            assert checked == ([got] if any(syn) else [])
+            decoded += 1
+        assert decoded == sum(math.comb(code.n, k) for k in range(t + 1))
 
 
 def test_support_round_trip_randomized_and_fail_loud():

@@ -24,7 +24,7 @@ from fzx.edit import (
     unshingle,
 )
 from fzx.envelope import deserialize, serialize_edit
-from fzx.setdiff import PinSketchData
+from fzx.setdiff import ElementSet, PinSketchData, pinsketch_ss
 
 
 def _random_word(rng, n):
@@ -242,6 +242,34 @@ def test_edit_rec_tampered_sketch_fails_loud():
     bad2 = EditSketch(sk.s1, RecoveryInfo(sk.s2.n, (64,) * len(sk.s2.indices)))
     with pytest.raises(DecodeFailure):
         edit_rec(w, bad2)
+
+
+@pytest.mark.parametrize("w,indices,rebuilt,check", [
+    # the same shingle set {00, 01, 10}, in another partition order
+    ("10100", (3, 2, 1), "10010", "recovery-info re-check"),
+    # a string whose shingle set {00, 01} is not the sketched one
+    ("01001", (1, 1, 2), "00001", "sketch re-check"),
+])
+def test_edit_rec_checks_what_unshingle_cannot(w, indices, rebuilt, check):
+    # w' = w recovers w's shingle set exactly; one changed recovery index
+    # makes unshingle rebuild another string, which only one check rejects
+    sk = edit_ss(w, 2, 1)
+    assert unshingle(shingle(w, 2), RecoveryInfo(5, indices)) == rebuilt
+    with pytest.raises(DecodeFailure, match=check):
+        edit_rec(w, EditSketch(sk.s1, RecoveryInfo(5, indices)))
+
+
+@pytest.mark.parametrize("w,c,e", [(b"abcd", 1, 5), ("0110", 3, 7), ("0110", 3, 1)])
+def test_edit_rec_rejects_a_recovered_element_below_the_shingle_base(w, c, e):
+    # a sketch tampered to add e < 2^(c*bits), which embeds no shingle: for
+    # bytes it would not convert (OverflowError), and for a binary string
+    # it would format as a shingle with a minus sign
+    sk = edit_ss(w, c, 1)
+    f, t = sk.s1.field, sk.s1.t
+    extra = pinsketch_ss(ElementSet.of(f, [e]), t).odd_sums
+    sums = tuple(a ^ b for a, b in zip(sk.s1.odd_sums, extra))
+    with pytest.raises(DecodeFailure, match="not an embedded shingle"):
+        edit_rec(w, EditSketch(PinSketchData(f, t, sums), sk.s2))
 
 
 def test_edit_input_validation():

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fzx import setdiff
+from fzx.cli import main
 from fzx.codec import DecodeFailure, rs_decode
 from fzx.envelope import deserialize, serialize_ijs
 from fzx.gf2m import GF2m, field_of
@@ -227,6 +229,57 @@ def test_ijs_t_equals_s_boundary():
     assert sk.t == 4
     got = ijs_rec(ElementSet.of(f, [2, 5, 8, 14]), sk)
     assert _sets_equal(got, w | {1})
+
+
+def test_ijs_root_zero_at_t_equals_s_fails_decode(tmp_path):
+    # t = s = 2 with coefficients (3, 0): z^2 + 3z has the roots 0 and 3,
+    # and 0 is no element, so the guard turns it into DecodeFailure rather
+    # than ElementSet's ValueError (which the CLI would report as exit 4)
+    from fzx.cli import main
+
+    f = GF2m(4)
+    sk = IjsSketchData(f, 2, 2, (3, 0))
+    with pytest.raises(DecodeFailure, match="not a valid size-s set"):
+        ijs_rec(ElementSet.of(f, [1, 2]), sk)
+    env = tmp_path / "ijs0.bin"
+    env.write_bytes(b"FZX1\x04\x04\x00\x02\x00\x02\x30")
+    w = tmp_path / "w.set"
+    w.write_text("1\n2\n")
+    assert main(["recover", "-i", str(w), "--sketch", str(env)]) == 2
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_ijs_coefficient_recheck_never_fires(monkeypatch, s):
+    # Every pair of top coefficients, realisable or not, against every w' of
+    # size s in GF(8)*, t = 2: ijs_rec returns the set with that sketch
+    # within distance t of w' when there is one, and raises DecodeFailure
+    # otherwise.  The closing re-check recomputes the coefficients of each
+    # set it returns and is reached by no failure: it never fires, as
+    # ijs_rec's docstring argues.
+    f, t = GF2m(3), 2
+    sets = list(itertools.combinations(range(1, 8), s))
+    by_sketch = {}
+    for w in sets:
+        by_sketch.setdefault(ijs_ss(ElementSet(f, w), t).top_coeffs, []).append(set(w))
+    real = setdiff._top_coeffs
+    coeffs_of = []
+
+    def top_coeffs(field, elems, t):
+        coeffs_of.append(tuple(elems))
+        return real(field, elems, t)
+
+    monkeypatch.setattr(setdiff, "_top_coeffs", top_coeffs)
+    for top in itertools.product(range(8), repeat=t):
+        sk = IjsSketchData(f, s, t, top)
+        for wp in sets:
+            want = [w for w in by_sketch.get(top, []) if len(w ^ set(wp)) <= t]
+            coeffs_of.clear()
+            try:
+                got = ijs_rec(ElementSet(f, wp), sk)
+            except DecodeFailure:
+                assert not want and coeffs_of == [wp]
+                continue
+            assert [set(got.elems)] == want and coeffs_of == [wp, got.elems]
 
 
 def _ijs_round_trip(f, base, w_prime, t):
