@@ -138,6 +138,11 @@ def _scheme(args):
     return wire
 
 
+def _rng(args):
+    """os.urandom's coins, or with --seed (test vectors only) MT19937's."""
+    return random.SystemRandom() if args.seed is None else random.Random(args.seed)
+
+
 def _sketch(args, rng):
     """Read the input file and sketch it at the header of the flags and
     the size of w: (scheme, w, envelope bytes)."""
@@ -179,7 +184,7 @@ def _key_bits(args, env, w) -> int:
 
 
 def _cmd_sketch(args) -> int:
-    _, _, data = _sketch(args, random.Random(args.seed))
+    _, _, data = _sketch(args, _rng(args))
     Path(args.output).write_bytes(data)
     return 0
 
@@ -195,7 +200,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
+    rng = _rng(args)
     wire, w, data = _sketch(args, rng)
     env = deserialize(data)
     value, n_bits = wire.encode(env, w)

@@ -141,6 +141,11 @@ def _shingle_field(c: int, bits: int) -> GF2m:
     return field_of(c * bits + 1)
 
 
+def _cofactor(m: int, k: int):
+    """Of c and bits in the shingle field's m = c * bits + 1, the one not k, or None."""
+    return (m - 1) // k if k >= 1 and (m - 1) % k == 0 else None
+
+
 def _embed_one(s, c: int, bits: int) -> int:
     value = int.from_bytes(s, "big") if bits == 8 else int(s, 2)
     return (1 << (c * bits)) + value
@@ -195,10 +200,9 @@ def edit_ss(w, c: int, t_edit: int) -> EditSketch:
 def edit_rec(w_prime, sk: EditSketch):
     """Recover w from w' within edit distance t_edit of it."""
     bits = _alphabet_bits(w_prime)
-    m = sk.s1.field.m
-    if (m - 1) % bits:
+    c = _cofactor(sk.s1.field.m, bits)
+    if c is None:
         raise ValueError("sketch universe does not match the input alphabet")
-    c = (m - 1) // bits
     got = pinsketch_rec(_embedded_set(shingle(w_prime, c), bits), sk.s1)
     try:
         shingles = ShingleSet(c, frozenset(_unembed_one(e, c, bits) for e in got.elems))

@@ -26,6 +26,8 @@ from .codec import BchCode
 from .edit import (
     EditSketch,
     RecoveryInfo,
+    _alphabet_bits,
+    _cofactor,
     approx_edit_entropy_loss,
     edit_capacity,
     edit_entropy_loss,
@@ -139,9 +141,10 @@ def _edit_shape(m: int, n: int, c: int, t_edit: int, t: int) -> None:
     """ValueError unless an edit sketch of an n-character string over
     GF(2^m) with shingle length c has the capacity t that `edit_ss` gives
     it, (2c-1) * t_edit, for a 1- or 8-bit alphabet."""
-    if c < 1 or (m - 1) % c or (m - 1) // c not in (1, 8):
+    bits = _cofactor(m, c)
+    if bits not in (1, 8):
         raise ValueError("m does not match a supported alphabet")
-    if edit_capacity(n, c, t_edit, (m - 1) // c) != t:
+    if edit_capacity(n, c, t_edit, bits) != t:
         raise ValueError("t must equal (2c-1) * t_edit")
 
 
@@ -315,14 +318,14 @@ def _origjs_header(shape, es=None) -> tuple:
 
 
 def _edit_header(shape, w=None) -> tuple:
-    """The header of the sketch of a binary string of len(w) or shape.n
-    characters, with shape.c or, left out, the loss-minimizing shingle
-    length; edit_capacity makes the checks of edit_ss."""
-    n = shape.n if w is None else len(w)
-    c = shape.c if shape.c is not None else optimal_shingle_len(n, shape.t, 2)
-    t_set = edit_capacity(n, c, shape.t, 1)
-    _fit(SCHEME_EDIT, c + 1, t_set, n, c, shape.t)
-    return c + 1, t_set, n, c, shape.t
+    """The header of the sketch of w, over its alphabet, or of a binary string
+    of shape.n characters, with shape.c or, left out, the loss-minimizing
+    shingle length; edit_capacity makes the checks of edit_ss."""
+    n, bits = (shape.n, 1) if w is None else (len(w), _alphabet_bits(w))
+    c = shape.c if shape.c is not None else optimal_shingle_len(n, shape.t, 1 << bits)
+    t_set = edit_capacity(n, c, shape.t, bits)
+    _fit(SCHEME_EDIT, c * bits + 1, t_set, n, c, shape.t)
+    return c * bits + 1, t_set, n, c, shape.t
 
 
 def _bch_loss(m, t) -> dict:
@@ -332,11 +335,9 @@ def _bch_loss(m, t) -> dict:
 
 
 def _edit_loss(m, t, n, c, t_edit) -> dict:
-    return {
-        "c": c,
-        "loss_bits": edit_entropy_loss(n, c, t_edit, 2),
-        "approx_loss_bits": approx_edit_entropy_loss(n, t_edit, 2),
-    }
+    F = 1 << _cofactor(m, c)  # the alphabet size
+    loss, approx = edit_entropy_loss(n, c, t_edit, F), approx_edit_entropy_loss(n, t_edit, F)
+    return {"c": c, "loss_bits": loss, "approx_loss_bits": approx}
 
 
 class _Wire(namedtuple("_Wire", "id name parse header sketch recover kind aux fields encode loss")):
@@ -472,7 +473,7 @@ def residual(env: Envelope, w) -> float:
     elif wire.kind == "set":
         held = math.log2(math.comb((1 << env.m) - 1, len(w)))
     else:
-        held = len(w)
+        held = _cofactor(env.m, env.aux[1]) * len(w)  # bits per character, times n
     return held - wire.loss(env.m, env.t, *env.aux)["loss_bits"]
 
 

@@ -5,7 +5,8 @@ tolerates sets of any size; the improved Juels-Sudan sketch stores the top
 t coefficients of the set's characteristic polynomial and requires a fixed
 set size; the original Juels-Sudan scheme hides a random low-degree
 polynomial among chaff points and is kept as a reference (its entropy loss
-grows with the chaff count).
+grows with the chaff count).  Only it is randomized: it draws each value
+once and reads no generator state, so `random.SystemRandom` can drive it.
 
 Improved JS recovery is rational reconstruction on the partial Euclid
 (codec._partial_euclid).  Original JS recovery Reed-Solomon decodes the
@@ -222,7 +223,8 @@ def ijs_rec(w_prime: ElementSet, sk: IjsSketchData) -> ElementSet:
                 series[k] ^= mul(c[j], series[k - j])
         u_t1 = [0] * (t + 1) + [1]
         r, v = _partial_euclid(field, u_t1, poly_norm(series), t // 2 + 1)
-        if not (r[0] and v[0]) or len(r) != len(v):
+        # r[0] = v[0] (series[0] = 1); if both are 0, deg E < deg v: no split over w'
+        if len(r) != len(v):
             raise DecodeFailure("no difference of equal sizes within t/2")
         e_poly = v[::-1]  # E(z) = z^e v(1/z), its roots are w' minus w
         off_e = poly_eval_many(field, e_poly, w_prime.elems)
@@ -244,57 +246,42 @@ def origjs_ss(
     """Hide a random polynomial p of degree <= s-t-1 in r pairs: one pair
     (x, p(x)) per element of w, plus r-s chaff pairs off the polynomial.
 
-    p is evaluated at all r abscissas in one lane-packed pass
-    (`poly_eval_many`).  Sparse chaff draws each x and then its y, so every
-    y is drawn before p(x) is known; if some y lands on p(x), the draws
-    replay from the state saved before the chaff with the values of p
-    learnt so far, and a y equal to its p(x) is redrawn.  The random stream
-    and the pairs are those of evaluating p at each x before drawing y."""
+    Every value is drawn once, so any generator can drive it, including
+    `random.SystemRandom`.  The coefficients of p come first, then the
+    chaff: sparse chaff draws each x by rejection and then its y, dense
+    chaff samples the free abscissas and leaves each y unset.  p is then
+    evaluated at all r abscissas in one lane-packed pass (`poly_eval_many`),
+    and, in draw order, each chaff y that is unset or equal to p(x) is
+    redrawn until it is neither: uniform on GF(2^m) minus p(x)."""
     field = w.field
     s = len(w)
     if not 0 <= t <= s:
         raise ValueError("need 0 <= t <= |w|")
     if not s < r <= field.order:
         raise ValueError("need |w| < r <= universe size")
-    k = s - t - 1
-    p = [rng.randrange(0, field.order + 1) for _ in range(k + 1)]
-    px: dict[int, int] = {}  # p(x) at every abscissa evaluated so far
-
-    def learn(xs):
-        xs = [x for x in xs if x not in px]
-        px.update(zip(xs, poly_eval_many(field, p, xs)))
-
-    def draw_y(x: int) -> int:
-        """Uniform y != p(x) by rejection, unchecked while p(x) is unknown."""
-        y = rng.randrange(0, field.order + 1)
-        while y == px.get(x):
-            y = rng.randrange(0, field.order + 1)
-        return y
-
-    missing = r - s
-    if 3 * missing < field.order - s:
+    q = field.order + 1
+    p = [rng.randrange(0, q) for _ in range(s - t)]
+    xs = list(w.elems)
+    taken = set(xs)
+    if 3 * (r - s) < field.order - s:
         # sparse chaff: rejection sampling beats materializing the universe
-        state = rng.getstate()
-        while True:
-            taken = set(w.elems)
-            chaff = []
-            while len(chaff) < missing:
-                x = rng.randrange(1, field.order + 1)
-                if x not in taken:
-                    taken.add(x)
-                    chaff.append((x, draw_y(x)))
-            learn([*w.elems, *(x for x, _ in chaff)])
-            if all(y != px[x] for x, y in chaff):
-                break
-            rng.setstate(state)
+        ys = []
+        while len(xs) < r:
+            x = rng.randrange(1, q)
+            if x not in taken:
+                taken.add(x)
+                xs.append(x)
+                ys.append(rng.randrange(0, q))
     else:
-        taken = set(w.elems)
-        pool = [x for x in range(1, field.order + 1) if x not in taken]
-        xs = rng.sample(pool, missing)
-        learn([*w.elems, *xs])
-        chaff = [(x, draw_y(x)) for x in xs]
-    pairs = sorted([(x, px[x]) for x in w.elems] + chaff)
-    return OrigJsSketchData(field, s, r, t, tuple(pairs))
+        pool = [x for x in range(1, q) if x not in taken]
+        xs += rng.sample(pool, r - s)
+        ys = [None] * (r - s)
+    on_p = poly_eval_many(field, p, xs)
+    for i, y in enumerate(ys, s):
+        while y is None or y == on_p[i]:
+            y = rng.randrange(0, q)
+        on_p[i] = y
+    return OrigJsSketchData(field, s, r, t, tuple(sorted(zip(xs, on_p))))
 
 
 def origjs_rec(w_prime: ElementSet, sk: OrigJsSketchData) -> ElementSet:

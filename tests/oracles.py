@@ -374,7 +374,12 @@ def origjs_ss(
     w: ElementSet, r: int, t: int, rng: random.Random
 ) -> OrigJsSketchData:
     """Hide a random polynomial p of degree <= s-t-1 in r pairs: one pair
-    (x, p(x)) per element of w, plus r-s chaff pairs off the polynomial."""
+    (x, p(x)) per element of w, plus r-s chaff pairs off the polynomial.
+
+    The stream of `setdiff.origjs_ss`, point by point: p's coefficients,
+    then every chaff abscissa (sparse: x by rejection, each followed by one
+    y; dense: one sample of the free abscissas, no y yet), then, in draw
+    order, a y for each chaff x that has none or has p(x), by rejection."""
     field = w.field
     s = len(w)
     if not 0 <= t <= s:
@@ -387,29 +392,24 @@ def origjs_ss(
 
     taken = set(w.elems)
     missing = r - s
+    chaff = []  # (x, y or None), in draw order
     if 3 * missing < field.order - s:
         # sparse chaff: rejection sampling beats materializing the universe
-        while missing:
+        while len(chaff) < missing:
             x = rng.randrange(1, field.order + 1)
             if x not in taken:
                 taken.add(x)
-                pairs.append((x, _off_poly(field, p, x, rng)))
-                missing -= 1
+                chaff.append((x, rng.randrange(0, field.order + 1)))
     else:
         pool = [x for x in range(1, field.order + 1) if x not in taken]
-        for x in rng.sample(pool, missing):
-            pairs.append((x, _off_poly(field, p, x, rng)))
+        chaff = [(x, None) for x in rng.sample(pool, missing)]
+    for x, y in chaff:
+        px = poly_eval(field, p, x)
+        while y is None or y == px:
+            y = rng.randrange(0, field.order + 1)
+        pairs.append((x, y))
     pairs.sort()
     return OrigJsSketchData(field, s, r, t, tuple(pairs))
-
-
-def _off_poly(field: GF2m, p: list[int], x: int, rng: random.Random) -> int:
-    """Uniform y != p(x), by rejection."""
-    px = poly_eval(field, p, x)
-    while True:
-        y = rng.randrange(0, field.order + 1)
-        if y != px:
-            return y
 
 
 def clmul_mod(a: int, b: int, modulus: int) -> int:

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fzx import cli
 from fzx.cli import main
-from fzx.envelope import deserialize
+from fzx.envelope import SCHEME_NAMES, deserialize
 
 
 def _write(tmp_path, name, text):
@@ -712,6 +713,43 @@ _SHAPES = {
     "origjs": (["--m", "10", "--t", "4", "--r", "40"], _SET12, ["--s", "12"]),
     "edit": (["--t", "1"], "0110100110010110", ["--n", "16"]),
 }
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_NAMES.values()))
+def test_unseeded_sketch_and_gen_build_no_seeded_generator(tmp_path, capsys, monkeypatch, scheme):
+    # without --seed the coins come from os.urandom: no random.Random is
+    # built, and the sketch's coins and gen's hash seed are SystemRandom draws
+    def refuse(*args):
+        raise AssertionError("random.Random built without --seed")
+
+    draws = []
+
+    class CountingSystemRandom(random.SystemRandom):
+        def random(self):
+            draws.append(1)
+            return super().random()
+
+        def getrandbits(self, k):
+            draws.append(1)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(cli.random, "Random", refuse)
+    monkeypatch.setattr(cli.random, "SystemRandom", CountingSystemRandom)
+    shape, w, _ = _SHAPES.get(scheme, _SHAPES["hamming-offset"])
+    wi = _write(tmp_path, "w.txt", w)
+    sk, helper = str(tmp_path / "sk.bin"), str(tmp_path / "h.bin")
+    assert main(["sketch", "--scheme", scheme, *shape, "-i", wi, "-o", sk]) == 0
+    if scheme in ("hamming-offset", "hamming-perm", "origjs"):
+        assert draws
+    draws.clear()
+    assert main(["gen", "--scheme", scheme, *shape, "--out-bits", "8",
+                 "-i", wi, "-o", helper]) == 0
+    assert draws
+    key = capsys.readouterr().out
+    assert main(["rep", "-i", wi, "--sketch", helper, "--out-bits", "8"]) == 0
+    assert capsys.readouterr().out == key
+    assert main(["recover", "-i", wi, "--sketch", sk]) == 0
+    assert set(capsys.readouterr().out.split()) == set(w.split())
 
 
 @pytest.mark.parametrize("command, scheme, flag, value", [

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from fzx.bitpack import pack_fields, unpack_fields, word_from_bytes, word_to_bytes
 from fzx.codec import DecodeFailure
-from fzx.edit import edit_rec, edit_ss, shingle_encoding
+from fzx.edit import (
+    approx_edit_entropy_loss,
+    edit_entropy_loss,
+    edit_rec,
+    edit_ss,
+    shingle_encoding,
+)
 from fzx.envelope import (
     SCHEME_EDIT,
     SCHEME_HAMMING_OFFSET,
@@ -232,6 +238,26 @@ def test_ijs_residual_counts_every_coefficient_of_an_odd_t_sketch():
     full = math.log2(math.comb(f.order, 14))
     assert residual(odd, es) <= full - 5 * 16
     assert residual(even, es) == pytest.approx(full - 4 * 16)
+
+
+def test_edit_header_loss_and_residual_read_a_byte_alphabet():
+    # 20 bytes hold 160 bits; 2-byte shingles embed in GF(2^(2 * 8 + 1))
+    w = bytes(range(20))
+    wire = _WIRE[SCHEME_EDIT]
+    head = wire.header(SimpleNamespace(t=1, c=2), w)
+    env = deserialize(wire.sketch(w, random.Random(1), *head))
+    assert head == (17, 3, 20, 2, 1) and env.m == 17
+    loss = wire.loss(*head)
+    assert loss["loss_bits"] == edit_entropy_loss(20, 2, 1, 256)
+    assert loss["approx_loss_bits"] == approx_edit_entropy_loss(20, 1, 256)
+    assert residual(env, w) == pytest.approx(66.52, abs=0.005)
+    assert residual(env, w) == 8 * 20 - loss["loss_bits"]
+    # a binary string keeps one bit per character
+    bits = "01101001100101101100"
+    head = wire.header(SimpleNamespace(t=1, c=2), bits)
+    env = deserialize(wire.sketch(bits, random.Random(1), *head))
+    assert head == (3, 3, 20, 2, 1)
+    assert residual(env, bits) == 20 - edit_entropy_loss(20, 2, 1, 2)
 
 
 class _Replay(random.Random):

@@ -461,14 +461,21 @@ def test_origjs_construction_postconditions():
                 assert poly_eval(f, p, x) != y
 
 
-class _ReplayCountingRandom(random.Random):
-    """Counts `setstate` calls: each is one replay of the chaff draws."""
+class _StatelessRandom(random.Random):
+    """A seeded generator that refuses `getstate`/`setstate`, as
+    `random.SystemRandom` does, and counts its draws from [0, 2^m)."""
 
-    replays = 0
+    y_draws = 0
+
+    def randrange(self, start, stop=None, step=1):
+        self.y_draws += start == 0
+        return super().randrange(start, stop, step)
+
+    def getstate(self):
+        raise NotImplementedError
 
     def setstate(self, state):
-        self.replays += 1
-        super().setstate(state)
+        raise NotImplementedError
 
 
 # (s, r) per degree m, both chaff branches each: sparse chaff draws x by
@@ -484,10 +491,11 @@ _ORIGJS_SHAPES = {
 
 @pytest.mark.parametrize("m", sorted(_ORIGJS_SHAPES))
 def test_origjs_ss_matches_scalar_oracle(m):
-    # same sketch and same random stream as evaluating p at each x before
-    # drawing its y; chaff y landing on p(x) forces the replay path
+    # same sketch and same random stream as the point-by-point oracle, on a
+    # generator without state access; a sparse chaff y landing on p(x) is
+    # redrawn after every chaff pair has been drawn
     f = field_of(m)
-    seeds_with_replay, branches = 0, set()
+    seeds_with_redraw, branches = 0, set()
     for s, r in _ORIGJS_SHAPES[m]:
         sparse = 3 * (r - s) < f.order - s
         branches.add(sparse)
@@ -495,14 +503,42 @@ def test_origjs_ss_matches_scalar_oracle(m):
             pick = random.Random(seed)
             w = ElementSet.of(f, pick.sample(range(1, f.order + 1), s))
             t = pick.randrange(0, s + 1)
-            ours, theirs = _ReplayCountingRandom(seed), random.Random(seed)
+            ours, theirs = _StatelessRandom(seed), random.Random(seed)
             assert origjs_ss(w, r, t, ours) == oracles.origjs_ss(w, r, t, theirs)
-            assert ours.getstate() == theirs.getstate()
-            assert ours.replays == 0 or sparse
-            seeds_with_replay += ours.replays > 0
+            assert random.Random.getstate(ours) == theirs.getstate()
+            # s - t coefficients and r - s chaff y, plus one per redraw
+            seeds_with_redraw += sparse and ours.y_draws > r - t
     assert branches == {True, False}
     if m < 16:
-        assert seeds_with_replay >= 20
+        assert seeds_with_redraw >= 20
+
+
+class _CollidingSystemRandom(random.SystemRandom):
+    """OS randomness, except that the first chaff y repeats the first
+    coefficient drawn, which is p itself when p is constant."""
+
+    def __init__(self):
+        super().__init__()
+        self.y_draws = []
+
+    def randrange(self, start, stop=None, step=1):
+        y = super().randrange(start, stop, step)
+        if start == 0:
+            self.y_draws.append(self.y_draws[0] if len(self.y_draws) == 1 else y)
+            return self.y_draws[-1]
+        return y
+
+
+@pytest.mark.parametrize("m, s, r", [(16, 16, 64), (4, 4, 15)], ids=["sparse", "dense"])
+def test_origjs_ss_redraws_a_chaff_y_on_p_under_system_random(m, s, r):
+    f = field_of(m)
+    rng = _CollidingSystemRandom()
+    w = ElementSet.of(f, rng.sample(range(1, f.order + 1), s))
+    sk = origjs_ss(w, r, s - 1, rng)
+    c = rng.y_draws[0]
+    assert rng.y_draws[1] == c and len(rng.y_draws) >= r - s + 2
+    assert all((y == c) == (x in w.elems) for x, y in sk.pairs)
+    assert origjs_rec(w, sk) == w
 
 
 def test_origjs_seed_determinism():
