@@ -2,15 +2,16 @@
 
 A length-(2^m - 1) binary word is handled through the set of field elements
 indexing its nonzero positions: position i (0-based bit i) corresponds to
-the nonzero element i+1 of GF(2^m).  Syndromes are the odd power sums
-s_j = sum_{x in supp} x^j for j = 1, 3, ..., 2t-1; the even entries are
-recovered from the Frobenius identity s_{2j} = s_j^2, so they are never
-stored.  Decoding solves the key equation with Berlekamp's binary
-algorithm, in t steps, and finds the locator's roots with
-`gf2m.poly_roots`: for fields of at most 256 elements one evaluation at
-every element, an XOR of power rows that the first decode in the field
-builds and keeps; above that at most m rounds of trace splitting over a
-fixed basis.  Decoding draws nothing at random, so a syndrome always
+the nonzero element i+1 of GF(2^m).  A `BchCode` corrects t errors: its
+syndromes are the odd power sums s_j = sum_{x in supp} x^j for
+j = 1, 3, ..., 2t-1, and the even ones up to s_2t follow from the
+Frobenius identity s_{2j} = s_j^2, so they are never stored.  Decoding
+returns at most t error positions: it solves the key equation with
+Berlekamp's binary algorithm, in t steps, and finds the locator's roots
+with `gf2m.poly_roots`: for fields of at most 256 elements one evaluation
+at every element, an XOR of power rows that the first decode in the
+field builds and keeps; above that at most m rounds of trace splitting
+over a fixed basis.  Decoding draws nothing at random, so a syndrome always
 decodes the same way.  All decoding work is polynomial in t and m; only
 that whole-field pass, capped at 256 byte lanes, depends on 2^m.
 
@@ -41,8 +42,8 @@ class DecodeFailure(Exception):
 
 
 class BchCode(Frozen):
-    """Binary BCH code of length n = 2^m - 1 with designed distance
-    delta = 2t+1.  Bit i of a word is the field element i+1.
+    """Binary BCH code of length n = 2^m - 1 correcting t errors, of
+    designed distance 2t + 1 <= n.  Bit i of a word is the field element i+1.
 
     Its syndrome map is held once, as the t*m parity rows (n-bit masks):
     a syndrome is t*m parities of w AND row, and codeword sampling
@@ -51,19 +52,14 @@ class BchCode(Frozen):
     class with a `__dict__` rather than a named tuple.
     """
 
-    _fields = ("field", "delta")
+    _fields = ("field", "t")
 
-    def __init__(self, field: GF2m, delta: int):
-        if delta < 3 or delta % 2 == 0:
-            raise ValueError("designed distance must be odd and >= 3")
-        if delta > (1 << field.m) - 1:
-            raise ValueError("designed distance exceeds code length")
-        self.__dict__.update(field=field, delta=delta)
-
-    @property
-    def t(self) -> int:
-        """Correction radius: every pattern of at most t flips decodes."""
-        return (self.delta - 1) // 2
+    def __init__(self, field: GF2m, t: int):
+        if t < 1:
+            raise ValueError("correction radius t must be >= 1")
+        if 2 * t + 1 > (1 << field.m) - 1:
+            raise ValueError("need 2t + 1 <= 2^m - 1")
+        self.__dict__.update(field=field, t=t)
 
     @property
     def n(self) -> int:
@@ -168,16 +164,15 @@ def syndrome_from_support(code: BchCode, support) -> list[int]:
 
 
 def expand_syndrome(code: BchCode, odd_sums: list[int]) -> list[int]:
-    """Full syndrome vector (s_1, ..., s_{delta-1}) from the odd entries."""
+    """Full syndrome vector (s_1, ..., s_2t) from the odd entries."""
     t = code.t
     if len(odd_sums) != t:
         raise ValueError("expected t odd power sums")
-    full = [0] * (code.delta - 1)
+    full = [0] * (2 * t)  # full[i] is s_{i+1}
+    full[::2] = odd_sums
     sqr = code.field.sqr
-    for j in range(t):
-        full[2 * j] = odd_sums[j]
-    for i in range(2, code.delta, 2):
-        full[i - 1] = sqr(full[i // 2 - 1])
+    for i in range(1, 2 * t, 2):
+        full[i] = sqr(full[i // 2])
     return full
 
 
@@ -186,7 +181,7 @@ def support_from_syndrome(code: BchCode, odd_sums: list[int]) -> set[int]:
     input, or raise DecodeFailure.
 
     The error locator sigma is the shortest LFSR generating s_1, ...,
-    s_{delta-1}, found by Berlekamp's binary form of the shift-register
+    s_2t, found by Berlekamp's binary form of the shift-register
     synthesis (Berlekamp 1968, ch. 7; Massey 1969), which runs only the t
     odd steps since s_{2j} = s_j^2.  The roots of the monic reversed
     locator are the support.  Every step is a fixed function of the syndrome.

@@ -198,10 +198,12 @@ def edit_ss(w, c: int, t_edit: int) -> EditSketch:
 
 
 def edit_rec(w_prime, sk: EditSketch):
-    """Recover w from w' within edit distance t_edit of it."""
+    """Recover w from w' within edit distance t_edit of it; ValueError when
+    the sketch was made over the other alphabet."""
     bits = _alphabet_bits(w_prime)
     c = _cofactor(sk.s1.field.m, bits)
-    if c is None:
+    # a c read off the other alphabet gives a different count of blocks
+    if c is None or -(-sk.s2.n // c) != len(sk.s2.indices):
         raise ValueError("sketch universe does not match the input alphabet")
     got = pinsketch_rec(_embedded_set(shingle(w_prime, c), bits), sk.s1)
     try:

@@ -59,7 +59,6 @@ from .setdiff import (
     ijs_ss,
     origjs_rec,
     origjs_ss,
-    pinsketch_code,
     pinsketch_rec,
     pinsketch_ss,
     setdiff_entropy_loss,
@@ -171,7 +170,6 @@ def serialize_hamming_perm(params: BchCode, sk: PermutedSketch) -> bytes:
 
 
 def serialize_pinsketch(sk: PinSketchData) -> bytes:
-    pinsketch_code(sk.field, sk.t)  # the capacity check deserialize makes
     sums = bits_to_bytes(*pack_fields(sk.odd_sums, sk.field.m))
     return _frame(SCHEME_PINSKETCH, sk.field.m, sk.t, (), sums)
 
@@ -248,9 +246,7 @@ def _hamming_perm(m, t, rd):
 
 
 def _pinsketch(m, t, rd):
-    field = field_of(m)
-    pinsketch_code(field, t)
-    return PinSketchData(field, t, tuple(rd.fields(t, m)))
+    return PinSketchData(field_of(m), t, tuple(rd.fields(t, m)))
 
 
 def _ijs(m, t, rd, s):
@@ -294,7 +290,7 @@ def _bch_header(shape, w=None) -> tuple:
 
 def _pinsketch_header(shape, es=None) -> tuple:
     _fit(SCHEME_PINSKETCH, shape.m, shape.t)
-    pinsketch_code(field_of(shape.m), shape.t)
+    BchCode(field_of(shape.m), shape.t)
     return shape.m, shape.t
 
 

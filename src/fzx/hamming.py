@@ -6,12 +6,13 @@ sketch (store w XOR c for a random codeword c), and the permuted variant
 (store a fresh random permutation pi together with syn(pi(w))), which maps
 any fixed error pattern to a uniformly random pattern of the same weight.
 
-The code is the binary BCH code of length 2^m - 1 that `bch_params`
-interns: bit i of a word is the field element i+1, and the syndrome map
-packs the odd power sums s_1, s_3, ..., s_{2t-1} of a word's support.  The
-code holds that map as its t*m parity rows (`BchCode.parity_rows`): a
+The code is the length-(2^m - 1) BCH code correcting t errors that
+`bch_params` interns: bit i of a word is the field element i+1, and the
+syndrome map packs the odd power sums s_1, s_3, ..., s_{2t-1} of a word's
+support, held as the code's t*m parity rows (`BchCode.parity_rows`).  A
 syndrome is t*m parities of w AND row, codeword sampling eliminates the
-same rows, and decoding solves the key equation on the syndrome.
+same rows, and every recovery decodes one syndrome difference to at most
+t error positions and flips those bits of w'.
 """
 
 from __future__ import annotations
@@ -68,13 +69,13 @@ _CACHED_CODES = 8
 
 @functools.lru_cache(maxsize=_CACHED_CODES)
 def bch_params(m: int, t: int) -> BchCode:
-    """The length-(2^m - 1) BCH code with designed distance 2t + 1 over the
-    shared `field_of(m)`, one instance per (m, t) while cached.  Only
+    """The length-(2^m - 1) BCH code correcting t errors over the shared
+    `field_of(m)`, one instance per (m, t) while cached.  Only
     degrees with a pinned primitive polynomial qualify, so a hostile m
     never builds a code of more than 2^32 bits."""
     if m not in PRIMITIVE_POLYS:
         raise ValueError(f"no pinned primitive polynomial for m={m}")
-    return BchCode(field_of(m), 2 * t + 1)
+    return BchCode(field_of(m), t)
 
 
 def _check_word(p: BchCode, w: int) -> int:
@@ -96,19 +97,25 @@ def ss_syndrome(p: BchCode, w: int) -> SyndromeSketch:
     return SyndromeSketch(_bch_word_syndrome(p, w), p.syndrome_bits)
 
 
+def _errors(p: BchCode, v: int, syn_bits: int) -> list[int]:
+    """The at most t bit positions that, flipped in v, give the nearest word
+    of syndrome syn_bits, or DecodeFailure when none within capacity
+    verifies."""
+    diff = unpack_fields(_bch_word_syndrome(p, v) ^ syn_bits, p.syndrome_bits, p.field.m)
+    return [x - 1 for x in support_from_syndrome(p, diff)]
+
+
 def rec_syndrome(p: BchCode, w_prime: int, s: SyndromeSketch) -> int:
-    """Recover the sketched word from w_prime: decode the syndrome of the
-    difference to an error pattern e with weight(e) <= t and return
-    w_prime XOR e.  Equals the original w whenever dis(w, w') <= t;
-    raises DecodeFailure when no within-capacity pattern verifies."""
+    """Recover the sketched word from w_prime by flipping the at most t
+    positions that the syndrome difference decodes to.  Equals the
+    original w whenever dis(w, w') <= t; raises DecodeFailure when no
+    within-capacity pattern verifies."""
     _check_word(p, w_prime)
     if s.n_bits != p.syndrome_bits:
         raise ValueError("sketch length does not match code parameters")
-    diff = _bch_word_syndrome(p, w_prime) ^ s.syn_bits
-    e = 0
-    for x in support_from_syndrome(p, unpack_fields(diff, s.n_bits, p.field.m)):
-        e |= 1 << (x - 1)
-    return w_prime ^ e
+    for i in _errors(p, w_prime, s.syn_bits):
+        w_prime ^= 1 << i
+    return w_prime
 
 
 def random_codeword(p: BchCode, rng: random.Random) -> int:
@@ -131,13 +138,15 @@ def ss_code_offset(p: BchCode, w: int, rng: random.Random) -> CodeOffsetSketch:
 
 
 def rec_code_offset(p: BchCode, w_prime: int, sk: CodeOffsetSketch) -> int:
-    """Subtract the shift, decode to the nearest codeword, re-shift."""
+    """Recover w from w_prime: w_prime XOR shift is the codeword c plus
+    the errors w XOR w_prime, so the positions that decode it to c are
+    the ones to flip in w_prime.  DecodeFailure as for `rec_syndrome`."""
     _check_word(p, w_prime)
     if sk.n_bits != p.n:
         raise ValueError("sketch length does not match code parameters")
-    v = w_prime ^ sk.shift
-    c = rec_syndrome(p, v, SyndromeSketch(0, p.syndrome_bits))
-    return c ^ sk.shift
+    for i in _errors(p, w_prime ^ sk.shift, 0):
+        w_prime ^= 1 << i
+    return w_prime
 
 
 def permute_word(w: int, perm) -> int:
@@ -148,13 +157,6 @@ def permute_word(w: int, perm) -> int:
     the gathered string, reversed back, parses as the result."""
     bits = format(w, f"0{len(perm)}b")[::-1]
     return int("".join(itemgetter(*perm)(bits))[::-1], 2)
-
-
-def invert_permutation(perm) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, src in enumerate(perm):
-        inv[src] = i
-    return tuple(inv)
 
 
 def ss_permuted(p: BchCode, w: int, rng: random.Random) -> PermutedSketch:
@@ -168,13 +170,16 @@ def ss_permuted(p: BchCode, w: int, rng: random.Random) -> PermutedSketch:
 
 
 def rec_permuted(p: BchCode, w_prime: int, sk: PermutedSketch) -> int:
-    """Permute w_prime by the sketch's pi, recover in the permuted domain,
-    then undo the permutation."""
+    """Decode the permuted word pi(w_prime) against the sketched syndrome;
+    its error at position i is an error at bit pi[i] of w_prime, so that
+    bit is flipped."""
     _check_word(p, w_prime)
-    if len(sk.perm) != p.n:
-        raise ValueError("permutation length does not match word length")
-    pw = rec_syndrome(p, permute_word(w_prime, sk.perm), sk.syn)
-    return permute_word(pw, invert_permutation(sk.perm))
+    perm, syn = sk
+    if len(perm) != p.n or syn.n_bits != p.syndrome_bits:
+        raise ValueError("sketch shape does not match code parameters")
+    for i in _errors(p, permute_word(w_prime, perm), syn.syn_bits):
+        w_prime ^= 1 << perm[i]
+    return w_prime
 
 
 def hamming_entropy_loss(n: int, k: int) -> float:

@@ -72,13 +72,15 @@ class ElementSet(Frozen):
 
 
 class PinSketchData(namedtuple("PinSketchData", "field t odd_sums")):
-    """The odd power sums s_1, s_3, ..., s_{2t-1} of a set in `field`."""
+    """The odd power sums s_1, s_3, ..., s_{2t-1} of a set in `field`: its
+    syndrome under the BCH code that corrects t errors, so the capacity
+    rule 1 <= t and 2t + 1 <= 2^m - 1 is that code's, checked by building
+    it."""
 
     __slots__ = ()
 
     def __new__(cls, field: GF2m, t: int, odd_sums: tuple[int, ...]):
-        if t < 1:
-            raise ValueError("capacity t must be >= 1")
+        BchCode(field, t)
         if len(odd_sums) != t:
             raise ValueError("expected t odd power sums")
         for s in odd_sums:
@@ -134,17 +136,10 @@ class OrigJsSketchData(namedtuple("OrigJsSketchData", "field s r t pairs")):
         return super().__new__(cls, field, s, r, t, pairs)
 
 
-def pinsketch_code(field: GF2m, t: int) -> BchCode:
-    """The BCH code behind a PinSketch of capacity t over `field`, or
-    ValueError when 1 <= t and 2t + 1 <= 2^m - 1 do not both hold: the
-    one capacity check of sketching, the wire format and `fzx params`."""
-    return BchCode(field, 2 * t + 1)
-
-
 def pinsketch_ss(w: ElementSet, t: int) -> PinSketchData:
     """Sketch a set as the t odd power sums of its elements; t*m bits."""
-    code = pinsketch_code(w.field, t)
-    return PinSketchData(w.field, t, tuple(syndrome_from_support(code, w.elems)))
+    sums = syndrome_from_support(BchCode(w.field, t), w.elems)
+    return PinSketchData(w.field, t, tuple(sums))
 
 
 def pinsketch_rec(w_prime: ElementSet, sk: PinSketchData) -> ElementSet:
@@ -156,7 +151,7 @@ def pinsketch_rec(w_prime: ElementSet, sk: PinSketchData) -> ElementSet:
     add over a symmetric difference: syn(w' (triangle) v) = own + diff."""
     if w_prime.field != sk.field:
         raise ValueError("field mismatch between set and sketch")
-    code = pinsketch_code(sk.field, sk.t)
+    code = BchCode(sk.field, sk.t)
     own = syndrome_from_support(code, w_prime.elems)
     diff = [a ^ b for a, b in zip(own, sk.odd_sums)]
     v = support_from_syndrome(code, diff)

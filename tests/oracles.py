@@ -155,24 +155,24 @@ def bch_parity_rows(code: BchCode) -> list[int]:
 
 def euclid_support_from_syndrome(code: BchCode, odd_sums: list[int]) -> set[int]:
     """BCH decoding by the partial extended Euclid on the key equation
-    S(z)*sigma(z) = omega(z) mod z^delta, run on (z^(delta-1), S(z)/z),
+    S(z)*sigma(z) = omega(z) mod z^(2t+1), run on (z^2t, S(z)/z),
     with the locator's roots found by trace splitting at every m; raises
     DecodeFailure exactly where no support of size <= t has the syndrome."""
     f = code.field
     if all(s == 0 for s in odd_sums):
         return set()
     full = expand_syndrome(code, odd_sums)
-    z_delta = [0] * (code.delta - 1) + [1]
-    r_cur, v_cur = _partial_euclid(f, z_delta, poly_norm(list(full)), code.t)
+    z_2t = [0] * (2 * code.t) + [1]
+    r_cur, v_cur = _partial_euclid(f, z_2t, poly_norm(list(full)), code.t)
     c = poly_eval(f, v_cur, 0)
     if c == 0:
         raise DecodeFailure("locator has zero constant term")
     c_inv = f.inv(c)
     sigma = poly_scale(f, v_cur, c_inv)
-    # key equation, with omega = z*R_cur/c of degree < (delta+1)/2
+    # key equation, with omega = z*R_cur/c of degree < t + 1
     omega = poly_scale(f, [0] + r_cur, c_inv)
     prod = poly_mul(f, [0] + full, sigma)
-    assert poly_add(prod[: code.delta], omega[: code.delta]) == []
+    assert poly_add(prod[: 2 * code.t + 1], omega[: 2 * code.t + 1]) == []
     sigma, d = poly_monic(f, sigma), poly_deg(sigma)
     if d < 2:  # monic z + a has root a
         roots = {sigma[0]} if d == 1 else set()

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from fzx import cli
 from fzx.cli import main
-from fzx.envelope import SCHEME_NAMES, deserialize
+from fzx.edit import edit_ss
+from fzx.envelope import SCHEME_NAMES, deserialize, serialize_edit
 
 
 def _write(tmp_path, name, text):
@@ -586,6 +587,14 @@ def test_exit_4_on_scheme_mismatch(tmp_path):
     main(["sketch", "--scheme", "pinsketch", "--m", "10", "--t", "4",
           "-i", ai, "-o", str(sk)])
     assert main(["recover", "--scheme", "ijs", "-i", ai, "--sketch", str(sk)]) == 4
+
+
+def test_exit_4_on_an_edit_sketch_over_bytes_recovered_from_bits(tmp_path, capsys):
+    sk = tmp_path / "e.bin"
+    sk.write_bytes(serialize_edit(edit_ss(bytes(range(20)), 2, 1), 2, 1))
+    wpi = _write(tmp_path, "wp.txt", "01" * 10)
+    assert main(["recover", "-i", wpi, "--sketch", str(sk)]) == 4
+    assert "sketch universe does not match the input alphabet" in capsys.readouterr().err
 
 
 def test_exit_4_on_rep_without_length(tmp_path, capsys):

@@ -52,7 +52,7 @@ def oracle_syndrome(code, support):
 
 
 def test_syndrome_frozen_examples():
-    code = BchCode(GF2m(3), 5)
+    code = BchCode(GF2m(3), 2)
     assert code.t == 2 and code.n == 7
     assert syndrome_from_support(code, set()) == [0, 0]
     assert syndrome_from_support(code, {3}) == [3, 4]
@@ -68,7 +68,7 @@ def test_syndrome_frozen_examples():
 
 def test_syndrome_additivity_random():
     rng = random.Random(5)
-    code = BchCode(GF2m(8), 9)
+    code = BchCode(GF2m(8), 4)
     for _ in range(200):
         a = set(rng.sample(range(1, 256), rng.randrange(0, 12)))
         b = set(rng.sample(range(1, 256), rng.randrange(0, 12)))
@@ -78,16 +78,16 @@ def test_syndrome_additivity_random():
 
 
 def test_expand_syndrome():
-    code = BchCode(GF2m(3), 5)
+    code = BchCode(GF2m(3), 2)
     assert expand_syndrome(code, [0, 0]) == [0, 0, 0, 0]
     # s_2 = 3^2 = 5, s_4 = s_2^2 = 7 in GF(8) with modulus 0b1011
     assert expand_syndrome(code, [3, 4]) == [3, 5, 4, 7]
-    code1 = BchCode(GF2m(3), 3)
+    code1 = BchCode(GF2m(3), 1)
     f = GF2m(3)
     for a in range(8):
         assert expand_syndrome(code1, [a]) == [a, f.sqr(a)]
     # Frobenius consistency against a real support at higher t
-    code4 = BchCode(GF2m(4), 9)
+    code4 = BchCode(GF2m(4), 4)
     supp = {1, 7, 9}
     full = expand_syndrome(code4, syndrome_from_support(code4, supp))
     f4 = GF2m(4)
@@ -99,23 +99,22 @@ def test_expand_syndrome():
 
 
 def test_support_from_syndrome_frozen():
-    code = BchCode(GF2m(3), 5)
+    code = BchCode(GF2m(3), 2)
     assert support_from_syndrome(code, [0, 0]) == set()
     assert support_from_syndrome(code, [3, 4]) == {3}
 
 
 def test_support_round_trip_exhaustive_m4():
     f = GF2m(4)
-    for delta in (3, 5, 7):
-        code = BchCode(f, delta)
-        t = code.t
+    for t in (1, 2, 3):
+        code = BchCode(f, t)
         cases = 0
         for w in range(t + 1):
             for supp in combinations(range(1, 16), w):
                 got = support_from_syndrome(code, syndrome_from_support(code, set(supp)))
                 assert got == set(supp)
                 cases += 1
-        if delta == 5:
+        if t == 2:
             assert cases == 105 + 15 + 1
 
 
@@ -136,7 +135,7 @@ def test_every_syndrome_decodes_exactly_when_a_support_has_it(monkeypatch, m, t_
     monkeypatch.setattr(codec, "syndrome_from_support", recheck)
     f = GF2m(m)
     for t in range(1, t_max + 1):
-        code = BchCode(f, 2 * t + 1)
+        code = BchCode(f, t)
         decoded = 0
         for syn in product(range(1 << m), repeat=t):
             syn = list(syn)
@@ -159,7 +158,7 @@ def test_support_round_trip_randomized_and_fail_loud():
         # t = 6: the chance that a random weight-7 syndrome also has a
         # weight <= 6 preimage is about 1/6! = 0.14%, so the 99% explicit
         # failure floor holds with margin (at t the rate is ~1/t!)
-        code = BchCode(f, 13)
+        code = BchCode(f, 6)
         t = code.t
         failures = 0
         for _ in range(1000):
@@ -184,7 +183,7 @@ def test_support_weight_beyond_capacity_near_code_ambiguity():
     # a syndrome reachable from two different low-weight patterns decodes to
     # the unique weight <= t one; constructing from t+1 errors may legally
     # land on it, but never on anything unverified
-    code = BchCode(GF2m(4), 5)
+    code = BchCode(GF2m(4), 2)
     supp = {1, 2, 3}  # weight t+1
     syn = syndrome_from_support(code, supp)
     try:
@@ -395,7 +394,7 @@ def test_small_linear_code_validation():
 
 def test_bch_agrees_with_small_brute_via_characteristic_vectors():
     f = GF2m(4)
-    code = BchCode(f, 5)
+    code = BchCode(f, 2)
     rows = bch_parity_rows(code)
     small = SmallLinearCode(15, tuple(rows))
     assert small.k == 15 - 8
@@ -416,7 +415,7 @@ def test_bch_agrees_with_small_brute_via_characteristic_vectors():
 
 def test_parity_row_bit_convention():
     f = GF2m(4)
-    code = BchCode(f, 5)
+    code = BchCode(f, 2)
     rows = bch_parity_rows(code)
     small = SmallLinearCode(15, tuple(rows))
     m = 4
@@ -447,10 +446,10 @@ def test_random_codeword_consistent_and_spread():
 def test_bch_code_validation():
     f = GF2m(3)
     with pytest.raises(ValueError):
-        BchCode(f, 4)
+        BchCode(f, 0)
     with pytest.raises(ValueError):
-        BchCode(f, 9)
-    BchCode(f, 7)
+        BchCode(f, 4)  # 2t + 1 = 9 > n = 7
+    BchCode(f, 3)
 
 
 def test_locator_that_round_zero_cannot_split_decodes():
@@ -458,12 +457,12 @@ def test_locator_that_round_zero_cannot_split_decodes():
     # the locator (z+3)(z+5) whole; a later round must split it
     f = field_of(16)
     assert absolute_trace(f, 3) == absolute_trace(f, 5)
-    code = BchCode(f, 5)
+    code = BchCode(f, 2)
     sums = syndrome_from_support(code, {f.inv(3), f.inv(5)})
     assert support_from_syndrome(code, sums) == {f.inv(3), f.inv(5)}
     # GF(2^8) is searched whole
     f8 = field_of(8)
-    code8 = BchCode(f8, 5)
+    code8 = BchCode(f8, 2)
     sums8 = syndrome_from_support(code8, {f8.inv(3), f8.inv(5)})
     assert absolute_trace(f8, 3) == absolute_trace(f8, 5)
     assert support_from_syndrome(code8, sums8) == {f8.inv(3), f8.inv(5)}
@@ -479,7 +478,7 @@ def test_decoder_matches_the_euclid_oracle(m, random_syndrome, data):
     # the support, or a DecodeFailure, wherever the partial Euclid gives one
     f = field_of(m)
     t = data.draw(st.integers(1, _DECODE_SHAPES[m]), label="t")
-    code = BchCode(f, 2 * t + 1)
+    code = BchCode(f, t)
     if random_syndrome:
         sums = data.draw(st.lists(st.integers(0, f.order), min_size=t, max_size=t), label="sums")
     else:
@@ -508,7 +507,7 @@ def test_support_from_syndrome_on_the_whole_field_search(m, data):
     # decodes to a support of at most t with the same syndrome
     f = field_of(m)
     t = data.draw(st.integers(1, (f.order - 1) // 2), label="t")
-    code = BchCode(f, 2 * t + 1)
+    code = BchCode(f, t)
     size = data.draw(st.integers(0, 2 * t), label="size")
     rng = data.draw(st.randoms(use_true_random=False), label="rng")
     supp = set(rng.sample(range(1, f.order + 1), size))

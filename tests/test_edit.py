@@ -284,6 +284,22 @@ def test_edit_input_validation():
         edit_rec(b"\x66", sk)  # alphabet mismatch with sketch universe
 
 
+@pytest.mark.parametrize(
+    "w, c, w_prime",
+    [
+        (bytes(range(20)), 2, "01" * 10),  # m = 17: c = 16 over bits
+        ("0110100110010110" * 4, 8, bytes(range(64))),  # m = 9: c = 1 over bytes
+    ],
+    ids=["bytes-read-as-bits", "bits-read-as-bytes"],
+)
+def test_edit_rec_rejects_a_sketch_over_the_other_alphabet(w, c, w_prime):
+    # m - 1 divides by the other alphabet's bits too, but the c it gives
+    # there splits n into another count of blocks than the sketch holds
+    sk = edit_ss(w, c, 1)
+    with pytest.raises(ValueError, match="sketch universe does not match the input alphabet"):
+        edit_rec(w_prime, sk)
+
+
 def test_edit_ss_needs_a_shingle_shorter_than_the_word():
     # with c = |w| the one shingle is w itself: no recovery index is left
     # to send, and the envelope could not be read back

@@ -16,7 +16,6 @@ from fzx.hamming import (
     _CACHED_CODES,
     bch_params,
     hamming_entropy_loss,
-    invert_permutation,
     permute_word,
     random_codeword,
     rec_code_offset,
@@ -95,7 +94,7 @@ def test_bch_syndrome_matches_support_path():
 
 def test_first_syndrome_at_m16_builds_no_large_table():
     # the m=16 t=5 syndrome map is t*m rows of 2^16 - 1 bits, 640 KiB
-    p = BchCode(field_of(16), 11)  # a code of its own, so its rows are not built yet
+    p = BchCode(field_of(16), 5)  # a code of its own, so its rows are not built yet
     w = random.Random(16).getrandbits(p.n)
     tracemalloc.start()
     try:
@@ -261,7 +260,7 @@ def test_residual_entropy_code_offset():
 def test_permute_word_and_inverse():
     perm = (2, 0, 3, 1)
     assert permute_word(0b0011, perm) == 0b1010  # bits 0,1 land at 1,3
-    inv = invert_permutation(perm)
+    inv = sorted(range(len(perm)), key=perm.__getitem__)  # inv[perm[i]] = i
     rng = random.Random(3)
     for _ in range(50):
         w = rng.getrandbits(4)

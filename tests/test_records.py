@@ -34,7 +34,7 @@ INFO = RecoveryInfo(5, (1, 2, 3))
 # (record, field names, valid arguments, malformed arguments)
 RECORDS = [
     (GF2m, "m", (16,), [(0,), (257,)]),
-    (BchCode, "field delta", (F, 5), [(F, 4), (F, 1), (GF2m(3), 9)]),
+    (BchCode, "field t", (F, 2), [(F, 0), (F, 8), (GF2m(3), 4)]),
     (SyndromeSketch, "syn_bits n_bits", (5, 8), [(256, 8), (-1, 8), (0, -1)]),
     (CodeOffsetSketch, "shift n_bits", (3, 4), [(16, 4), (-1, 4), (0, -1)]),
     (
@@ -49,7 +49,12 @@ RECORDS = [
         (F, (1, 5, 9)),
         [(F, (0,)), (F, (16,)), (F, (5, 3)), (F, (3, 3)), (F, ("a",))],
     ),
-    (PinSketchData, "field t odd_sums", (F, 2, (3, 7)), [(F, 0, ()), (F, 2, (3,)), (F, 1, (16,))]),
+    (
+        PinSketchData,
+        "field t odd_sums",
+        (F, 2, (3, 7)),
+        [(F, 0, ()), (F, 2, (3,)), (F, 1, (16,)), (GF2m(4), 8, (0,) * 8)],  # 17 > 15
+    ),
     (
         IjsSketchData,
         "field s t top_coeffs",
