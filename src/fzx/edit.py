@@ -5,7 +5,10 @@ machinery (PinSketch) then absorbs insertions and deletions, each of
 which moves the shingle set by at most 2c-1 elements.  The shingle set
 alone does not determine the string, so the sketch also records which
 sorted shingle sits at each position of the disjoint c-partition of w
-(the last two partition blocks may overlap).
+(the last two partition blocks may overlap).  The sketch carries c and
+t_edit, its shape is checked once, when it is built, and recovery reads
+c off it.  A w' shorter than c has an empty shingle set and recovers
+like any other w' within t_edit edits.
 """
 
 import math
@@ -15,11 +18,10 @@ from collections import namedtuple
 from .bitpack import pack_fields
 from .codec import DecodeFailure
 from .entropy import ExtractedKey, UHashParams, extract, parse_helper, reproduce
-from .gf2m import Frozen, GF2m, field_of
-from .setdiff import ElementSet, pinsketch_rec, pinsketch_ss
+from .gf2m import field_of
+from .setdiff import ElementSet, PinSketchData, pinsketch_rec, pinsketch_ss
 
 __all__ = [
-    "ShingleSet",
     "RecoveryInfo",
     "EditSketch",
     "shingle",
@@ -35,26 +37,6 @@ __all__ = [
     "edit_entropy_loss",
     "approx_edit_entropy_loss",
 ]
-
-
-class ShingleSet(Frozen):
-    """All length-c windows of a string, as a set.  Its length is its size,
-    so it is a `Frozen` class rather than a named tuple."""
-
-    _fields = ("c", "shingles")
-
-    def __init__(self, c: int, shingles: frozenset):
-        if c < 1:
-            raise ValueError("shingle length must be >= 1")
-        if not shingles:
-            raise ValueError("shingle set cannot be empty")
-        for s in shingles:
-            if len(s) != c:
-                raise ValueError("every shingle must have length exactly c")
-        self.__dict__.update(c=c, shingles=shingles)
-
-    def __len__(self) -> int:
-        return len(self.shingles)
 
 
 class RecoveryInfo(namedtuple("RecoveryInfo", "n indices")):
@@ -76,18 +58,33 @@ class RecoveryInfo(namedtuple("RecoveryInfo", "n indices")):
         return super().__new__(cls, n, indices)
 
 
-class EditSketch(namedtuple("EditSketch", "s1 s2")):
-    """The `PinSketchData` s1 of the embedded shingle set and the
-    `RecoveryInfo` s2 that orders it back into the string."""
+class EditSketch(namedtuple("EditSketch", "s1 s2 c t_edit")):
+    """The `PinSketchData` s1 of the embedded c-shingle set of a string,
+    and the `RecoveryInfo` s2 that orders it back into the string.  The
+    shingle length c and the edits tolerated, t_edit, fix the rest of
+    the shape: m = c * bits + 1 for bits-bit characters, t = (2c-1) *
+    t_edit and ceil(n/c) recovery indices."""
 
     __slots__ = ()
 
+    def __new__(cls, s1: PinSketchData, s2: RecoveryInfo, c: int, t_edit: int):
+        _check_shape(s1.field.m, s2.n, c, t_edit, s1.t)
+        if len(s2.indices) != -(-s2.n // c):
+            raise ValueError("index count does not match ceil(n/c)")
+        return super().__new__(cls, s1, s2, c, t_edit)
 
-def shingle(w, c: int) -> ShingleSet:
-    """The set of all |w|-c+1 length-c windows of w (duplicates removed)."""
-    if not 1 <= c <= len(w):
-        raise ValueError("need 1 <= c <= |w|")
-    return ShingleSet(c, frozenset(w[i : i + c] for i in range(len(w) - c + 1)))
+    @property
+    def bits(self) -> int:
+        """Bits per character of the sketched string: 1 or 8."""
+        return (self.s1.field.m - 1) // self.c
+
+
+def shingle(w, c: int) -> frozenset:
+    """The set of all length-c windows of w, duplicates removed: |w|-c+1
+    windows, or none when |w| < c."""
+    if c < 1:
+        raise ValueError("shingle length must be >= 1")
+    return frozenset(w[i : i + c] for i in range(len(w) - c + 1))
 
 
 def _partition(w, c: int) -> list:
@@ -101,23 +98,30 @@ def _partition(w, c: int) -> list:
 
 def recovery_info(w, c: int) -> RecoveryInfo:
     """1-based sorted-set indices of the disjoint-partition shingles of w."""
-    ss = shingle(w, c)
-    pos = {s: i + 1 for i, s in enumerate(sorted(ss.shingles))}
+    if c > len(w):
+        raise ValueError("need c <= |w|")
+    pos = {s: i + 1 for i, s in enumerate(sorted(shingle(w, c)))}
     return RecoveryInfo(len(w), tuple(pos[b] for b in _partition(w, c)))
 
 
-def unshingle(ss: ShingleSet, g: RecoveryInfo):
-    """Rebuild the string from its shingle set and recovery indices."""
-    if ss.c > g.n:
+def unshingle(shingles: frozenset, g: RecoveryInfo):
+    """Rebuild the string from its nonempty set of length-c windows and
+    its recovery indices."""
+    if not shingles:
+        raise ValueError("shingle set cannot be empty")
+    c = len(next(iter(shingles)))
+    if c < 1 or any(len(s) != c for s in shingles):
+        raise ValueError("shingles must be nonempty windows of one length")
+    if c > g.n:
         raise ValueError("shingle length exceeds string length")
-    ordered = sorted(ss.shingles)
-    k = -(-g.n // ss.c)
+    ordered = sorted(shingles)
+    k = -(-g.n // c)
     if len(g.indices) != k:
         raise ValueError("index count does not match ceil(n/c)")
     if any(i > len(ordered) for i in g.indices):
         raise ValueError("index out of range for shingle set")
     parts = [ordered[i - 1] for i in g.indices]
-    overlap = ss.c * k - g.n
+    overlap = c * k - g.n
     joiner = "" if isinstance(parts[0], str) else b""
     return joiner.join(parts[:-1]) + parts[-1][overlap:]
 
@@ -136,24 +140,16 @@ def _alphabet_bits(w) -> int:
     raise ValueError("input must be a binary string or bytes")
 
 
-def _shingle_field(c: int, bits: int) -> GF2m:
-    # universe F^c needs one more bit so every embedded shingle is nonzero
-    return field_of(c * bits + 1)
-
-
-def _cofactor(m: int, k: int):
-    """Of c and bits in the shingle field's m = c * bits + 1, the one not k, or None."""
-    return (m - 1) // k if k >= 1 and (m - 1) % k == 0 else None
-
-
 def _embed_one(s, c: int, bits: int) -> int:
     value = int.from_bytes(s, "big") if bits == 8 else int(s, 2)
     return (1 << (c * bits)) + value
 
 
-def _embedded_set(ss: ShingleSet, bits: int) -> ElementSet:
-    field = _shingle_field(ss.c, bits)
-    return ElementSet.of(field, [_embed_one(s, ss.c, bits) for s in ss.shingles])
+def _embedded_set(w, c: int, bits: int) -> ElementSet:
+    """The c-shingles of w in GF(2^(c*bits+1))*; the one extra bit keeps
+    every embedded shingle nonzero."""
+    elems = [_embed_one(s, c, bits) for s in shingle(w, c)]
+    return ElementSet.of(field_of(c * bits + 1), elems)
 
 
 def _unembed_one(e: int, c: int, bits: int):
@@ -189,31 +185,39 @@ def edit_capacity(n: int, c: int, t_edit: int, bits: int) -> int:
     return t_set
 
 
+def _check_shape(m: int, n: int, c: int, t_edit: int, t: int) -> None:
+    """ValueError unless an edit sketch of an n-character string over
+    GF(2^m) with shingle length c has the capacity t that `edit_ss` gives
+    it, (2c-1) * t_edit, for a 1- or 8-bit alphabet."""
+    if c < 1 or (m - 1) % c or (m - 1) // c not in (1, 8):
+        raise ValueError("m does not match a supported alphabet")
+    if edit_capacity(n, c, t_edit, (m - 1) // c) != t:
+        raise ValueError("t must equal (2c-1) * t_edit")
+
+
 def edit_ss(w, c: int, t_edit: int) -> EditSketch:
     """Sketch tolerating t_edit character insertions/deletions in w."""
     bits = _alphabet_bits(w)
     t_set = edit_capacity(len(w), c, t_edit, bits)
-    s1 = pinsketch_ss(_embedded_set(shingle(w, c), bits), t_set)
-    return EditSketch(s1, recovery_info(w, c))
+    s1 = pinsketch_ss(_embedded_set(w, c, bits), t_set)
+    return EditSketch(s1, recovery_info(w, c), c, t_edit)
 
 
 def edit_rec(w_prime, sk: EditSketch):
-    """Recover w from w' within edit distance t_edit of it; ValueError when
-    the sketch was made over the other alphabet."""
-    bits = _alphabet_bits(w_prime)
-    c = _cofactor(sk.s1.field.m, bits)
-    # a c read off the other alphabet gives a different count of blocks
-    if c is None or -(-sk.s2.n // c) != len(sk.s2.indices):
+    """Recover w from any w' within t_edit edits of it, of whatever
+    length; ValueError when the sketch was made over the other
+    alphabet."""
+    bits, c = _alphabet_bits(w_prime), sk.c
+    if bits != sk.bits:
         raise ValueError("sketch universe does not match the input alphabet")
-    got = pinsketch_rec(_embedded_set(shingle(w_prime, c), bits), sk.s1)
+    got = pinsketch_rec(_embedded_set(w_prime, c, bits), sk.s1)
     try:
-        shingles = ShingleSet(c, frozenset(_unembed_one(e, c, bits) for e in got.elems))
-        w = unshingle(shingles, sk.s2)
+        w = unshingle(frozenset(_unembed_one(e, c, bits) for e in got.elems), sk.s2)
     except ValueError as exc:
         raise DecodeFailure(f"recovered shingle set is inconsistent: {exc}") from exc
     # the output must explain both sketch components: unshingle can build a
     # string whose shingle set, or whose partition, is not the sketched one
-    if pinsketch_ss(_embedded_set(shingle(w, c), bits), sk.s1.t) != sk.s1:
+    if pinsketch_ss(_embedded_set(w, c, bits), sk.s1.t) != sk.s1:
         raise DecodeFailure("recovered string fails sketch re-check")
     if recovery_info(w, c) != sk.s2:
         raise DecodeFailure("recovered string fails recovery-info re-check")
@@ -228,15 +232,15 @@ def shingle_encoding(w, c: int) -> tuple[int, int]:
     """The hash input of an edit key, as (value, n_bits): the embedded
     shingle set of w, one field element per shingle, first element in the
     most significant bits."""
-    bits = _alphabet_bits(w)
-    return pack_fields(_embedded_set(shingle(w, c), bits).elems, _shingle_field(c, bits).m)
+    es = _embedded_set(w, c, _alphabet_bits(w))
+    return pack_fields(es.elems, es.field.m)
 
 
 def edit_gen(w, c: int, t_edit: int, l_bits: int, rng: random.Random) -> ExtractedKey:
     """Extract an l_bits key; the helper carries the full edit sketch."""
     from .envelope import serialize_edit
 
-    env = serialize_edit(edit_ss(w, c, t_edit), c, t_edit)
+    env = serialize_edit(edit_ss(w, c, t_edit))
     value, n_bits = shingle_encoding(w, c)
     return extract(env, value, UHashParams(n_bits, l_bits), rng)
 
@@ -250,7 +254,7 @@ def edit_rep(w_prime, p: bytes, l_bits: int) -> bytes:
     if env.scheme != SCHEME_EDIT:
         raise MalformedEnvelope("bad-scheme", "helper does not hold an edit sketch")
     w = edit_rec(w_prime, env.sketch)
-    return reproduce(seed, *shingle_encoding(w, env.aux[1]), l_bits)
+    return reproduce(seed, *shingle_encoding(w, env.sketch.c), l_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ Wire layout, big-endian throughout:
 `_WIRE` holds one record per scheme id: its CLI name, the byte widths of
 its aux fields (none for the Hamming schemes and PinSketch; ijs u16 s;
 origjs u16 s, u16 r; edit u32 n, u16 c, u16 t_edit), its parser, which
-makes the sketching side's own shape check before it reads the payload,
-and the header, sketch, recovery, hash encoding and loss the CLI runs.
-Every serializer is one `_frame` call.  Payloads are bit-packed,
+checks the header by the shape rule of the sketch's own constructor
+before it reads the payload, and the header, sketch, recovery, hash
+encoding and loss the CLI runs.  Every serializer is one `_frame` call,
+and the set and edit ones take the sketch alone.  Payloads are bit-packed,
 left-aligned, and zero-padded to a byte; the pad bits must be zero.  An
 edit payload ends with the recovery indices, each minus one, in
 (n-c).bit_length() bits; an index above the n-c+1 shingles is rejected.
@@ -27,7 +28,7 @@ from .edit import (
     EditSketch,
     RecoveryInfo,
     _alphabet_bits,
-    _cofactor,
+    _check_shape,
     approx_edit_entropy_loss,
     edit_capacity,
     edit_entropy_loss,
@@ -136,17 +137,6 @@ def _byte_width(m: int) -> int:
     return 8 * ((m + 7) // 8)
 
 
-def _edit_shape(m: int, n: int, c: int, t_edit: int, t: int) -> None:
-    """ValueError unless an edit sketch of an n-character string over
-    GF(2^m) with shingle length c has the capacity t that `edit_ss` gives
-    it, (2c-1) * t_edit, for a 1- or 8-bit alphabet."""
-    bits = _cofactor(m, c)
-    if bits not in (1, 8):
-        raise ValueError("m does not match a supported alphabet")
-    if edit_capacity(n, c, t_edit, bits) != t:
-        raise ValueError("t must equal (2c-1) * t_edit")
-
-
 def serialize_hamming_syn(params: BchCode, sk: SyndromeSketch) -> bytes:
     if sk.n_bits != params.syndrome_bits:
         raise ValueError("sketch width does not match parameters")
@@ -184,13 +174,12 @@ def serialize_origjs(sk: OrigJsSketchData) -> bytes:
     return _frame(SCHEME_ORIGJS, sk.field.m, sk.t, (sk.s, sk.r), pairs)
 
 
-def serialize_edit(sk: EditSketch, c: int, t_edit: int) -> bytes:
-    m, n = sk.s1.field.m, sk.s2.n
-    _edit_shape(m, n, c, t_edit, sk.s1.t)
+def serialize_edit(sk: EditSketch) -> bytes:
+    m, n, c = sk.s1.field.m, sk.s2.n, sk.c
     # 1-based indices of at most n-c+1 shingles travel 0-based
     indices = bits_to_bytes(*pack_fields([i - 1 for i in sk.s2.indices], (n - c).bit_length()))
     syn = bits_to_bytes(*pack_fields(sk.s1.odd_sums, _byte_width(m)))
-    return _frame(SCHEME_EDIT, m, sk.s1.t, (n, c, t_edit), syn, indices)
+    return _frame(SCHEME_EDIT, m, sk.s1.t, (n, c, sk.t_edit), syn, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +249,7 @@ def _origjs(m, t, rd, s, r):
 
 def _edit(m, t, rd, n, c, t_edit):
     try:
-        _edit_shape(m, n, c, t_edit, t)
+        _check_shape(m, n, c, t_edit, t)
     except ValueError as exc:
         raise MalformedEnvelope("bad-header", str(exc)) from exc
     field = field_of(m)
@@ -270,7 +259,7 @@ def _edit(m, t, rd, n, c, t_edit):
     indices = tuple(i + 1 for i in rd.fields(-(-n // c), (n - c).bit_length()))
     if max(indices) > n - c + 1:
         raise MalformedEnvelope("bad-index", f"recovery index above {n - c + 1} shingles")
-    return EditSketch(s1, RecoveryInfo(n, indices))
+    return EditSketch(s1, RecoveryInfo(n, indices), c, t_edit)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +320,7 @@ def _bch_loss(m, t) -> dict:
 
 
 def _edit_loss(m, t, n, c, t_edit) -> dict:
-    F = 1 << _cofactor(m, c)  # the alphabet size
+    F = 1 << ((m - 1) // c)  # the alphabet size
     loss, approx = edit_entropy_loss(n, c, t_edit, F), approx_edit_entropy_loss(n, t_edit, F)
     return {"c": c, "loss_bits": loss, "approx_loss_bits": approx}
 
@@ -427,10 +416,10 @@ _WIRE = {
         ),
         _Wire(
             SCHEME_EDIT, "edit", _edit, _edit_header,
-            lambda w, rng, m, t, n, c, t_edit: serialize_edit(edit_ss(w, c, t_edit), c, t_edit),
+            lambda w, rng, m, t, n, c, t_edit: serialize_edit(edit_ss(w, c, t_edit)),
             lambda env, w: edit_rec(w, env.sketch),
             kind="string", aux=(4, 2, 2), fields=("n", "t", "c"),
-            encode=lambda env, w: shingle_encoding(w, env.aux[1]),
+            encode=lambda env, w: shingle_encoding(w, env.sketch.c),
             loss=_edit_loss,
         ),
     )
@@ -469,7 +458,7 @@ def residual(env: Envelope, w) -> float:
     elif wire.kind == "set":
         held = math.log2(math.comb((1 << env.m) - 1, len(w)))
     else:
-        held = _cofactor(env.m, env.aux[1]) * len(w)  # bits per character, times n
+        held = env.sketch.bits * len(w)  # bits per character, times n
     return held - wire.loss(env.m, env.t, *env.aux)["loss_bits"]
 
 

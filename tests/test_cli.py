@@ -127,6 +127,19 @@ def test_edit_sketch_recover_full_index_width(tmp_path):
     assert main(["recover", "-i", wpi, "--sketch", str(out), "-o", str(rec)]) == 0
     assert rec.read_text().strip() == "00110"
 
+
+def test_edit_recover_from_a_word_shorter_than_c(tmp_path, capsys):
+    # "101" is two deletions from "10110" and has no 4-shingle at all
+    wi = _write(tmp_path, "w.txt", "10110")
+    wpi = _write(tmp_path, "wp.txt", "101")
+    out = tmp_path / "e.bin"
+    assert main(["sketch", "--scheme", "edit", "--c", "4", "--t", "2",
+                 "-i", wi, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "-i", wpi, "--sketch", str(out)]) == 0
+    assert capsys.readouterr().out == "10110\n"
+
+
 def test_hamming_offset_rank_deficient_round_trip(tmp_path):
     # m=4 t=3: the 12 parity rows have rank 10
     w = "".join(random.Random(12).choice("01") for _ in range(15))
@@ -591,7 +604,7 @@ def test_exit_4_on_scheme_mismatch(tmp_path):
 
 def test_exit_4_on_an_edit_sketch_over_bytes_recovered_from_bits(tmp_path, capsys):
     sk = tmp_path / "e.bin"
-    sk.write_bytes(serialize_edit(edit_ss(bytes(range(20)), 2, 1), 2, 1))
+    sk.write_bytes(serialize_edit(edit_ss(bytes(range(20)), 2, 1)))
     wpi = _write(tmp_path, "wp.txt", "01" * 10)
     assert main(["recover", "-i", wpi, "--sketch", str(sk)]) == 4
     assert "sketch universe does not match the input alphabet" in capsys.readouterr().err

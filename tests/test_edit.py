@@ -12,7 +12,6 @@ from fzx.codec import DecodeFailure
 from fzx.edit import (
     EditSketch,
     RecoveryInfo,
-    ShingleSet,
     approx_edit_entropy_loss,
     edit_capacity,
     edit_entropy_loss,
@@ -48,24 +47,27 @@ def _apply_edits(rng, w, k):
 
 def test_shingle_worked_example():
     got = shingle("abcdecdeah", 3)
-    assert got.shingles == frozenset({"abc", "bcd", "cde", "dec", "ecd", "dea", "eah"})
+    assert got == frozenset({"abc", "bcd", "cde", "dec", "ecd", "dea", "eah"})
     assert len(got) == 7
 
 
 def test_shingle_edge_cases():
-    assert shingle("abcd", 4).shingles == frozenset({"abcd"})
-    assert shingle("aaaa", 2).shingles == frozenset({"aa"})
+    assert shingle("abcd", 4) == frozenset({"abcd"})
+    assert shingle("aaaa", 2) == frozenset({"aa"})
     with pytest.raises(ValueError):
         shingle("abc", 0)
-    with pytest.raises(ValueError):
-        shingle("abc", 4)
+    # a string shorter than c has no window: the set is empty, not an error
+    assert shingle("abc", 4) == frozenset()
 
 
 def test_shingle_set_validation():
-    with pytest.raises(ValueError):
-        ShingleSet(2, frozenset({"abc"}))
-    with pytest.raises(ValueError):
-        ShingleSet(2, frozenset())
+    # unshingle needs a nonempty set of windows of one length
+    with pytest.raises(ValueError, match="cannot be empty"):
+        unshingle(frozenset(), RecoveryInfo(5, (1, 2)))
+    with pytest.raises(ValueError, match="one length"):
+        unshingle(frozenset({"abc", "ab"}), RecoveryInfo(5, (1, 2)))
+    with pytest.raises(ValueError, match="one length"):
+        unshingle(frozenset({""}), RecoveryInfo(5, (1,)))
 
 
 def test_recovery_info_worked_example():
@@ -78,7 +80,7 @@ def test_recovery_info_edges():
     # length 5, c=3: two blocks, the second is the last three characters
     g = recovery_info("abcde", 3)
     assert len(g.indices) == 2
-    ordered = sorted(shingle("abcde", 3).shingles)
+    ordered = sorted(shingle("abcde", 3))
     assert ordered[g.indices[1] - 1] == "cde"
     with pytest.raises(ValueError):
         RecoveryInfo(0, (1,))
@@ -131,7 +133,7 @@ def test_single_deletion_distance_bound():
             chars = list(w)
             del chars[rng.randrange(len(chars))]
             w2 = "".join(chars)
-            diff = shingle(w, c).shingles ^ shingle(w2, c).shingles
+            diff = shingle(w, c) ^ shingle(w2, c)
             assert len(diff) <= 2 * c - 1
 
 
@@ -145,7 +147,7 @@ def test_distance_bound_sweep():
         w2 = _apply_edits(rng, w, k)
         if len(w2) < c:
             continue
-        diff = shingle(w, c).shingles ^ shingle(w2, c).shingles
+        diff = shingle(w, c) ^ shingle(w2, c)
         assert len(diff) <= (2 * c - 1) * k
 
 
@@ -182,6 +184,15 @@ def test_edit_sketch_length_change():
     sk = edit_ss(w, 4, 2)
     assert edit_rec(w[1:-1], sk) == w
     assert edit_rec("1" + w + "0", sk) == w
+
+
+def test_edit_rec_from_a_word_shorter_than_c():
+    # "101" is two deletions from "10110" but has no 4-shingle: the sketch's
+    # capacity of 14 holds the whole shingle set {1011, 0110}
+    assert edit_rec("101", edit_ss("10110", 4, 2)) == "10110"
+    # the empty word is three edits from "011", but its shingle set differs
+    # by only {01, 11}, within the capacity of 3
+    assert edit_rec("", edit_ss("011", 2, 1)) == "011"
 
 
 def test_edit_sketch_bytes_alphabet():
@@ -235,11 +246,11 @@ def test_edit_rec_tampered_sketch_fails_loud():
     # flip one syndrome element
     sums = list(sk.s1.odd_sums)
     sums[0] ^= 1
-    bad = EditSketch(PinSketchData(sk.s1.field, sk.s1.t, tuple(sums)), sk.s2)
+    bad = EditSketch(PinSketchData(sk.s1.field, sk.s1.t, tuple(sums)), sk.s2, 4, 2)
     with pytest.raises(DecodeFailure):
         edit_rec(w, bad)
     # point an index outside the recovered shingle set
-    bad2 = EditSketch(sk.s1, RecoveryInfo(sk.s2.n, (64,) * len(sk.s2.indices)))
+    bad2 = EditSketch(sk.s1, RecoveryInfo(sk.s2.n, (64,) * len(sk.s2.indices)), 4, 2)
     with pytest.raises(DecodeFailure):
         edit_rec(w, bad2)
 
@@ -256,7 +267,7 @@ def test_edit_rec_checks_what_unshingle_cannot(w, indices, rebuilt, check):
     sk = edit_ss(w, 2, 1)
     assert unshingle(shingle(w, 2), RecoveryInfo(5, indices)) == rebuilt
     with pytest.raises(DecodeFailure, match=check):
-        edit_rec(w, EditSketch(sk.s1, RecoveryInfo(5, indices)))
+        edit_rec(w, EditSketch(sk.s1, RecoveryInfo(5, indices), 2, 1))
 
 
 @pytest.mark.parametrize("w,c,e", [(b"abcd", 1, 5), ("0110", 3, 7), ("0110", 3, 1)])
@@ -269,7 +280,7 @@ def test_edit_rec_rejects_a_recovered_element_below_the_shingle_base(w, c, e):
     extra = pinsketch_ss(ElementSet.of(f, [e]), t).odd_sums
     sums = tuple(a ^ b for a, b in zip(sk.s1.odd_sums, extra))
     with pytest.raises(DecodeFailure, match="not an embedded shingle"):
-        edit_rec(w, EditSketch(PinSketchData(f, t, sums), sk.s2))
+        edit_rec(w, EditSketch(PinSketchData(f, t, sums), sk.s2, c, 1))
 
 
 def test_edit_input_validation():
@@ -293,8 +304,8 @@ def test_edit_input_validation():
     ids=["bytes-read-as-bits", "bits-read-as-bytes"],
 )
 def test_edit_rec_rejects_a_sketch_over_the_other_alphabet(w, c, w_prime):
-    # m - 1 divides by the other alphabet's bits too, but the c it gives
-    # there splits n into another count of blocks than the sketch holds
+    # m - 1 divides by the other alphabet's bits too; the sketch's own c
+    # says which alphabet it was made over
     sk = edit_ss(w, c, 1)
     with pytest.raises(ValueError, match="sketch universe does not match the input alphabet"):
         edit_rec(w_prime, sk)
@@ -342,7 +353,7 @@ def test_every_accepted_edit_sketch_reads_back(w, data):
         sk = edit_ss(w, c, t_edit)
     except ValueError:
         return
-    env = deserialize(serialize_edit(sk, c, t_edit))
+    env = deserialize(serialize_edit(sk))
     assert env.sketch == sk and env.aux == (len(w), c, t_edit)
     assert edit_rec(w, env.sketch) == w
 

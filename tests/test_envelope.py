@@ -85,7 +85,7 @@ def _golden_sketches():
         "origjs": serialize_origjs(
             origjs_ss(ElementSet.of(f16, [1, 2, 4, 8]), 6, 2, random.Random(7))
         ),
-        "edit": serialize_edit(edit_ss("0110100110010110", 3, 1), 3, 1),
+        "edit": serialize_edit(edit_ss("0110100110010110", 3, 1)),
     }
 
 
@@ -96,7 +96,7 @@ _RESERIALIZE = {
     SCHEME_PINSKETCH: lambda env: serialize_pinsketch(env.sketch),
     SCHEME_IJS: lambda env: serialize_ijs(env.sketch),
     SCHEME_ORIGJS: lambda env: serialize_origjs(env.sketch),
-    SCHEME_EDIT: lambda env: serialize_edit(env.sketch, *env.aux[1:]),
+    SCHEME_EDIT: lambda env: serialize_edit(env.sketch),
 }
 
 
@@ -154,7 +154,7 @@ def test_scheme_record_sketches_recovers_and_encodes(name):
     assert env.scheme == wire.id and (env.m, env.t, *env.aux) == head
     got = wire.recover(env, w_prime)
     assert got == w
-    assert wire.encode(env, got) == (value or shingle_encoding(w, env.aux[1]))
+    assert wire.encode(env, got) == (value or shingle_encoding(w, env.sketch.c))
     # `fzx params` runs the header on the flags alone: s and n as above
     loss = wire.loss(*wire.header(shape))["loss_bits"]
     assert residual(env, got) == pytest.approx(w_bits - loss)
@@ -203,14 +203,16 @@ def test_record_recovers_within_capacity_and_fails_loud_beyond(name, data):
         c = draw(st.integers(2, 5), label="c")
         t_edit = draw(st.integers(1, _EDIT_T_MAX[c]), label="t_edit")
         k = draw(st.integers(0, 2 * c * t_edit + 2), label="edits")
-        n = draw(st.integers(c + 1 + k, c + k + 20), label="n")
+        # deletions may take w' below c, down to the empty word
+        n = draw(st.integers(c + 1, c + k + 20), label="n")
         w = "".join(rng.choice("01") for _ in range(n))
         w_prime = w
-        for _ in range(k):  # a deletion or an insertion, at a random place
-            i = rng.randrange(len(w_prime))
-            if rng.random() < 0.5:
+        for _ in range(k):  # a deletion or an insertion at a random place, an insertion into ""
+            if w_prime and rng.random() < 0.5:
+                i = rng.randrange(len(w_prime))
                 w_prime = w_prime[:i] + w_prime[i + 1 :]
             else:
+                i = rng.randrange(len(w_prime) + 1)
                 w_prime = w_prime[:i] + rng.choice("01") + w_prime[i:]
         shape = SimpleNamespace(n=len(w), t=t_edit, c=c)
         within = k <= t_edit
@@ -555,7 +557,7 @@ def test_reject_inconsistent_contents():
 
 
 def test_reject_edit_index_beyond_shingle_count():
-    data = bytearray(serialize_edit(edit_ss("001101", 2, 1), 2, 1))
+    data = bytearray(serialize_edit(edit_ss("001101", 2, 1)))
     # three 3-bit indices close the payload: set all nine to 1, i.e. index 8
     # where the 6-bit string has at most 5 shingles
     data[-2:] = b"\xff\x80"
@@ -594,7 +596,7 @@ def test_round_trips_randomized():
         assert deserialize(serialize_origjs(oj)).sketch == oj
         wstr = "".join(rng.choice("01") for _ in range(64))
         ed = edit_ss(wstr, 4, 2)
-        env = deserialize(serialize_edit(ed, 4, 2))
+        env = deserialize(serialize_edit(ed))
         assert env.sketch == ed and env.aux == (64, 4, 2)
 
 
@@ -609,10 +611,10 @@ def test_round_trips_randomized():
 def test_edit_round_trip_when_index_count_is_a_power_of_two(w, c):
     sk = edit_ss(w, c, 1)
     assert max(sk.s2.indices) == len(w) - c + 1
-    data = serialize_edit(sk, c, 1)
+    data = serialize_edit(sk)
     env = deserialize(data)
     assert env.sketch == sk
-    assert serialize_edit(env.sketch, c, 1) == data
+    assert serialize_edit(env.sketch) == data
     assert edit_rec(w[1:], env.sketch) == w
 
 def test_edit_sketch_bit_budget():
@@ -620,7 +622,7 @@ def test_edit_sketch_bit_budget():
     w = "".join(random.Random(601).choice("01") for _ in range(64))
     n, c, t_edit = 64, 4, 2
     sk = edit_ss(w, c, t_edit)
-    data = serialize_edit(sk, c, t_edit)
+    data = serialize_edit(sk)
     payload_bits = (len(data) - 16) * 8  # header 8 + aux 8 bytes
     t_set = (2 * c - 1) * t_edit
     m_u = c + 1

@@ -20,16 +20,17 @@ from fzx import (
     PinSketchData,
     ReconcileReport,
     RecoveryInfo,
-    ShingleSet,
     SyndromeSketch,
     UHashParams,
+    edit_ss,
     pinsketch_ss,
 )
 from fzx.gf2m import field_of
 
 F = GF2m(4)
 PIN = PinSketchData(F, 2, (3, 7))
-INFO = RecoveryInfo(5, (1, 2, 3))
+EDIT = edit_ss("10110", 2, 1)  # m = 3, t = 3, indices (2, 3, 2)
+EDIT8 = edit_ss(b"\x01\x02\x03\x04", 1, 1)  # m = 9
 
 # (record, field names, valid arguments, malformed arguments)
 RECORDS = [
@@ -75,14 +76,18 @@ RECORDS = [
             (F, 2, 3, 1, ((1, 4), (2, 16), (7, 0))),  # ordinate outside the field
         ],
     ),
-    (
-        ShingleSet,
-        "c shingles",
-        (2, frozenset({"01", "10"})),
-        [(0, frozenset({"0"})), (2, frozenset()), (2, frozenset({"011"}))],
-    ),
     (RecoveryInfo, "n indices", (5, (1, 2, 3)), [(0, (1,)), (5, ()), (5, (0, 1))]),
-    (EditSketch, "s1 s2", (PIN, INFO), []),
+    (
+        EditSketch,
+        "s1 s2 c t_edit",
+        tuple(EDIT),
+        [
+            (EDIT.s1, RecoveryInfo(5, (2, 3)), 2, 1),  # 2 indices, not ceil(5/2)
+            (PinSketchData(EDIT.s1.field, 2, (0, 0)), EDIT.s2, 2, 1),  # t = 2, not 3 * 1
+            (EDIT.s1, RecoveryInfo(5, (1, 2)), 3, 1),  # m - 1 = 2 is not 3 * bits
+            (EDIT8.s1, RecoveryInfo(4, (1, 2)), 2, 1),  # m - 1 = 8 is 2 * 4: no alphabet
+        ],
+    ),
     (UHashParams, "n_bits l_bits", (16, 8), [(8, 16), (300, 8), (8, 0)]),
     (ExtractedKey, "r p", (b"key", b"helper"), []),
     (Envelope, "scheme m t sketch aux", (3, 4, 2, PIN, ()), []),
