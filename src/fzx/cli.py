@@ -144,11 +144,11 @@ def _rng(args):
 
 
 def _sketch(args, rng):
-    """Read the input file and sketch it at the header of the flags and
-    the size of w: (scheme, w, envelope bytes)."""
+    """Read the input file and sketch it at the checked header of the
+    flags and the size of w: (scheme, w, envelope bytes)."""
     wire = _scheme(args)
     w = _READ[wire.kind](args.input, args)
-    return wire, w, wire.sketch(w, rng, *wire.header(args, w))
+    return wire, w, wire.sketch(w, rng, *wire.check(*wire.header(args, w)))
 
 
 def _open(args, env_bytes: bytes, what: str):
@@ -232,7 +232,7 @@ def _cmd_reconcile(args) -> int:
 
 def _cmd_params(args) -> int:
     wire = _scheme(args)
-    info = wire.loss(*wire.header(args))
+    info = wire.loss(*wire.check(*wire.header(args)))
     if args.eps is not None:
         info["loss_bits"] += extractor_loss(args.eps)
     lines = [f"scheme: {args.scheme}"]

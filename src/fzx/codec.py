@@ -41,9 +41,18 @@ class DecodeFailure(Exception):
     """Raised when a sketch or syndrome does not decode within capacity."""
 
 
+def _check_capacity(m: int, t: int) -> None:
+    """ValueError unless a binary BCH code of length 2^m - 1 corrects t
+    errors: 1 <= t and designed distance 2t + 1 <= 2^m - 1."""
+    if t < 1:
+        raise ValueError("correction radius t must be >= 1")
+    if 2 * t + 1 > (1 << m) - 1:
+        raise ValueError("need 2t + 1 <= 2^m - 1")
+
+
 class BchCode(Frozen):
-    """Binary BCH code of length n = 2^m - 1 correcting t errors, of
-    designed distance 2t + 1 <= n.  Bit i of a word is the field element i+1.
+    """Binary BCH code of length n = 2^m - 1 correcting t errors, t within
+    `_check_capacity`.  Bit i of a word is the field element i+1.
 
     Its syndrome map is held once, as the t*m parity rows (n-bit masks):
     a syndrome is t*m parities of w AND row, and codeword sampling
@@ -55,10 +64,7 @@ class BchCode(Frozen):
     _fields = ("field", "t")
 
     def __init__(self, field: GF2m, t: int):
-        if t < 1:
-            raise ValueError("correction radius t must be >= 1")
-        if 2 * t + 1 > (1 << field.m) - 1:
-            raise ValueError("need 2t + 1 <= 2^m - 1")
+        _check_capacity(field.m, t)
         self.__dict__.update(field=field, t=t)
 
     @property

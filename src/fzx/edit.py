@@ -16,7 +16,7 @@ import random
 from collections import namedtuple
 
 from .bitpack import pack_fields
-from .codec import DecodeFailure
+from .codec import DecodeFailure, _check_capacity
 from .entropy import ExtractedKey, UHashParams, extract, parse_helper, reproduce
 from .gf2m import field_of
 from .setdiff import ElementSet, PinSketchData, pinsketch_rec, pinsketch_ss
@@ -68,7 +68,7 @@ class EditSketch(namedtuple("EditSketch", "s1 s2 c t_edit")):
     __slots__ = ()
 
     def __new__(cls, s1: PinSketchData, s2: RecoveryInfo, c: int, t_edit: int):
-        _check_shape(s1.field.m, s2.n, c, t_edit, s1.t)
+        _check_shape(s1.field.m, s1.t, s2.n, c, t_edit)
         if len(s2.indices) != -(-s2.n // c):
             raise ValueError("index count does not match ceil(n/c)")
         return super().__new__(cls, s1, s2, c, t_edit)
@@ -171,8 +171,8 @@ def edit_capacity(n: int, c: int, t_edit: int, bits: int) -> int:
     n-character string over bits-bit characters, or ValueError for a
     sketch that could not be read back: it needs 1 <= c < n (c = n leaves
     no recovery index), a capacity and field degree c*bits+1 that fit the
-    envelope header (u16 t, u8 m), and room for the capacity in the
-    shingle universe GF(2^(c*bits+1))*."""
+    envelope header (u16 t, u8 m), and the BCH capacity of the shingle
+    universe GF(2^(c*bits+1))*, `codec._check_capacity`."""
     if t_edit < 1:
         raise ValueError("capacity must be >= 1")
     if not 1 <= c < n:
@@ -180,15 +180,14 @@ def edit_capacity(n: int, c: int, t_edit: int, bits: int) -> int:
     t_set = (2 * c - 1) * t_edit
     if t_set > 0xFFFF or c * bits + 1 > 0xFF:
         raise ValueError("capacity or shingle length out of envelope range")
-    if 2 * t_set + 1 >= 1 << (c * bits + 1):
-        raise ValueError("capacity too large for the shingle universe")
+    _check_capacity(c * bits + 1, t_set)
     return t_set
 
 
-def _check_shape(m: int, n: int, c: int, t_edit: int, t: int) -> None:
-    """ValueError unless an edit sketch of an n-character string over
-    GF(2^m) with shingle length c has the capacity t that `edit_ss` gives
-    it, (2c-1) * t_edit, for a 1- or 8-bit alphabet."""
+def _check_shape(m: int, t: int, n: int, c: int, t_edit: int) -> None:
+    """ValueError unless (m, t, n, c, t_edit) heads the edit sketch of an
+    n-character string over GF(2^m), m = c * bits + 1 for a 1- or 8-bit
+    alphabet, with the capacity t = (2c-1) * t_edit `edit_ss` gives it."""
     if c < 1 or (m - 1) % c or (m - 1) // c not in (1, 8):
         raise ValueError("m does not match a supported alphabet")
     if edit_capacity(n, c, t_edit, (m - 1) // c) != t:

@@ -7,30 +7,29 @@ Wire layout, big-endian throughout:
 
 `_WIRE` holds one record per scheme id: its CLI name, the byte widths of
 its aux fields (none for the Hamming schemes and PinSketch; ijs u16 s;
-origjs u16 s, u16 r; edit u32 n, u16 c, u16 t_edit), its parser, which
-checks the header by the shape rule of the sketch's own constructor
-before it reads the payload, and the header, sketch, recovery, hash
-encoding and loss the CLI runs.  Every serializer is one `_frame` call,
-and the set and edit ones take the sketch alone.  Payloads are bit-packed,
-left-aligned, and zero-padded to a byte; the pad bits must be zero.  An
-edit payload ends with the recovery indices, each minus one, in
+origjs u16 s, u16 r; edit u32 n, u16 c, u16 t_edit), its parser, its
+shape rule, the one its sketch's constructor runs, and the header,
+sketch, recovery, hash encoding and loss the CLI runs.  `_Wire.check`
+runs the widths and the rule on every header, before anything is built,
+so a parser only reads the payload.  Every serializer is one `_frame`
+call, and the set and edit ones take the sketch alone.  Payloads are
+bit-packed, left-aligned, and zero-padded to a byte; the pad bits must be
+zero.  An edit payload ends with the recovery indices, each minus one, in
 (n-c).bit_length() bits; an index above the n-c+1 shingles is rejected.
 """
 
 import math
 import struct
-import warnings
 from collections import namedtuple
 
 from .bitpack import bits_to_bytes, bytes_to_bits, pack_fields, unpack_fields, word_from_bytes, word_to_bytes
-from .codec import BchCode
+from .codec import BchCode, _check_capacity
 from .edit import (
     EditSketch,
     RecoveryInfo,
     _alphabet_bits,
     _check_shape,
     approx_edit_entropy_loss,
-    edit_capacity,
     edit_entropy_loss,
     edit_rec,
     edit_ss,
@@ -42,6 +41,7 @@ from .hamming import (
     CodeOffsetSketch,
     PermutedSketch,
     SyndromeSketch,
+    _check_word_shape,
     bch_params,
     hamming_entropy_loss,
     rec_code_offset,
@@ -56,6 +56,9 @@ from .setdiff import (
     IjsSketchData,
     OrigJsSketchData,
     PinSketchData,
+    _check_ijs_shape,
+    _check_origjs_shape,
+    _even_capacity,
     ijs_rec,
     ijs_ss,
     origjs_rec,
@@ -109,23 +112,10 @@ class Envelope(namedtuple("Envelope", "scheme m t sketch aux", defaults=((),))):
 # Writing
 
 
-def _fit(scheme: int, m: int, t: int, *aux: int) -> None:
-    """ValueError unless the header of `scheme` can carry m (u8), t (u16)
-    and the leading aux fields given, at the widths of its record.  Each
-    record's header runs it on the shape before anything is built."""
-    if not 1 <= m <= 0xFF:
-        raise ValueError("m out of envelope range")
-    if not 0 <= t <= 0xFFFF:
-        raise ValueError("t out of envelope range")
-    for value, width in zip(aux, _WIRE[scheme].aux):
-        if not 0 <= value < 1 << 8 * width:
-            raise ValueError(f"aux field {value} out of envelope range")
-
-
 def _frame(scheme: int, m: int, t: int, aux: tuple[int, ...], *segments: bytes) -> bytes:
     """The envelope: header, aux fields at the widths of the scheme's
     record, then the payload segments as given."""
-    _fit(scheme, m, t, *aux)
+    _WIRE[scheme].check(m, t, *aux)
     parts = [MAGIC, bytes((scheme, m)), t.to_bytes(2, "big")]
     for value, width in zip(aux, _WIRE[scheme].aux, strict=True):
         parts.append(value.to_bytes(width, "big"))
@@ -219,27 +209,28 @@ class _Reader:
 
 
 def _hamming_syn(m, t, rd):
-    bch_params(m, t)  # the code sketching needs
     return SyndromeSketch(rd.rest(t * m), t * m)
 
 
 def _hamming_offset(m, t, rd):
-    n = bch_params(m, t).n
+    n = (1 << m) - 1
     return CodeOffsetSketch(rd.rest(n, word_from_bytes), n)
 
 
 def _hamming_perm(m, t, rd):
-    n = bch_params(m, t).n
+    n = (1 << m) - 1
     perm = struct.unpack(f">{n}I", rd.take(4 * n))
     return PermutedSketch(perm, SyndromeSketch(rd.rest(t * m), t * m))
 
 
 def _pinsketch(m, t, rd):
-    return PinSketchData(field_of(m), t, tuple(rd.fields(t, m)))
+    sums = tuple(rd.fields(t, m))
+    return PinSketchData(field_of(m), t, sums)
 
 
 def _ijs(m, t, rd, s):
-    return IjsSketchData(field_of(m), s, t, tuple(rd.fields(t, m)))
+    coeffs = tuple(rd.fields(t, m))
+    return IjsSketchData(field_of(m), s, t, coeffs)
 
 
 def _origjs(m, t, rd, s, r):
@@ -248,69 +239,46 @@ def _origjs(m, t, rd, s, r):
 
 
 def _edit(m, t, rd, n, c, t_edit):
-    try:
-        _check_shape(m, n, c, t_edit, t)
-    except ValueError as exc:
-        raise MalformedEnvelope("bad-header", str(exc)) from exc
-    field = field_of(m)
     width = _byte_width(m)
     sums = unpack_fields(int.from_bytes(rd.take(t * width // 8), "big"), t * width, width)
-    s1 = PinSketchData(field, t, tuple(sums))
     indices = tuple(i + 1 for i in rd.fields(-(-n // c), (n - c).bit_length()))
     if max(indices) > n - c + 1:
         raise MalformedEnvelope("bad-index", f"recovery index above {n - c + 1} shingles")
+    s1 = PinSketchData(field_of(m), t, tuple(sums))
     return EditSketch(s1, RecoveryInfo(n, indices), c, t_edit)
 
 
 # ---------------------------------------------------------------------------
 # The scheme table
 #
-# A record's `header` is the scheme's one shape check: it makes the (m, t,
-# *aux) of an envelope from a shape (the CLI passes its flags: m, t, c, s,
-# r, n) and, when sketching, from w, whose size stands in for s or n.
-# `loss` is a formula over a header, from a shape or off the wire.
+# A record's `header` assembles the (m, t, *aux) of an envelope from a
+# shape (the CLI passes its flags: m, t, c, s, r, n) and, when sketching,
+# from w, whose size stands in for s or n; `check` then checks it.
+# `loss` is a formula over a checked header, from a shape or off the wire.
 
 
-def _bch_header(shape, w=None) -> tuple:
-    _fit(SCHEME_HAMMING_SYN, shape.m, shape.t)  # the Hamming headers carry no aux
-    bch_params(shape.m, shape.t)
-    return shape.m, shape.t
-
-
-def _pinsketch_header(shape, es=None) -> tuple:
-    _fit(SCHEME_PINSKETCH, shape.m, shape.t)
-    BchCode(field_of(shape.m), shape.t)
+def _mt_header(shape, w=None) -> tuple:
     return shape.m, shape.t
 
 
 def _ijs_header(shape, es=None) -> tuple:
     """t rounded down to even, as ijs_ss rounds it and with its warning
     when es is sketched; `fzx params` takes no --s, so it stops at t."""
-    t = shape.t - shape.t % 2
-    if es is not None and t != shape.t:
-        warnings.warn("improved JS capacity must be even; rounding t down")
-    head = (shape.m, t) if es is None else (shape.m, t, len(es))
-    _fit(SCHEME_IJS, *head)
-    return head
+    t = _even_capacity(shape.t, warn=es is not None)
+    return (shape.m, t) if es is None else (shape.m, t, len(es))
 
 
 def _origjs_header(shape, es=None) -> tuple:
-    s = shape.s if es is None else len(es)
-    _fit(SCHEME_ORIGJS, shape.m, shape.t, s, shape.r)
-    if not 0 <= shape.t <= s < shape.r <= field_of(shape.m).order:
-        raise ValueError("need 0 <= t <= s < r <= 2^m - 1")
-    return shape.m, shape.t, s, shape.r
+    return shape.m, shape.t, shape.s if es is None else len(es), shape.r
 
 
 def _edit_header(shape, w=None) -> tuple:
     """The header of the sketch of w, over its alphabet, or of a binary string
     of shape.n characters, with shape.c or, left out, the loss-minimizing
-    shingle length; edit_capacity makes the checks of edit_ss."""
+    shingle length."""
     n, bits = (shape.n, 1) if w is None else (len(w), _alphabet_bits(w))
     c = shape.c if shape.c is not None else optimal_shingle_len(n, shape.t, 1 << bits)
-    t_set = edit_capacity(n, c, shape.t, bits)
-    _fit(SCHEME_EDIT, c * bits + 1, t_set, n, c, shape.t)
-    return c * bits + 1, t_set, n, c, shape.t
+    return c * bits + 1, (2 * c - 1) * shape.t, n, c, shape.t
 
 
 def _bch_loss(m, t) -> dict:
@@ -325,12 +293,13 @@ def _edit_loss(m, t, n, c, t_edit) -> dict:
     return {"c": c, "loss_bits": loss, "approx_loss_bits": approx}
 
 
-class _Wire(namedtuple("_Wire", "id name parse header sketch recover kind aux fields encode loss")):
+class _Wire(namedtuple("_Wire", "id name parse rule header sketch recover kind aux fields encode loss")):
     """One scheme: its wire format and its whole path from w to a key.
 
     id: the scheme byte of the header; name: the CLI's --scheme value;
-    parse(m, t, reader, *aux) -> the sketch;
-    header(shape, w=None) -> (m, t, *aux), or ValueError;
+    parse(m, t, reader, *aux) -> the sketch of a checked header;
+    rule(m, t, *aux): ValueError on a header no sketch of the scheme has;
+    header(shape, w=None) -> (m, t, *aux), unchecked;
     sketch(w, rng, m, t, *aux) -> envelope bytes;
     recover(env, w') -> w, or DecodeFailure;
     kind: w is a "word" of 2^m - 1 bits, a "set" in GF(2^m)* or a binary "string";
@@ -342,10 +311,26 @@ class _Wire(namedtuple("_Wire", "id name parse header sketch recover kind aux fi
 
     __slots__ = ()
 
+    def check(self, m: int, t: int, *aux: int) -> tuple:
+        """(m, t, *aux), or ValueError unless m is a u8 >= 1, t a u16, the
+        aux fields given fit their widths and the rule holds.  The one
+        header check, of `fzx sketch`, `gen` and `params`, `_frame` and
+        `deserialize`; it builds nothing."""
+        if not 1 <= m <= 0xFF:
+            raise ValueError("m out of envelope range")
+        if not 0 <= t <= 0xFFFF:
+            raise ValueError("t out of envelope range")
+        for value, width in zip(aux, self.aux):
+            if not 0 <= value < 1 << 8 * width:
+                raise ValueError(f"aux field {value} out of envelope range")
+        self.rule(m, t, *aux)
+        return (m, t, *aux)
+
 
 # what the three Hamming schemes share, and what the three set schemes share
 _WORDS = dict(
-    header=_bch_header,
+    rule=_check_word_shape,
+    header=_mt_header,
     kind="word",
     aux=(),
     fields=("m", "t"),
@@ -382,7 +367,7 @@ _WIRE = {
             **_WORDS,
         ),
         _Wire(
-            SCHEME_PINSKETCH, "pinsketch", _pinsketch, _pinsketch_header,
+            SCHEME_PINSKETCH, "pinsketch", _pinsketch, _check_capacity, _mt_header,
             lambda es, rng, m, t: serialize_pinsketch(pinsketch_ss(es, t)),
             lambda env, es: pinsketch_rec(es, env.sketch),
             aux=(), fields=("m", "t"),
@@ -392,7 +377,7 @@ _WIRE = {
             **_SETS,
         ),
         _Wire(
-            SCHEME_IJS, "ijs", _ijs, _ijs_header,
+            SCHEME_IJS, "ijs", _ijs, _check_ijs_shape, _ijs_header,
             lambda es, rng, m, t, s: serialize_ijs(ijs_ss(es, t)),
             lambda env, es: ijs_rec(es, env.sketch),
             aux=(2,), fields=("m", "t"),
@@ -404,7 +389,7 @@ _WIRE = {
             **_SETS,
         ),
         _Wire(
-            SCHEME_ORIGJS, "origjs", _origjs, _origjs_header,
+            SCHEME_ORIGJS, "origjs", _origjs, _check_origjs_shape, _origjs_header,
             lambda es, rng, m, t, s, r: serialize_origjs(origjs_ss(es, r, t, rng)),
             lambda env, es: origjs_rec(es, env.sketch),
             aux=(2, 2), fields=("m", "t", "s", "r"),
@@ -415,7 +400,7 @@ _WIRE = {
             **_SETS,
         ),
         _Wire(
-            SCHEME_EDIT, "edit", _edit, _edit_header,
+            SCHEME_EDIT, "edit", _edit, _check_shape, _edit_header,
             lambda w, rng, m, t, n, c, t_edit: serialize_edit(edit_ss(w, c, t_edit)),
             lambda env, w: edit_rec(w, env.sketch),
             kind="string", aux=(4, 2, 2), fields=("n", "t", "c"),
@@ -438,9 +423,11 @@ def deserialize(data: bytes) -> Envelope:
     wire = _WIRE.get(scheme)
     if wire is None:
         raise MalformedEnvelope("bad-scheme", f"unknown scheme 0x{scheme:02x}")
-    if m < 1:
-        raise MalformedEnvelope("bad-header", "m must be >= 1")
     aux = tuple([int.from_bytes(rd.take(width), "big") for width in wire.aux])
+    try:
+        wire.check(m, t, *aux)
+    except ValueError as exc:
+        raise MalformedEnvelope("bad-header", str(exc)) from exc
     try:
         return Envelope(scheme, m, t, wire.parse(m, t, rd, *aux), aux)
     except MalformedEnvelope:

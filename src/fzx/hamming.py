@@ -23,7 +23,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .bitpack import unpack_fields
-from .codec import BchCode, support_from_syndrome
+from .codec import BchCode, _check_capacity, support_from_syndrome
 from .gf2m import PRIMITIVE_POLYS, field_of
 
 
@@ -67,14 +67,19 @@ class PermutedSketch(namedtuple("PermutedSketch", "perm syn")):
 _CACHED_CODES = 8
 
 
+def _check_word_shape(m: int, t: int) -> None:
+    """ValueError unless m has a pinned primitive polynomial, so a hostile m
+    never makes a code of more than 2^32 bits, and t is within capacity."""
+    if m not in PRIMITIVE_POLYS:
+        raise ValueError(f"no pinned primitive polynomial for m={m}")
+    _check_capacity(m, t)
+
+
 @functools.lru_cache(maxsize=_CACHED_CODES)
 def bch_params(m: int, t: int) -> BchCode:
     """The length-(2^m - 1) BCH code correcting t errors over the shared
-    `field_of(m)`, one instance per (m, t) while cached.  Only
-    degrees with a pinned primitive polynomial qualify, so a hostile m
-    never builds a code of more than 2^32 bits."""
-    if m not in PRIMITIVE_POLYS:
-        raise ValueError(f"no pinned primitive polynomial for m={m}")
+    `field_of(m)`, one instance per (m, t) while cached."""
+    _check_word_shape(m, t)
     return BchCode(field_of(m), t)
 
 

@@ -34,6 +34,7 @@ from collections import namedtuple
 from .codec import (
     BchCode,
     DecodeFailure,
+    _check_capacity,
     _distinct_roots,
     _partial_euclid,
     rs_decode,
@@ -71,16 +72,36 @@ class ElementSet(Frozen):
         return len(self.elems)
 
 
+def _check_ijs_shape(m: int, t: int, s: int | None = None) -> None:
+    """ValueError unless 0 <= t <= s, the t coefficients of a size-s set; s
+    may be left out, as `fzx params` reads no --s."""
+    if not 0 <= t <= (t if s is None else s):
+        raise ValueError("need 0 <= t <= s")
+
+
+def _check_origjs_shape(m: int, t: int, s: int, r: int) -> None:
+    """ValueError unless a size-s set hides among r > s pairs in GF(2^m)*,
+    at t <= s."""
+    if not 0 <= t <= s < r <= (1 << m) - 1:
+        raise ValueError("need 0 <= t <= s < r <= 2^m - 1")
+
+
+def _even_capacity(t: int, warn: bool = True) -> int:
+    """t rounded down to even, as improved JS needs; warns when it rounds."""
+    if t % 2 and warn:
+        warnings.warn("improved JS capacity must be even; rounding t down")
+    return t - t % 2
+
+
 class PinSketchData(namedtuple("PinSketchData", "field t odd_sums")):
     """The odd power sums s_1, s_3, ..., s_{2t-1} of a set in `field`: its
-    syndrome under the BCH code that corrects t errors, so the capacity
-    rule 1 <= t and 2t + 1 <= 2^m - 1 is that code's, checked by building
-    it."""
+    syndrome under the BCH code that corrects t errors, so t is within
+    that code's capacity, `codec._check_capacity`."""
 
     __slots__ = ()
 
     def __new__(cls, field: GF2m, t: int, odd_sums: tuple[int, ...]):
-        BchCode(field, t)
+        _check_capacity(field.m, t)
         if len(odd_sums) != t:
             raise ValueError("expected t odd power sums")
         for s in odd_sums:
@@ -99,8 +120,7 @@ class IjsSketchData(namedtuple("IjsSketchData", "field s t top_coeffs")):
     __slots__ = ()
 
     def __new__(cls, field: GF2m, s: int, t: int, top_coeffs: tuple[int, ...]):
-        if not 0 <= t <= s:
-            raise ValueError("need 0 <= t <= s")
+        _check_ijs_shape(field.m, t, s)
         if len(top_coeffs) != t:
             raise ValueError("expected t coefficients")
         for c in top_coeffs:
@@ -114,15 +134,12 @@ class IjsSketchData(namedtuple("IjsSketchData", "field s t top_coeffs")):
 
 class OrigJsSketchData(namedtuple("OrigJsSketchData", "field s r t pairs")):
     """r point pairs (x, y), sorted by x, s of them on a hidden
-    low-degree polynomial."""
+    low-degree polynomial, at a shape `_check_origjs_shape` accepts."""
 
     __slots__ = ()
 
     def __new__(cls, field: GF2m, s: int, r: int, t: int, pairs: tuple[tuple[int, int], ...]):
-        if not 0 <= t <= s:
-            raise ValueError("need 0 <= t <= s")
-        if not s < r <= field.order:
-            raise ValueError("need s < r <= universe size")
+        _check_origjs_shape(field.m, t, s, r)
         if len(pairs) != r:
             raise ValueError("expected r pairs")
         prev_x = 0
@@ -177,11 +194,8 @@ def ijs_ss(w: ElementSet, t: int) -> IjsSketchData:
     characteristic polynomial.  Deterministic.  t must be even (distances
     between same-size sets are even); odd t is rounded down."""
     s = len(w)
-    if t % 2:
-        warnings.warn("improved JS capacity must be even; rounding t down")
-        t -= 1
-    if not 0 <= t <= s:
-        raise ValueError("need 0 <= t <= |w|")
+    t = _even_capacity(t)
+    _check_ijs_shape(w.field.m, t, s)
     return IjsSketchData(w.field, s, t, tuple(_top_coeffs(w.field, w.elems, t)[1:]))
 
 
@@ -247,13 +261,11 @@ def origjs_ss(
     chaff samples the free abscissas and leaves each y unset.  p is then
     evaluated at all r abscissas in one lane-packed pass (`poly_eval_many`),
     and, in draw order, each chaff y that is unset or equal to p(x) is
-    redrawn until it is neither: uniform on GF(2^m) minus p(x)."""
+    redrawn until it is neither: uniform on GF(2^m) minus p(x).  Its shape
+    is checked before the first draw."""
     field = w.field
     s = len(w)
-    if not 0 <= t <= s:
-        raise ValueError("need 0 <= t <= |w|")
-    if not s < r <= field.order:
-        raise ValueError("need |w| < r <= universe size")
+    _check_origjs_shape(field.m, t, s, r)
     q = field.order + 1
     p = [rng.randrange(0, q) for _ in range(s - t)]
     xs = list(w.elems)
@@ -321,17 +333,13 @@ def setdiff_entropy_loss(
     """
     if m < 1 or t < 0:
         raise ValueError("bad parameters")
-    if scheme == "pinsketch":
-        n = (1 << m) - 1
-        return t * math.log2(n + 1)
-    if scheme == "ijs":
+    if scheme in ("pinsketch", "ijs"):
         return t * math.log2(1 << m)
     if scheme == "origjs":
         if s is None or r is None:
             raise ValueError("original JS loss needs s and r")
+        _check_origjs_shape(m, t, s, r)
         n = 1 << m
-        if not 0 <= s < r <= n:
-            raise ValueError("bad parameters")
         return (
             t * math.log2(n)
             + math.log2(math.comb(n, r))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fzx import cli
 from fzx.cli import main
 from fzx.edit import edit_ss
-from fzx.envelope import SCHEME_NAMES, deserialize, serialize_edit
+from fzx.envelope import _WIRE, SCHEME_NAMES, MalformedEnvelope, deserialize, serialize_edit
 
 
 def _write(tmp_path, name, text):
@@ -404,7 +404,7 @@ def test_exit_3_on_pinsketch_beyond_code_capacity(tmp_path, capsys):
     sk.write_bytes(b"FZX1\x03\x04\x00\x08" + bytes(4))
     ai = _write_set(tmp_path, "a.set", [1, 2, 3])
     assert main(["recover", "-i", ai, "--sketch", str(sk)]) == 3
-    assert "malformed input: inconsistent" in capsys.readouterr().err
+    assert "malformed input: bad-header" in capsys.readouterr().err
 
 
 def test_exit_3_on_bad_word_chars(tmp_path):
@@ -549,6 +549,71 @@ def test_params_rejects_exactly_what_sketch_rejects(tmp_path, scheme, data):
                           "-o", str(tmp_path / "sk.bin")])
     rc_params = main(["params", "--scheme", scheme, *flags, *sized])
     assert rc_sketch == rc_params and rc_params in (0, 4)
+
+
+def _near(draw, edge):
+    # within 2 of edge, and a u16
+    return min(max(edge + draw(st.integers(-2, 2)), 0), 0xFFFF)
+
+
+@st.composite
+def _header(draw, scheme):
+    """A header (m, t, *aux) of `scheme` around the edges of its shape rule
+    and of the u8 m and u16 t: t near the BCH capacity (2^m - 2)/2, s and r
+    near each other and r near 2^m - 1.  r stays at most 2^min(m, 10), so
+    the binomials of `fzx params` stay cheap."""
+    m = draw(st.integers(1, 33))
+    if scheme == "edit":
+        c, t_edit = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+        bits = draw(st.sampled_from([1, 8]))
+        m = min(max(c * bits + 1 + draw(st.sampled_from([0, 0, -1, 1])), 0), 0xFF)
+        t = min(max((2 * c - 1) * t_edit + draw(st.sampled_from([0, 0, -1, 1])), 0), 0xFFFF)
+        return m, t, _near(draw, c + 1), c, t_edit
+    if scheme in ("ijs", "origjs"):
+        r = _near(draw, draw(st.sampled_from([(1 << min(m, 10)) - 1, 3])))
+        s = _near(draw, r - 1)
+        t = _near(draw, s)
+        return (m, t, s) if scheme == "ijs" else (m, t, s, r)
+    cap = ((1 << m) - 2) // 2  # the largest t with 2t + 1 <= 2^m - 1
+    # a Hamming code's dimension takes seconds at m > 17, t near 2^16
+    if scheme == "pinsketch" or m <= 17:
+        return m, draw(st.integers(0, 3) | st.just(_near(draw, cap)))
+    return m, draw(st.integers(0, 3))
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_NAMES.values()))
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flags_and_wire_accept_the_same_headers(capsys, scheme, data):
+    """`deserialize` of a header with no payload reads `bad-header` exactly
+    when `fzx params` on the same header exits 4: its flags are the header
+    for the Hamming schemes, PinSketch and origjs.  ijs params reads no
+    --s and edit params derives m and t, so for those two the header check
+    of the record stands in for the flags."""
+    wire = next(wire for wire in _WIRE.values() if wire.name == scheme)
+    m, t, *aux = head = data.draw(_header(scheme), label="header")
+    data_bytes = b"FZX1" + bytes([wire.id, m]) + t.to_bytes(2, "big")
+    data_bytes += b"".join(v.to_bytes(w, "big") for v, w in zip(aux, wire.aux))
+    try:
+        deserialize(data_bytes)
+        wire_ok = True
+    except MalformedEnvelope as exc:
+        wire_ok = exc.code != "bad-header"
+    if scheme in ("ijs", "edit"):
+        try:
+            wire.check(*head)
+            flags_ok = True
+        except ValueError:
+            flags_ok = False
+    else:
+        flags = ["--m", str(m), "--t", str(t)]
+        flags += ["--s", str(aux[0]), "--r", str(aux[1])] if aux else []
+        rc = main(["params", "--scheme", scheme, *flags])
+        capsys.readouterr()
+        assert rc in (0, 4)
+        flags_ok = rc == 0
+    assert wire_ok == flags_ok, head
 
 
 @pytest.mark.parametrize("t, size", [(5, 12), (7, 6)])

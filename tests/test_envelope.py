@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fzx.envelope as envelope
 from fzx.bitpack import pack_fields, unpack_fields, word_from_bytes, word_to_bytes
 from fzx.codec import DecodeFailure
 from fzx.edit import (
@@ -490,7 +491,7 @@ def test_reject_pinsketch_beyond_code_capacity(hexdata):
     # pinsketch_ss refuses such a t, so no honest sketch has it
     with pytest.raises(MalformedEnvelope) as err:
         deserialize(bytes.fromhex(hexdata))
-    assert err.value.code == "inconsistent"
+    assert err.value.code == "bad-header"
     with pytest.raises(ValueError):
         serialize_pinsketch(PinSketchData(GF2m(2), 2, (1, 3)))
 
@@ -571,7 +572,28 @@ def test_reject_hamming_degree_without_pinned_polynomial():
     data = b"FZX1" + bytes([0x01, 33]) + (1).to_bytes(2, "big") + bytes(5)
     with pytest.raises(MalformedEnvelope) as err:
         deserialize(data)
-    assert err.value.code == "inconsistent"
+    assert err.value.code == "bad-header"
+
+
+def _no_build(*args):
+    # an AssertionError, not a ValueError, which deserialize would turn into
+    # `inconsistent` and so hide the build
+    raise AssertionError(f"built for a rejected envelope: {args}")
+
+
+@pytest.mark.parametrize("hexdata, code", [
+    ("465a583103104000ff", "length-mismatch"),  # pinsketch m=16 t=16384, one payload byte
+    ("465a5831010f0005", "length-mismatch"),  # hamming-syn m=15 t=5, no payload
+    ("465a583101109c40", "bad-header"),  # hamming-syn m=16 t=40000: 2t+1 > 2^16 - 1
+    ("465a583103107000", "length-mismatch"),  # pinsketch m=16 t=28672, legal, no payload
+    *[(GOLDEN[name][:-2], "length-mismatch") for name in sorted(GOLDEN)],  # one byte short
+])
+def test_a_rejected_envelope_builds_nothing(monkeypatch, hexdata, code):
+    monkeypatch.setattr(envelope, "field_of", _no_build)
+    monkeypatch.setattr(envelope, "bch_params", _no_build)
+    with pytest.raises(MalformedEnvelope) as err:
+        deserialize(bytes.fromhex(hexdata))
+    assert err.value.code == code
 
 
 def test_round_trips_randomized():

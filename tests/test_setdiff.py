@@ -690,6 +690,10 @@ def test_entropy_loss_validation():
     with pytest.raises(ValueError):
         setdiff_entropy_loss("origjs", m=4, t=2, s=8, r=8)  # need s < r
     with pytest.raises(ValueError):
+        setdiff_entropy_loss("origjs", m=4, t=1, s=2, r=16)  # GF(2^4)* has 15 elements
+    with pytest.raises(ValueError):
+        setdiff_entropy_loss("origjs", m=4, t=5, s=2, r=8)  # need t <= s
+    with pytest.raises(ValueError):
         setdiff_entropy_loss("origjs", m=4, t=2, s=4, r=17)  # r > 2^m
     with pytest.raises(ValueError):
         setdiff_entropy_loss("bogus", m=4, t=2)
